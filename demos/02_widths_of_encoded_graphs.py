@@ -2,8 +2,8 @@
 
 Undirected graphs live over GF(2) with the identity; directed graphs over
 GF(4) with sigma4 (arc = a one way, a^2 back); oriented graphs over GF(3)
-with negation.  Widths are exact: full enumeration of the (2n-5)!! layouts
-for small n, branch-and-bound beyond.
+with negation.  Widths are exact: one subset-memoized search over canonical
+splits finds the optimum and a witness layout.
 """
 
 from rankw import (CutFunction, birankwidth, digraph_gf2, encode_directed,

@@ -70,10 +70,9 @@ class CutFunction:
         F = self.graph.field
         if self.kind == "cutrk":
             return _block_rank(a, rows, cols, F)
-        b = _block_rank(a, rows, cols, F) + _block_rank(a, cols, rows, F)
-        if self.kind == "bicutrk":
-            return b
-        return self._matroid_lambda(rows, cols) if self.kind == "lambda" else b
+        if self.kind == "lambda":
+            return self._matroid_lambda(rows, cols)
+        return _block_rank(a, rows, cols, F) + _block_rank(a, cols, rows, F)
 
     def _matroid_lambda(self, rows, cols) -> int:
         """r(X u X') + r((V\\X) u (V\\X)') - r(V u V') + 1 on (I | M_G)."""

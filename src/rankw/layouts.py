@@ -2,12 +2,16 @@
 evaluation, exact width computation, and the rank-width / bi-rank-width
 wrappers.
 
-Exact computation enumerates all (2n-5)!! cubic leaf-tree shapes for small n
-(leaf insertion in vertex order) and switches to a bounded search over
-recursive canonical splits beyond that: rooting at the first vertex's leaf
-edge makes every subtree's leaf set a committed cut, so a subset is feasible
-under a bound independently of its surroundings and the search memoizes by
-subset, deepening the bound from the singleton floor until a tree fits.
+Exact computation is one bounded search over recursive canonical splits, an
+O*(2^n) subset search in the manner of S. Oum, "Computing rank-width exactly"
+(IPL 2009): rooting at the first vertex's leaf edge makes every subtree's leaf
+set a committed cut, so a subset is feasible under a bound independently of
+its surroundings and the search memoizes by subset.  The width deepens the
+bound from the singleton floor until a tree fits.  Graphs above BNB_BOUND
+vertices need force=True.
+
+`enumerate_layouts` lists all (2n-5)!! cubic leaf-tree shapes; the search does
+not use it, and it serves as the oracle of the tests and of `rankw selfcheck`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Iterator, Optional, Sequence
 from .cutrank import CutFunction
 from .graphs import ColoredGraph, SigmaGraph
 
-ENUM_BOUND = 9
 BNB_BOUND = 12
 
 
@@ -292,20 +295,6 @@ def _singleton_floor(f: CutFunction, n: int) -> int:
     return max(f(1 << i) for i in range(n)) if n >= 2 else 0
 
 
-def _search_enumerated(G: ColoredGraph, f: CutFunction) -> WidthResult:
-    n = G.n
-    floor = _singleton_floor(f, n)
-    best: Optional[WidthResult] = None
-    for L in enumerate_layouts(n, G.vertices):
-        r = layout_width(G, f, L)
-        if best is None or r.width < best.width:
-            best = r
-            if best.width <= floor:
-                break
-    assert best is not None
-    return best
-
-
 # -- bounded search over recursive canonical splits ----------------------------
 
 def _splits(mask: int):
@@ -324,13 +313,16 @@ def _splits(mask: int):
 
 
 def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int):
-    """A rooted split tree (nested index pairs) whose every cut is <= k, or
-    None.  Rooted at the first vertex's leaf edge; feasibility of a subset is
-    independent of its surroundings, so results memoize by mask."""
+    """A rooted split tree (nested index pairs; the leaf index 0 when n = 1)
+    whose every cut is <= k, or None.  Rooted at the first vertex's leaf
+    edge; feasibility of a subset is independent of its surroundings, so
+    results memoize by mask."""
     n = G.n
     full = (1 << n) - 1
     if _singleton_floor(f, n) > k:
         return None
+    if n == 1:
+        return 0
     memo: dict[int, object] = {}
 
     def feasible(mask: int):
@@ -383,63 +375,38 @@ def _tree_to_layout(tree, vertices) -> Layout:
     return Layout(edges, {i: vertices[i] for i in range(n)})
 
 
-def _enumeration_upper_bound(G: ColoredGraph, f: CutFunction) -> int:
-    """f-width of the first enumerated shape (a concrete upper bound)."""
-    L = next(enumerate_layouts(G.n, G.vertices))
-    return layout_width(G, f, L).width
-
-
-def width_exact(G: ColoredGraph, f: CutFunction, *, enum_bound: int = ENUM_BOUND,
-                bnb_bound: int = BNB_BOUND, force: bool = False) -> WidthResult:
-    """Minimal f-width over all layouts with a witness layout."""
-    n = G.n
+def _check_size(n: int, force: bool) -> None:
     if n == 0:
         raise LayoutError("width of the empty vertex set is undefined")
-    if n == 1:
-        return layout_width(G, f, Layout([], {0: G.vertices[0]}))
-    if n <= enum_bound:
-        return _search_enumerated(G, f)
-    if n > bnb_bound and not force:
+    if n > BNB_BOUND and not force:
         raise SizeBoundError(
-            f"n={n} exceeds the exact-search bound {bnb_bound}; pass force=True")
-    upper = _enumeration_upper_bound(G, f)
-    for k in range(_singleton_floor(f, n), upper + 1):
-        t = _feasible_tree(G, f, k)
-        if t is not None:
-            return layout_width(G, f, _tree_to_layout(t, G.vertices))
-    raise AssertionError("bounded search missed its own upper bound")
+            f"n={n} exceeds the exact-search bound {BNB_BOUND}; pass force=True")
+
+
+def width_exact(G: ColoredGraph, f: CutFunction, *, force: bool = False) -> WidthResult:
+    """Minimal f-width over all layouts with a witness layout.  The bound
+    deepens from the singleton floor; it needs no ceiling, since every split
+    is feasible once it reaches the largest cut value."""
+    _check_size(G.n, force)
+    k = _singleton_floor(f, G.n)
+    while (t := _feasible_tree(G, f, k)) is None:
+        k += 1
+    return layout_width(G, f, _tree_to_layout(t, G.vertices))
 
 
 def decide_width_at_most(G: ColoredGraph, f: CutFunction, k: int, *,
-                         enum_bound: int = ENUM_BOUND, bnb_bound: int = BNB_BOUND,
                          force: bool = False) -> Optional[Layout]:
     """A witness layout of f-width <= k, or None."""
-    n = G.n
-    if n == 0:
-        raise LayoutError("width of the empty vertex set is undefined")
-    if n == 1:
-        return Layout([], {0: G.vertices[0]}) if k >= 0 else None
-    if k < 0:
-        return None
-    if n <= enum_bound:
-        if _singleton_floor(f, n) > k:
-            return None
-        for L in enumerate_layouts(n, G.vertices):
-            if layout_width(G, f, L).width <= k:
-                return L
-        return None
-    if n > bnb_bound and not force:
-        raise SizeBoundError(
-            f"n={n} exceeds the exact-search bound {bnb_bound}; pass force=True")
+    _check_size(G.n, force)
     t = _feasible_tree(G, f, k)
     return None if t is None else _tree_to_layout(t, G.vertices)
 
 
-def rankwidth(G: SigmaGraph, **kw) -> WidthResult:
+def rankwidth(G: SigmaGraph, *, force: bool = False) -> WidthResult:
     """F-rank-width with witness (sigma-symmetric graphs only)."""
-    return width_exact(G, CutFunction(G, "cutrk"), **kw)
+    return width_exact(G, CutFunction(G, "cutrk"), force=force)
 
 
-def birankwidth(G: ColoredGraph, **kw) -> WidthResult:
+def birankwidth(G: ColoredGraph, *, force: bool = False) -> WidthResult:
     """F-bi-rank-width with witness (any F*-graph)."""
-    return width_exact(G, CutFunction(G, "bicutrk"), **kw)
+    return width_exact(G, CutFunction(G, "bicutrk"), force=force)

@@ -257,14 +257,16 @@ def check_layout_counts(rng) -> bool:
 
 
 def check_search_agreement(rng) -> bool:
-    """Branch-and-bound equals plain enumeration; disconnected width is the
-    max over components."""
+    """The subset search equals the minimum over all enumerated layouts;
+    disconnected width is the max over components."""
     for _ in range(15):
         F, s = rng.choice(_std_cases())
         n = rng.randrange(2, 7)
         G = random_sigma_graph(rng, F, s, n)
-        f1, f2 = CutFunction(G, "cutrk"), CutFunction(G, "cutrk")
-        if width_exact(G, f1).width != width_exact(G, f2, enum_bound=1).width:
+        f = CutFunction(G, "cutrk")
+        oracle = min(layout_width(G, f, L).width
+                     for L in enumerate_layouts(n, G.vertices))
+        if width_exact(G, f).width != oracle:
             return False
     for _ in range(10):
         e1 = [(i, j) for i in range(4) for j in range(i + 1, 4) if rng.random() < 0.6]

@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
-from rankw.fields import field_make, sigma_frobenius_conj
-from rankw.graphs import digraph_gf2, encode_undirected
+from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
+                          sigma_negation)
+from rankw.graphs import ColoredGraph, digraph_gf2, encode_undirected
 from rankw.layouts import (Layout, LayoutError, SizeBoundError, birankwidth,
                            decide_width_at_most, enumerate_layouts,
                            layout_width, parse_newick, rankwidth, width_exact)
@@ -178,9 +181,50 @@ def test_bnb_agrees_with_enumeration():
         F = field_make(*rng.choice([(2, 1), (3, 1)]))
         n = rng.randrange(2, 8)
         G = random_colored_graph(rng, F, n)
-        f1, f2 = CutFunction(G, "bicutrk"), CutFunction(G, "bicutrk")
-        assert width_exact(G, f1).width == \
-            width_exact(G, f2, enum_bound=1).width
+        f = CutFunction(G, "bicutrk")
+        assert width_exact(G, f).width == \
+            min(layout_width(G, f, L).width for L in enumerate_layouts(n, G.vertices))
+
+
+def _assert_search_matches_enumeration(G, kind):
+    """width_exact and both sides of decide_width_at_most against the
+    minimum over all (2n-5)!! layouts."""
+    f = CutFunction(G, kind)
+    w = min(layout_width(G, f, L).width for L in enumerate_layouts(G.n, G.vertices))
+    assert width_exact(G, f).width == w
+    assert decide_width_at_most(G, f, w - 1) is None
+    L = decide_width_at_most(G, f, w)
+    assert L is not None and layout_width(G, f, L).width <= w
+
+
+_F2, _F3, _F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
+_SIGMA_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_identity(_F3)),
+                (_F3, sigma_negation(_F3)), (_F4, sigma_frobenius_conj(_F4))]
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=st.sampled_from(_SIGMA_CASES), n=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]))
+def test_cutrk_search_matches_enumeration(case, n, seed, density):
+    F, sigma = case
+    G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
+    _assert_search_matches_enumeration(G, "cutrk")
+
+
+@st.composite
+def _colored_graphs(draw):
+    F = draw(st.sampled_from([_F2, _F3, _F4]))
+    n = draw(st.integers(2, 7))
+    entries = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+    a = np.array(entries, dtype=np.uint16).reshape(n, n)
+    np.fill_diagonal(a, 0)
+    return ColoredGraph(F, range(n), a)
+
+
+@settings(derandomize=True, deadline=None)
+@given(G=_colored_graphs())
+def test_bicutrk_search_matches_enumeration(G):
+    _assert_search_matches_enumeration(G, "bicutrk")
 
 
 def test_strongly_connected_bicut_floor():
@@ -248,6 +292,8 @@ def test_size_bound_error():
     G = encode_undirected([(i, (i + 1) % 13) for i in range(13)])
     with pytest.raises(SizeBoundError):
         rankwidth(G)
+    with pytest.raises(SizeBoundError):
+        decide_width_at_most(G, CutFunction(G, "cutrk"), 2)
     assert rankwidth(G, force=True).width == 2
 
 
