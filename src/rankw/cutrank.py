@@ -9,18 +9,35 @@ three kinds are
     lambda(X)  = connectivity of {P_x : x in X} in the matroid on (I | M_G)
                  with P_x = {x, x'}; equals bicutrk(X) + 1.
 
-lambda is computed from matroid column ranks directly, so it is an
-independent route to the bi-cut-rank values.
+cutrk and bicutrk are evaluated on Python rows of the adjacency matrix,
+made once per CutFunction on the first cut with both sides nonempty, so a
+cut makes no numpy call and copies no sub-matrix:
+
+    GF(2)                each row is packed into an int (bit j = entry
+                         (i, j)); M[X][V\\X] is the rows R[i] & ~X for i in
+                         X, M[V\\X][X] the rows R[i] & X for i outside X, and
+                         a rank is the size of an XOR basis;
+    other orders <= 256  rows are lists of element codes, eliminated with
+                         the field's SUB/MUL/INV tables as nested tuples
+                         (built once per field);
+    orders > 256         no tables: the first such cut raises MatrixError.
+
+The field order picks the kernel.  lambda stays on numpy `rank_of` on
+purpose: `lambda == bicutrk + 1` then compares two different rank kernels
+(the tests and `rankw selfcheck` also compare both kernels with `rank_of`).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Union
 
 import numpy as np
 
+from .fields import Field
 from .graphs import ColoredGraph, GraphError, SigmaGraph
-from .matrix import rank_of
+from .matrix import _require_tables, rank_of
 
 KINDS = ("cutrk", "bicutrk", "lambda")
 
@@ -28,7 +45,7 @@ KINDS = ("cutrk", "bicutrk", "lambda")
 class CutFunction:
     """Memoized symmetric cut function of a fixed graph."""
 
-    __slots__ = ("graph", "kind", "memo", "_n", "_full", "_idx")
+    __slots__ = ("graph", "kind", "memo", "_n", "_full", "_idx", "_rows", "_tables")
 
     def __init__(self, graph: ColoredGraph, kind: str):
         if kind not in KINDS:
@@ -41,6 +58,10 @@ class CutFunction:
         self._n = graph.n
         self._full = (1 << graph.n) - 1
         self._idx = graph._index
+        # made by _pack on the first cut with both sides nonempty, so that a
+        # field without tables (order > 256) fails only there
+        self._rows = None
+        self._tables = None
 
     def mask_of(self, X: Iterable) -> int:
         m = 0
@@ -52,7 +73,12 @@ class CutFunction:
         return m
 
     def __call__(self, X: Union[int, Iterable]) -> int:
-        mask = X if isinstance(X, int) else self.mask_of(X)
+        if isinstance(X, int):
+            mask = X
+        elif isinstance(X, np.integer):
+            mask = int(X)
+        else:
+            mask = self.mask_of(X)
         if not 0 <= mask <= self._full:
             raise GraphError("subset mask out of range")
         key = min(mask, self._full ^ mask)  # f is symmetric
@@ -66,13 +92,31 @@ class CutFunction:
         n = self._n
         rows = [i for i in range(n) if mask >> i & 1]
         cols = [i for i in range(n) if not mask >> i & 1]
-        a = self.graph.adj
-        F = self.graph.field
-        if self.kind == "cutrk":
-            return _block_rank(a, rows, cols, F)
         if self.kind == "lambda":
             return self._matroid_lambda(rows, cols)
-        return _block_rank(a, rows, cols, F) + _block_rank(a, cols, rows, F)
+        if not mask:  # keys are min(X, V\X): only 0 has an empty side
+            return 0
+        if self._rows is None:
+            self._pack()
+        R, tables = self._rows, self._tables
+        if tables is None:
+            r = _xor_rank([R[i] & ~mask for i in rows])
+            if self.kind == "bicutrk":
+                r += _xor_rank([R[j] & mask for j in cols])
+            return r
+        r = _list_rank(R, rows, cols, tables)
+        if self.kind == "bicutrk":
+            r += _list_rank(R, cols, rows, tables)
+        return r
+
+    def _pack(self):
+        F = self.graph.field
+        rows = self.graph.adj.tolist()
+        if F.q == 2:
+            self._rows = [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
+        else:
+            self._tables = _field_tables(F)
+            self._rows = rows
 
     def _matroid_lambda(self, rows, cols) -> int:
         """r(X u X') + r((V\\X) u (V\\X)') - r(V u V') + 1 on (I | M_G)."""
@@ -82,10 +126,59 @@ class CutFunction:
         return (_matroid_rank(a, rows, F) + _matroid_rank(a, cols, F) - n + 1)
 
 
-def _block_rank(a: np.ndarray, rows, cols, field) -> int:
-    if not rows or not cols:
-        return 0
-    return rank_of(a[np.ix_(rows, cols)], field)
+def _xor_rank(vectors) -> int:
+    """Rank over GF(2) of bit-packed vectors.  Each basis vector has its own
+    leading bit, and v ^ b < v exactly when v has the leading bit of b (the
+    comparison is min(v, v ^ b) without the builtin call)."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            w = v ^ b
+            if w < v:
+                v = w
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+@lru_cache(maxsize=None)
+def _field_tables(F: Field):
+    """SUB, MUL and INV of a field with tables, as nested tuples."""
+    _require_tables(F)
+    return (tuple(map(tuple, F.SUB.tolist())), tuple(map(tuple, F.MUL.tolist())),
+            tuple(F.INV.tolist()))
+
+
+def _list_rank(A, rows, cols, tables) -> int:
+    """Rank of A[rows][cols] (A a list of code lists, rows and cols
+    nonempty), first-nonzero pivots."""
+    if len(cols) == 1:  # itemgetter of one index returns the entry itself
+        return int(any(A[i][cols[0]] for i in rows))
+    SUB, MUL, INV = tables
+    pick = itemgetter(*cols)
+    m = [pick(A[i]) for i in rows]
+    h = len(m)
+    rank = 0
+    for c in range(len(cols)):
+        for p in range(rank, h):
+            if m[p][c]:
+                break
+        else:
+            continue
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+        prow = m[rank]
+        pinv = INV[prow[c]]
+        for i in range(rank + 1, h):
+            row = m[i]
+            e = row[c]
+            if e:
+                me = MUL[MUL[e][pinv]]
+                m[i] = [SUB[x][me[y]] for x, y in zip(row, prow)]
+        rank += 1
+        if rank == h:
+            break
+    return rank
 
 
 def _matroid_rank(a: np.ndarray, X, field) -> int:

@@ -188,7 +188,20 @@ def check_rank_submodularity(rng) -> bool:
     return True
 
 
+def cut_block_ranks(G: ColoredGraph, X: int) -> tuple[int, int]:
+    """rank_of of the blocks M[X][V\\X] and M[V\\X][X] of the mask X, 0 for an
+    empty side: the reference that the cut kernels are checked against."""
+    rows = [i for i in range(G.n) if X >> i & 1]
+    cols = [i for i in range(G.n) if not X >> i & 1]
+    if not rows or not cols:
+        return 0, 0
+    return (rank_of(G.adj[np.ix_(rows, cols)], G.field),
+            rank_of(G.adj[np.ix_(cols, rows)], G.field))
+
+
 def check_cut_functions(rng) -> bool:
+    """Symmetry, submodularity and lambda = bicutrk + 1, with every cutrk and
+    bicutrk value also compared with rank_of of its blocks."""
     for _ in range(30):
         F, s = rng.choice(_std_cases())
         n = rng.randrange(1, 7)
@@ -198,6 +211,9 @@ def check_cut_functions(rng) -> bool:
         fl = CutFunction(G, "lambda")
         full = (1 << n) - 1
         for X in range(full + 1):
+            out, back = cut_block_ranks(G, X)
+            if f(X) != out or fb(X) != out + back:
+                return False
             if f(X) != f(full ^ X) or fb(X) != 2 * f(X) or fl(X) != fb(X) + 1:
                 return False
             for Y in range(full + 1):
@@ -206,6 +222,8 @@ def check_cut_functions(rng) -> bool:
         A = random_colored_graph(rng, F, n)
         fb2, fl2 = CutFunction(A, "bicutrk"), CutFunction(A, "lambda")
         for X in range(full + 1):
+            if fb2(X) != sum(cut_block_ranks(A, X)):
+                return False
             if fb2(X) != fb2(full ^ X) or fl2(X) != fb2(X) + 1:
                 return False
             for Y in range(full + 1):

@@ -4,12 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction, bicutrk, cutrk, matroid_lambda
-from rankw.fields import (field_make, sigma_frobenius_conj, sigma_negation)
-from rankw.graphs import (GraphError, digraph_gf2, encode_undirected, tilde)
-from rankw.matrix import rank_of
-from rankw.selfcheck import random_colored_graph, random_sigma_graph
+from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
+                          sigma_negation)
+from rankw.graphs import (ColoredGraph, GraphError, digraph_gf2,
+                          encode_undirected, tilde)
+from rankw.matrix import MatrixError, rank_of
+from rankw.selfcheck import (cut_block_ranks, random_colored_graph,
+                             random_sigma_graph)
 
 
 def test_cutrk_examples():
@@ -113,3 +118,64 @@ def test_memoization_and_errors():
         f(["nope"])
     with pytest.raises(ValueError):
         CutFunction(C5, "weird")
+
+
+def test_numpy_integer_masks():
+    C5 = encode_undirected([(i, (i + 1) % 5) for i in range(5)])
+    f = CutFunction(C5, "cutrk")
+    assert f(np.int64(3)) == 2 == f(np.uint8(0b11100))
+    assert [type(k) for k in f.memo] == [int]
+    with pytest.raises(GraphError):
+        f(np.int64(32))
+
+
+def test_order_above_256_raises_matrix_error():
+    F = field_make(257, 1)
+    G = ColoredGraph(F, range(3), [[0, 1, 256], [2, 0, 0], [0, 0, 0]])
+    f = CutFunction(G, "bicutrk")
+    assert f([]) == 0
+    for X in ([0], 0b10):
+        with pytest.raises(MatrixError, match="order > 256"):
+            f(X)
+
+
+# -- the cut kernels against numpy rank_of, on every cut --------------------------
+
+def _assert_cuts_match_oracle(G, kinds):
+    fs = [CutFunction(G, kind) for kind in kinds]
+    fl = CutFunction(G, "lambda")
+    for X in range(1 << G.n):
+        out, back = cut_block_ranks(G, X)
+        for kind, f in zip(kinds, fs):
+            assert f(X) == (out if kind == "cutrk" else out + back), (kind, X)
+        assert fl(X) == out + back + 1, X
+
+
+_F2, _F3, _F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
+_SIGMA_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_identity(_F3)),
+                (_F3, sigma_negation(_F3)), (_F4, sigma_frobenius_conj(_F4))]
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=st.sampled_from(_SIGMA_CASES), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]))
+def test_sigma_cut_kernels_match_rank_of(case, n, seed, density):
+    F, sigma = case
+    G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
+    _assert_cuts_match_oracle(G, ("cutrk", "bicutrk"))
+
+
+@st.composite
+def _colored_graphs(draw):
+    F = draw(st.sampled_from([_F2, _F3, _F4]))
+    n = draw(st.integers(1, 8))
+    entries = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+    a = np.array(entries, dtype=np.uint16).reshape(n, n)
+    np.fill_diagonal(a, 0)
+    return ColoredGraph(F, range(n), a)
+
+
+@settings(derandomize=True, deadline=None)
+@given(G=_colored_graphs())
+def test_bicut_kernels_match_rank_of(G):
+    _assert_cuts_match_oracle(G, ("bicutrk",))
