@@ -5,12 +5,20 @@ isomorphism, and canonical forms.
 A graph is a square matrix of element codes with zero diagonal; code 0 is a
 non-edge.  A SigmaGraph additionally carries a sesqui-morphism sigma and
 satisfies adj[y][x] = sigma(adj[x][y]).
+
+Canonical forms come from one individualization-refinement search (McKay
+and Piperno, "Practical graph isomorphism, II", 2014).  Refinement splits an
+ordered partition until it is equitable, ordering cells by signature (old
+cell, sorted (pair code, cell of w)), never by label.  The search
+individualizes each vertex of the first non-singleton cell in turn; a leaf's
+certificate is the matrix in leaf order, and the form is (n, q, least
+certificate).  Equal leaves give automorphisms, and a vertex in the orbit of
+a tried one, under those fixing the node's path, is skipped.  `isomorphic`
+compares forms and pairs up the two canonical orders.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,8 +28,6 @@ from .fields import (Field, FieldError, Sesquimorphism, field_extend_quadratic,
                      sigma_identity, sigma_negation)
 from .matrix import FMatrix
 
-_FULL_PERM_MAX_N = 7      # below this, canonical form minimizes over all n!
-_PERM_GUARD = 2_000_000   # refuse larger restricted permutation products
 CANONICAL_MAX_N = 12
 
 
@@ -121,8 +127,14 @@ class ColoredGraph:
 
     def canonical_form(self):
         """Label-independent signature: equal iff isomorphic (n <= 12)."""
+        if self.n > CANONICAL_MAX_N:
+            raise GraphError(f"canonical form limited to n <= {CANONICAL_MAX_N}")
+        return self._labelling()[0]
+
+    def _labelling(self):
+        """(canonical form, canonical vertex-index order), computed once."""
         if self._canon is None:
-            self._canon = _canonical_form(self.field, self.adj)
+            self._canon = _canonical_labelling(self.field.q, self.adj)
         return self._canon
 
     def __eq__(self, other):
@@ -275,71 +287,82 @@ def tilde(G: ColoredGraph) -> SigmaGraph:
 
 # -- canonical form and isomorphism ------------------------------------------
 
-@lru_cache(maxsize=16)
-def _perm_flat_idx(n: int) -> np.ndarray:
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    return perms[:, :, None] * n + perms[:, None, :]
+def _canonical_labelling(q: int, adj: np.ndarray):
+    """Canonical form and canonical order of a graph's matrix, by
+    individualization-refinement with automorphism pruning.
 
-
-def _lexmin_rows(sig: np.ndarray) -> bytes:
-    order = np.lexsort(sig.T[::-1])
-    return sig[order[0]].astype(np.uint16).tobytes()
-
-
-def _refine_classes(adj: np.ndarray) -> list[list[int]]:
-    """Iterated color refinement; returns vertex classes in canonical order."""
+    Returns ``((n, q, cert), order)``: ``cert`` is the least leaf
+    certificate (the matrix permuted by a leaf order, flattened row by row)
+    and ``order`` lists the vertex indices in that leaf's order.
+    """
     n = adj.shape[0]
-    keys = [tuple(sorted((int(adj[v, w]), int(adj[w, v]))
-                         for w in range(n) if w != v)) for v in range(n)]
-    while True:
-        ordered = sorted(set(keys))
-        cid = {k: i for i, k in enumerate(ordered)}
-        new = [tuple(sorted((int(adj[v, w]), int(adj[w, v]), cid[keys[w]])
-                            for w in range(n) if w != v)) for v in range(n)]
-        if len(set(new)) == len(set(keys)):
-            keys = new
-            break
-        keys = new
-    ordered = sorted(set(keys))
-    classes = [[v for v in range(n) if keys[v] == k] for k in ordered]
-    return classes
+    rows = adj.tolist()
+    # nbrs[v]: (pair code * n, w) for each w joined to v in either direction;
+    # a signature entry adds cell[w], so entries sort by pair code first
+    nbrs = [[((rv[w] * q + rows[w][v]) * n, w) for w in range(n)
+             if rv[w] or rows[w][v]] for v, rv in enumerate(rows)]
+
+    def refine(cell, ncells):
+        """Refine an ordered partition (cell[v] = rank of v's cell) until it
+        is equitable; the new cells are ranked by signature value."""
+        while ncells < n:
+            sigs = [(cell[v], tuple(sorted([c + cell[w] for c, w in nb])))
+                    for v, nb in enumerate(nbrs)]
+            keys = set(sigs)
+            if len(keys) == ncells:
+                break
+            rank = {s: i for i, s in enumerate(sorted(keys))}
+            cell = [rank[s] for s in sigs]
+            ncells = len(keys)
+        return cell, ncells
+
+    best = []       # [cert, order] of the least leaf so far
+    autos = []      # automorphisms, each mapping the best leaf to an equal one
+
+    def search(cell, ncells, path):
+        cell, ncells = refine(cell, ncells)
+        if ncells == n:
+            order = [0] * n
+            for v, c in enumerate(cell):
+                order[c] = v
+            cert = tuple([rows[u][w] for u in order for w in order])
+            if not best or cert < best[0]:
+                best[:] = cert, order
+            elif cert == best[0]:
+                gamma = [0] * n
+                for u, w in zip(best[1], order):
+                    gamma[u] = w
+                autos.append(gamma)
+            return
+        target = min(c for c in cell if cell.count(c) > 1)
+        tried = []
+        for v in [u for u, c in enumerate(cell) if c == target]:
+            # an automorphism that fixes the path maps the subtree of a tried
+            # vertex onto the subtree of each vertex in its orbit
+            if tried and v in _orbit(tried, [g for g in autos
+                                             if all(g[u] == u for u in path)]):
+                continue
+            # v alone in front of the rest of its cell
+            child = [c + 1 if c > target or (c == target and u != v) else c
+                     for u, c in enumerate(cell)]
+            search(child, ncells + 1, path + [v])
+            tried.append(v)
+
+    search([0] * n, min(n, 1), [])
+    return (n, q, best[0]), best[1]
 
 
-def _canonical_form(field: Field, adj: np.ndarray):
-    n = adj.shape[0]
-    if n > CANONICAL_MAX_N:
-        raise GraphError(f"canonical form limited to n <= {CANONICAL_MAX_N}")
-    if n <= 1:
-        return (n, field.q, adj.tobytes())
-    if n <= _FULL_PERM_MAX_N:
-        sig = adj.ravel()[_perm_flat_idx(n).reshape(-1, n * n)]
-        return (n, field.q, _lexmin_rows(sig))
-    classes = _refine_classes(adj)
-    total = 1
-    for c in classes:
-        for i in range(2, len(c) + 1):
-            total *= i
-        if total > _PERM_GUARD:
-            raise GraphError("canonical form search space too large")
-    flat = adj.ravel()
-    best = None
-    batch = []
-    for combo in itertools.product(*[itertools.permutations(c) for c in classes]):
-        perm = [v for group in combo for v in group]
-        batch.append(perm)
-        if len(batch) >= 65536:
-            best = _fold_best(flat, batch, n, best)
-            batch = []
-    if batch:
-        best = _fold_best(flat, batch, n, best)
-    return (n, field.q, best)
-
-
-def _fold_best(flat, perms, n, best):
-    p = np.array(perms, dtype=np.int64)
-    sig = flat[(p[:, :, None] * n + p[:, None, :]).reshape(len(perms), n * n)]
-    cand = _lexmin_rows(sig)
-    return cand if best is None or cand < best else best
+def _orbit(start, gens) -> set:
+    """The vertices that the permutations in gens, composed in any way, map
+    the vertices in start to."""
+    reach, stack = set(start), list(start)
+    while stack:
+        u = stack.pop()
+        for g in gens:
+            if g[u] not in reach:
+                reach.add(g[u])
+                stack.append(g[u])
+    return reach
 
 
 def canonical_form(G: ColoredGraph):
@@ -347,51 +370,18 @@ def canonical_form(G: ColoredGraph):
 
 
 def isomorphic(G: ColoredGraph, H: ColoredGraph) -> Optional[dict]:
-    """A color-preserving vertex bijection G -> H, or None."""
+    """A color-preserving vertex bijection G -> H, or None: the graphs are
+    isomorphic exactly when their canonical forms agree, and then the i-th
+    vertex of G's canonical order maps to the i-th vertex of H's."""
     if G.field != H.field:
         raise GraphError("graphs live over different fields")
     if G.n != H.n:
         return None
-    if G.n == 0:
-        return {}
-    a, b = G.adj, H.adj
-    inv_g = _refine_classes(a)
-    inv_h = _refine_classes(b)
-    if [len(c) for c in inv_g] != [len(c) for c in inv_h]:
+    form_g, order_g = G._labelling()
+    form_h, order_h = H._labelling()
+    if form_g != form_h:
         return None
-    # candidate targets per G-vertex: vertices of H in the matching class
-    cand = {}
-    for cg, ch in zip(inv_g, inv_h):
-        for v in cg:
-            cand[v] = list(ch)
-    order = sorted(range(G.n), key=lambda v: len(cand[v]))
-    mapping: dict[int, int] = {}
-    used = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for w in cand[v]:
-            if w in used:
-                continue
-            ok = True
-            for v2, w2 in mapping.items():
-                if a[v, v2] != b[w, w2] or a[v2, v] != b[w2, w]:
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(k + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    if not extend(0):
-        return None
-    return {G.vertices[v]: H.vertices[w] for v, w in mapping.items()}
+    return {G.vertices[u]: H.vertices[w] for u, w in zip(order_g, order_h)}
 
 
 # -- graph file format --------------------------------------------------------

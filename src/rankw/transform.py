@@ -118,11 +118,17 @@ def equivalence_orbit_graphs(G: ColoredGraph, relation: str,
         raise GraphError("orbit search limited to n <= 10")
     start = G.canonical_form()
     seen = {start: G}
+    # matrices already handled: equal bytes mean an equal canonical form
+    handled = {G.adj.tobytes()}
     frontier = [G]
     while frontier:
         nxt = []
         for H in frontier:
             for K in _moves(H, relation):
+                b = K.adj.tobytes()
+                if b in handled:
+                    continue
+                handled.add(b)
                 c = K.canonical_form()
                 if c not in seen:
                     if len(seen) >= max_states:
@@ -167,6 +173,7 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
     if G.n == H.n and start == target:
         return MinorSearchResult(True, True, 1)
     seen = {start}
+    handled = {G.adj.tobytes()}   # as in equivalence_orbit_graphs
     frontier = [G]
     states = 1
     truncated = False
@@ -178,6 +185,10 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
                 succs.extend(K.induced_subgraph(
                     [v for v in K.vertices if v != drop]) for drop in K.vertices)
             for K2 in succs:
+                b = K2.adj.tobytes()
+                if b in handled:
+                    continue
+                handled.add(b)
                 c = K2.canonical_form()
                 if c in seen:
                     continue
@@ -257,9 +268,13 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
     if max_n > 8:
         raise GraphError("obstruction search limited to max_n <= 8")
     width_cache: dict = {}
+    key_of: dict = {}     # adj bytes -> canonical form, in front of width_cache
 
     def width_of(G: SigmaGraph) -> int:
-        key = G.canonical_form()
+        b = G.adj.tobytes()
+        key = key_of.get(b)
+        if key is None:
+            key = key_of[b] = G.canonical_form()
         w = width_cache.get(key)
         if w is None:
             w = width_exact(G, CutFunction(G, "cutrk")).width

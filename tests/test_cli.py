@@ -2,9 +2,14 @@
 determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankw
 from rankw.cli import main
 from rankw.graphs import parse_graph
 from rankw.layouts import parse_newick
@@ -204,3 +209,16 @@ def test_jobs_flag_accepted(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "width 2"
     with pytest.raises(SystemExit):
         main(["--jobs", "0", "width", "--input", str(path)])
+
+
+def test_python_m_rankw(tmp_path):
+    """`python -m rankw` runs the same command line."""
+    path = write_c5(tmp_path)
+    env = dict(os.environ)
+    src = str(Path(rankw.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rankw", "width", "--input",
+                           str(path)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "width 2"

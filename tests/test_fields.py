@@ -1,5 +1,9 @@
 """Field construction, quadratic extensions, and sesqui-morphisms."""
 
+import itertools
+import random
+import time
+
 import numpy as np
 import pytest
 
@@ -146,6 +150,64 @@ def test_sesqui_check_examples():
         sesqui_check(F4, [0, 1, 2])            # not total
     with pytest.raises(FieldError):
         sesqui_check(F4, [0, 1, 2, 9])         # value outside the field
+
+
+def _sesqui_exhaustive(field, table) -> bool:
+    """Oracle: the involution and normalization checks, then the
+    automorphism property on all q^2 pairs."""
+    q = field.q
+    if any(table[table[a]] != a for a in range(q)) or table[1] == 0:
+        return False
+    s1_inv = field.inv(table[1])
+    norm = [field.mul(table[a], s1_inv) for a in range(q)]
+    if len(set(norm)) != q or norm[0] != 0 or norm[1] != 1:
+        return False
+    return all(norm[field.add(a, b)] == field.add(norm[a], norm[b])
+               and norm[field.mul(a, b)] == field.mul(norm[a], norm[b])
+               for a in range(q) for b in range(q))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2)])
+def test_sesqui_check_matches_exhaustive_on_every_table(p, k):
+    F = field_make(p, k)
+    for table in itertools.product(range(F.q), repeat=F.q):
+        assert sesqui_check(F, table) == _sesqui_exhaustive(F, table)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (2, 3), (3, 2)])
+def test_sesqui_check_matches_exhaustive_on_random_tables(p, k):
+    """Random involutions, and s * x^(p^i) for every unit s and every i
+    (the sesqui-morphisms among them), each also with two values swapped."""
+    F = field_make(p, k)
+    q = F.q
+    rng = random.Random(q)
+    tables = []
+    for _ in range(200):
+        elts = list(range(q))
+        rng.shuffle(elts)
+        table = list(range(q))
+        for a, b in zip(elts[:q // 2], elts[q // 2:]):
+            if rng.random() < 0.7:
+                table[a], table[b] = b, a
+        tables.append(table)
+    for i in range(k):
+        for s in F.units():
+            tables.append([F.mul(s, F.pow(a, p ** i)) for a in range(q)])
+    for table in list(tables):
+        a, b = rng.sample(range(q), 2)
+        swapped = list(table)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        tables.append(swapped)
+    verdicts = [sesqui_check(F, t) for t in tables]
+    assert verdicts == [_sesqui_exhaustive(F, t) for t in tables]
+    assert any(verdicts)
+
+
+def test_sesqui_check_large_field_is_fast():
+    """GF(2^9) has no tables; 512^2 scalar pairs took about 19 s."""
+    t0 = time.perf_counter()
+    sigma_identity(field_make(2, 9))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_sesqui_identities():

@@ -1,10 +1,13 @@
 """Encodings, the quadratic-extension lift, isomorphism, canonical forms,
 and the graph file format."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
 from rankw.fields import (field_extend_quadratic, field_make,
@@ -212,6 +215,111 @@ def test_canonical_form_larger_graphs_use_refinement():
         perm = list(G.vertices)
         rng.shuffle(perm)
         assert G.permuted(perm).canonical_form() == G.canonical_form()
+
+
+def _cycle(n):
+    return encode_undirected([(i, (i + 1) % n) for i in range(n)])
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return encode_undirected(outer + inner + spokes)
+
+
+VERTEX_TRANSITIVE = {
+    "C10": lambda: _cycle(10),
+    "C12": lambda: _cycle(12),
+    "K10": lambda: encode_undirected(list(itertools.combinations(range(10), 2))),
+    "Petersen": _petersen,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_TRANSITIVE))
+def test_canonical_form_vertex_transitive(name):
+    """One refinement class at n = 10-12: the form needs the search tree."""
+    G = VERTEX_TRANSITIVE[name]()
+    rng = random.Random(name)
+    for _ in range(5):
+        perm = list(G.vertices)
+        rng.shuffle(perm)
+        H = G.permuted(perm)
+        assert H.canonical_form() == G.canonical_form()
+        m = isomorphic(G, H)
+        assert all(G.color(u, v) == H.color(m[u], m[v])
+                   for u in G.vertices for v in G.vertices)
+
+
+def test_cycle_and_two_pentagons_differ():
+    C10 = _cycle(10)
+    two_c5 = encode_undirected([(i, (i + 1) % 5) for i in range(5)]
+                               + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    assert C10.canonical_form() != two_c5.canonical_form()
+    assert isomorphic(C10, two_c5) is None
+
+
+def _lexmin(G):
+    """Oracle: the least matrix over all n! vertex orders, row by row."""
+    a = G.adj.tolist()
+    return min(tuple(a[u][w] for u in p for w in p)
+               for p in itertools.permutations(range(G.n)))
+
+
+@st.composite
+def _graph_triples(draw):
+    """A graph, a permutation of it, and a second graph: an independent one,
+    a permuted copy, or a permuted copy with one entry changed.  Graphs with
+    many automorphisms come from few colors, and from copies of one block
+    joined by a single color."""
+    F = draw(st.sampled_from([field_make(2, 1), field_make(3, 1),
+                              field_make(2, 2)]))
+    colors = draw(st.sampled_from([(0, 1), tuple(range(F.q))]))
+
+    def matrix(k):
+        return np.array(draw(st.lists(st.sampled_from(colors), min_size=k * k,
+                                      max_size=k * k)), dtype=np.uint16).reshape(k, k)
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        a = matrix(n)
+    else:
+        k, copies = draw(st.sampled_from([(1, 6), (2, 2), (2, 3), (3, 2)]))
+        n = k * copies
+        a = np.full((n, n), draw(st.sampled_from(colors)), dtype=np.uint16)
+        block = matrix(k)
+        for i in range(0, n, k):
+            a[i:i + k, i:i + k] = block
+    np.fill_diagonal(a, 0)
+    G = ColoredGraph(F, range(n), a)
+    P = G.permuted(draw(st.permutations(range(n))))
+    kind = draw(st.sampled_from(["other", "permuted", "changed"]))
+    if kind == "other":
+        b = matrix(n)
+        np.fill_diagonal(b, 0)
+        return G, P, ColoredGraph(F, range(n), b)
+    b = P.adj.copy()
+    if kind == "changed" and n > 1:
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n)
+                                     if i != j]))
+        b[i, j] = draw(st.sampled_from(colors))
+    return G, P, ColoredGraph(F, [f"w{v}" for v in range(n)], b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_graph_triples())
+def test_canonical_form_matches_brute_force(case):
+    G, P, H = case
+    assert P.canonical_form() == G.canonical_form()
+    same = _lexmin(G) == _lexmin(H)
+    assert (G.canonical_form() == H.canonical_form()) == same
+    m = isomorphic(G, H)
+    if not same:
+        assert m is None
+        return
+    assert sorted(m) == list(G.vertices) and sorted(m.values()) == list(H.vertices)
+    assert all(G.color(u, v) == H.color(m[u], m[v])
+               for u in G.vertices for v in G.vertices)
 
 
 def test_canonical_size_bound():

@@ -231,6 +231,16 @@ def test_orbit_examples():
         assert all(isomorphic(E, H) is not None for H in orbit)
 
 
+def test_orbits_of_vertex_transitive_graphs():
+    """Orbits that reach graphs with one refinement class at n = 10."""
+    C10 = encode_undirected([(i, (i + 1) % 10) for i in range(10)])
+    assert len(equivalence_orbit_graphs(C10, "sigma-vertex")) == 1206
+    star = encode_undirected([(0, i) for i in range(1, 10)])
+    orbit = equivalence_orbit_graphs(star, "sigma-vertex")
+    assert len(orbit) == 2          # the star and K10
+    assert sorted(int(H.adj.sum()) for H in orbit) == [18, 90]
+
+
 def test_orbit_width_invariance():
     rng = random.Random(8)
     for _ in range(8):
