@@ -143,10 +143,12 @@ def _xor_rank(vectors) -> int:
 
 @lru_cache(maxsize=None)
 def _field_tables(F: Field):
-    """SUB, MUL and INV of a field with tables, as nested tuples."""
+    """ADD, SUB, MUL, INV and NEG of a field with tables, as nested tuples
+    (a field of order > 256 raises MatrixError)."""
     _require_tables(F)
-    return (tuple(map(tuple, F.SUB.tolist())), tuple(map(tuple, F.MUL.tolist())),
-            tuple(F.INV.tolist()))
+    return (tuple(map(tuple, F.ADD.tolist())), tuple(map(tuple, F.SUB.tolist())),
+            tuple(map(tuple, F.MUL.tolist())), tuple(F.INV.tolist()),
+            tuple(F.NEG.tolist()))
 
 
 def _list_rank(A, rows, cols, tables) -> int:
@@ -154,7 +156,7 @@ def _list_rank(A, rows, cols, tables) -> int:
     nonempty), first-nonzero pivots."""
     if len(cols) == 1:  # itemgetter of one index returns the entry itself
         return int(any(A[i][cols[0]] for i in rows))
-    SUB, MUL, INV = tables
+    _, SUB, MUL, INV, _ = tables
     pick = itemgetter(*cols)
     m = [pick(A[i]) for i in rows]
     h = len(m)

@@ -400,7 +400,8 @@ class Sesquimorphism:
 def sesqui_check(field: Field, table) -> bool:
     """True iff the table is an involution and x -> sigma(x)/sigma(1) is a
     field automorphism.  The automorphisms of GF(p^k) are the k Frobenius
-    powers x -> x^(p^i), so the normalization is compared with each."""
+    powers x -> x^(p^i), so the normalization is compared with each, the
+    identity first (the Frobenius table is built only if that fails)."""
     table = tuple(int(t) for t in table)
     q = field.q
     if len(table) != q or any(not 0 <= t < q for t in table):
@@ -410,16 +411,21 @@ def sesqui_check(field: Field, table) -> bool:
     s1 = table[1]
     if s1 == 0:
         return False
-    s1_inv = field.inv(s1)
-    norm = [field.mul(table[a], s1_inv) for a in range(q)]
+    if s1 == 1:
+        norm = list(table)
+    else:
+        s1_inv = field.inv(s1)
+        norm = [field.mul(t, s1_inv) for t in table]
     if len(set(norm)) != q or norm[0] != 0 or norm[1] != 1:
         return False
-    frob = [field.pow(a, field.p) for a in range(q)]
     power = list(range(q))
-    for _ in range(field.k):
+    if power == norm:
+        return True
+    frob = [field.pow(a, field.p) for a in range(q)]
+    for _ in range(field.k - 1):
+        power = [frob[a] for a in power]
         if power == norm:
             return True
-        power = [frob[a] for a in power]
     return False
 
 

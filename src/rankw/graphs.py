@@ -134,7 +134,8 @@ class ColoredGraph:
     def _labelling(self):
         """(canonical form, canonical vertex-index order), computed once."""
         if self._canon is None:
-            self._canon = _canonical_labelling(self.field.q, self.adj)
+            self._canon = _canonical_labelling(self.field.q, self.n,
+                                               tuple(self.adj.ravel().tolist()))
         return self._canon
 
     def __eq__(self, other):
@@ -287,16 +288,16 @@ def tilde(G: ColoredGraph) -> SigmaGraph:
 
 # -- canonical form and isomorphism ------------------------------------------
 
-def _canonical_labelling(q: int, adj: np.ndarray):
-    """Canonical form and canonical order of a graph's matrix, by
-    individualization-refinement with automorphism pruning.
+def _canonical_labelling(q: int, n: int, codes: tuple):
+    """Canonical form and canonical order of a graph's matrix, given as the
+    row-major tuple of its n*n element codes, by individualization-refinement
+    with automorphism pruning.
 
     Returns ``((n, q, cert), order)``: ``cert`` is the least leaf
     certificate (the matrix permuted by a leaf order, flattened row by row)
     and ``order`` lists the vertex indices in that leaf's order.
     """
-    n = adj.shape[0]
-    rows = adj.tolist()
+    rows = [codes[i * n:i * n + n] for i in range(n)]
     # nbrs[v]: (pair code * n, w) for each w joined to v in either direction;
     # a signature entry adds cell[w], so entries sort by pair code first
     nbrs = [[((rv[w] * q + rows[w][v]) * n, w) for w in range(n)

@@ -1,25 +1,41 @@
 """Lambda-local complementation, pivot complementation, equivalence orbits,
-minor containment, and minimal-obstruction search.
+minor containment, isomorph-free generation, and minimal-obstruction search.
 
 The update for a lambda-local complementation at x is
     M'[z][t] = M[z][t] + lambda * M[z][x] * M[x][t]      (x not in {z, t})
 with row/column x and the diagonal untouched.  Pivot complementation at an
 edge xy applies the nine-case formula covering interior entries, the x/y
 rows and columns, and the two pivot entries.
+
+`local_complement` and `pivot_complement` apply one move to a graph.  The
+searches share one closure engine that never builds a graph per move.  A
+state is the row-major tuple of the n*n element codes of a matrix, and that
+tuple is also the key under which the state is deduplicated.  The moves and
+the one-vertex deletions map tuples to tuples through the field's tables as
+nested tuples (`cutrank._field_tables`, built once per field).  The engine
+walks the closure breadth first: a tuple it has handled before is skipped
+unlabelled, and each new canonical form keeps the first state that reached
+it.  Orbits, minor queries and the obstruction search run on it, and
+generation grows its extension rows as tuples too.  A graph object (and its
+validation) is made only for a graph that is returned, or when the
+obstruction search computes a width it has not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain, product
+from math import isqrt
 
 import numpy as np
 
-from .cutrank import CutFunction
+from .cutrank import CutFunction, _field_tables
 from .fields import Field, FieldError, Sesquimorphism, sigma_compatible, \
     sigma_compatible_set
-from .graphs import ColoredGraph, GraphError, SigmaGraph, digraph_gf2
+from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
+    digraph_gf2
 from .layouts import width_exact
+from .matrix import _require_tables
 
 RELATIONS = ("sigma-vertex", "vertex", "pivot")
 
@@ -39,6 +55,7 @@ def local_complement(G: ColoredGraph, x, lam: int) -> ColoredGraph:
     returned as a SigmaGraph in that case and as a plain ColoredGraph
     otherwise."""
     F = G.field
+    _require_tables(F)
     if F._check(lam) == 0:
         raise FieldError("lambda must be nonzero")
     i = G.index(x)
@@ -60,6 +77,7 @@ def pivot_complement(G: SigmaGraph, x, y) -> SigmaGraph:
     if not isinstance(G, SigmaGraph):
         raise GraphError("pivot complementation needs a sigma-symmetric graph")
     F = G.field
+    _require_tables(F)
     i, j = G.index(x), G.index(y)
     a = G.adj
     m_xy = int(a[i, j])
@@ -85,59 +103,182 @@ def pivot_complement(G: SigmaGraph, x, y) -> SigmaGraph:
     return SigmaGraph(F, G.vertices, new, G.sigma)
 
 
-def _moves(G: ColoredGraph, relation: str) -> Iterable[ColoredGraph]:
-    """Generating moves of the equivalence, in deterministic order
-    (vertex index ascending, then lambda code ascending / edge order)."""
+# -- the closure engine on packed states ----------------------------------------
+#
+# A state is (codes, sym): codes is the row-major tuple of the n*n element
+# codes, sym says whether the state is still sigma-symmetric (it turns false
+# for good after a move with a lambda that is not sigma-compatible).
+
+def _codes(G: ColoredGraph) -> tuple:
+    return tuple(G.adj.ravel().tolist())
+
+
+def _local_moves(s: tuple, n: int, x: int, lam_rows, ADD, MUL) -> list:
+    """The lambda-local complementations of s at x, one per row MUL[lambda]
+    in lam_rows.  Only rows z with M[z][x] != 0 and columns t with
+    M[x][t] != 0 change; the zero diagonal keeps x out of both."""
+    row_x = s[x * n:x * n + n]
+    cols = [(t, e) for t, e in enumerate(row_x) if e]
+    rows = [(z * n, z, c) for z, c in enumerate(s[x::n]) if c]
+    out = []
+    for lam_row in lam_rows:
+        new = list(s)
+        for b, z, c in rows:
+            m = MUL[lam_row[c]]
+            for t, e in cols:
+                if t != z:
+                    new[b + t] = ADD[new[b + t]][m[e]]
+        out.append(tuple(new))
+    return out
+
+
+def _pivot(s: tuple, n: int, i: int, j: int, tables, s1: int) -> tuple:
+    """Pivot complementation of s at the edge ij, as `pivot_complement`:
+    the interior update first, then the i/j rows and columns overwrite
+    whatever it wrote there."""
+    _, SUB, MUL, INV, NEG = tables
+    inv_yx = INV[s[j * n + i]]
+    inv_xy = INV[s[i * n + j]]
+    m_yx = MUL[inv_yx]
+    m_xy = MUL[inv_xy]
+    m_a = MUL[MUL[s1][inv_xy]]          # times sigma(1) / M[x][y]
+    row_i, row_j = s[i * n:i * n + n], s[j * n:j * n + n]
+    cols_i = [(t, e) for t, e in enumerate(row_i) if e]
+    cols_j = [(t, e) for t, e in enumerate(row_j) if e]
+    new = list(s)
+    for z in range(n):
+        if z == i or z == j:
+            continue
+        b = z * n
+        zi, zj = s[b + i], s[b + j]
+        if zi:
+            m = MUL[m_yx[zi]]
+            for t, e in cols_j:
+                if t != z:
+                    new[b + t] = SUB[new[b + t]][m[e]]
+        if zj:
+            m = MUL[m_xy[zj]]
+            for t, e in cols_i:
+                if t != z:
+                    new[b + t] = SUB[new[b + t]][m[e]]
+        new[b + i] = m_a[zj]
+        new[b + j] = m_yx[zi]
+    new[i * n:i * n + n] = [m_yx[e] for e in row_j]
+    new[j * n:j * n + n] = [m_a[e] for e in row_i]
+    new[i * n + i] = new[j * n + j] = 0
+    new[i * n + j] = NEG[inv_yx]
+    new[j * n + i] = NEG[m_a[s1]]
+    return tuple(new)
+
+
+def _delete(s: tuple, n: int, d: int) -> tuple:
+    """s without vertex d."""
+    return tuple(chain.from_iterable(s[b:b + d] + s[b + d + 1:b + n]
+                                     for b in range(0, n * n, n) if b != d * n))
+
+
+def _successors(field: Field, relation: str, sigma):
+    """The relation's moves on packed states: a function from (codes, n, sym)
+    to the list of successor states, in the order of vertex index, then
+    lambda code (local moves) or edge (i, j) in row-major order (pivots).
+    sigma is the start graph's sesqui-morphism, or None."""
     if relation == "pivot":
-        if not isinstance(G, SigmaGraph):
+        if sigma is None:
             raise GraphError("pivot relation needs sigma-symmetric graphs")
-        for i, u in enumerate(G.vertices):
-            for j, v in enumerate(G.vertices):
-                if i != j and G.adj[i, j]:
-                    yield pivot_complement(G, u, v)
-        return
+        tables = _field_tables(field)
+        s1 = sigma.one
+
+        def pivot_moves(s, n, sym):
+            return [(_pivot(s, n, *divmod(k, n), tables, s1), True)
+                    for k, e in enumerate(s) if e]
+        return pivot_moves
     if relation == "sigma-vertex":
-        sigma = getattr(G, "sigma", None)
         if sigma is None:
             raise GraphError("sigma-vertex relation needs sigma-symmetric graphs")
         lams = sigma_compatible_set(sigma)
     elif relation == "vertex":
-        lams = list(G.field.units())
+        lams = list(field.units())
     else:
         raise ValueError(f"unknown relation {relation!r}")
-    for v in G.vertices:
-        for lam in lams:
-            yield local_complement(G, v, lam)
+    ADD, _, MUL, _, _ = _field_tables(field)
+    lam_rows = [MUL[lam] for lam in lams]
+    keeps = [sigma is not None and sigma_compatible(sigma, lam) for lam in lams]
+
+    def local_moves(s, n, sym):
+        out = []
+        for x in range(n):
+            out += zip(_local_moves(s, n, x, lam_rows, ADD, MUL),
+                       [sym and keep for keep in keeps])
+        return out
+    return local_moves
+
+
+def _closure(q: int, start, start_form, successors, max_states: int):
+    """Breadth-first closure from the state start, whose canonical form is
+    start_form.  Yields (state, labelling) for each state of a new canonical
+    form, in first-reached order; codes handled before are skipped without
+    labelling.  A state that is the max_states-th or later (start = 1) is
+    not expanded, and the search then ends with its level."""
+    seen = {start_form}
+    handled = {start[0]}
+    frontier = [start]
+    truncated = False
+    while frontier and not truncated:
+        nxt = []
+        for s, sym in frontier:
+            for state in successors(s, isqrt(len(s)), sym):
+                codes = state[0]
+                if codes in handled:
+                    continue
+                handled.add(codes)
+                lab = _canonical_labelling(q, isqrt(len(codes)), codes)
+                if lab[0] in seen:
+                    continue
+                seen.add(lab[0])
+                yield state, lab
+                if len(seen) < max_states:
+                    nxt.append(state)
+                else:
+                    truncated = True
+        frontier = nxt
+
+
+def _orbit(q: int, start, start_form, successors, max_states: int) -> list:
+    """The (state, labelling) pairs of the orbit members other than start;
+    SearchBudgetError when the orbit has more than max_states forms."""
+    members = []
+    for member in _closure(q, start, start_form, successors, max_states + 1):
+        if len(members) + 1 >= max_states:
+            raise SearchBudgetError(f"orbit exceeded {max_states} states")
+        members.append(member)
+    return members
+
+
+def _graph(field: Field, vertices, codes: tuple, sigma, lab) -> ColoredGraph:
+    """The graph of a packed state (a SigmaGraph when sigma is given), with
+    the labelling already computed for its codes."""
+    if sigma is None:
+        G = ColoredGraph(field, vertices, codes)
+    else:
+        G = SigmaGraph(field, vertices, codes, sigma)
+    G._canon = lab
+    return G
 
 
 def equivalence_orbit_graphs(G: ColoredGraph, relation: str,
                              max_states: int = 200_000) -> list[ColoredGraph]:
     """BFS closure of G under the relation's moves, one representative per
-    isomorphism class, in first-reached order."""
+    isomorphism class, in first-reached order.  A representative is a
+    SigmaGraph exactly when every move on the path to it kept sigma-symmetry
+    (always, except under the "vertex" relation)."""
     if G.n > 10:
         raise GraphError("orbit search limited to n <= 10")
-    start = G.canonical_form()
-    seen = {start: G}
-    # matrices already handled: equal bytes mean an equal canonical form
-    handled = {G.adj.tobytes()}
-    frontier = [G]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for K in _moves(H, relation):
-                b = K.adj.tobytes()
-                if b in handled:
-                    continue
-                handled.add(b)
-                c = K.canonical_form()
-                if c not in seen:
-                    if len(seen) >= max_states:
-                        raise SearchBudgetError(
-                            f"orbit exceeded {max_states} states")
-                    seen[c] = K
-                    nxt.append(K)
-        frontier = nxt
-    return list(seen.values())
+    sigma = getattr(G, "sigma", None)
+    successors = _successors(G.field, relation, sigma)
+    members = _orbit(G.field.q, (_codes(G), sigma is not None), G.canonical_form(),
+                     successors, max_states)
+    return [G] + [_graph(G.field, G.vertices, codes, sigma if sym else None, lab)
+                  for (codes, sym), lab in members]
 
 
 def equivalence_orbit(G: ColoredGraph, relation: str, max_states: int = 200_000) -> set:
@@ -172,41 +313,63 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
     start = G.canonical_form()
     if G.n == H.n and start == target:
         return MinorSearchResult(True, True, 1)
-    seen = {start}
-    handled = {G.adj.tobytes()}   # as in equivalence_orbit_graphs
-    frontier = [G]
+    sigma = getattr(G, "sigma", None)
+    moves = _successors(G.field, relation, sigma)
+
+    def successors(s, n, sym):
+        out = moves(s, n, sym)
+        if n > H.n:
+            out += [(_delete(s, n, d), sym) for d in range(n)]
+        return out
+
     states = 1
-    truncated = False
-    while frontier:
-        nxt = []
-        for K in frontier:
-            succs = list(_moves(K, relation))
-            if K.n > H.n:
-                succs.extend(K.induced_subgraph(
-                    [v for v in K.vertices if v != drop]) for drop in K.vertices)
-            for K2 in succs:
-                b = K2.adj.tobytes()
-                if b in handled:
-                    continue
-                handled.add(b)
-                c = K2.canonical_form()
-                if c in seen:
-                    continue
-                if K2.n == H.n and c == target:
-                    return MinorSearchResult(True, True, states + 1)
-                seen.add(c)
-                states += 1
-                if states >= max_states:
-                    truncated = True
-                else:
-                    nxt.append(K2)
-        if truncated:
-            break
-        frontier = nxt
-    return MinorSearchResult(False, not truncated, states)
+    for _, lab in _closure(G.field.q, (_codes(G), sigma is not None), start,
+                           successors, max_states):
+        states += 1
+        if lab[0] == target:
+            return MinorSearchResult(True, True, states)
+    # a state past the budget is left unexpanded, which ends the search
+    return MinorSearchResult(False, states == 1 or states < max_states, states)
 
 
 # -- isomorph-free generation of sigma-symmetric graphs ------------------------
+
+def _generate(field: Field, sigma: Sesquimorphism, n: int):
+    """Yield the levels m = 1..n of the vertex-extension search: each is a
+    list of (codes, labelling), one per isomorphism class, in first-reached
+    order.  Level m extends each graph of level m-1 by a last vertex, once
+    per last column c (entry 0 varying fastest), with sigma(c) as last row."""
+    q = field.q
+    sig = sigma.table
+    level = [((0,), _canonical_labelling(q, 1, (0,)))]
+    yield level
+    for m in range(2, n + 1):
+        nxt: dict = {}
+        for base, _ in level:
+            rows = [base[i:i + m - 1] for i in range(0, (m - 1) ** 2, m - 1)]
+            for digits in product(range(q), repeat=m - 1):
+                col = digits[::-1]
+                codes = tuple(chain.from_iterable(
+                    [r + (e,) for r, e in zip(rows, col)]
+                    + [[sig[e] for e in col], (0,)]))
+                lab = _canonical_labelling(q, m, codes)
+                if lab[0] not in nxt:
+                    nxt[lab[0]] = (codes, lab)
+        level = list(nxt.values())
+        yield level
+
+
+def _connected(n: int, codes: tuple) -> bool:
+    """Is the underlying graph connected (an arc either way joins)?"""
+    reach, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for w in range(n):
+            if w not in reach and (codes[u * n + w] or codes[w * n + u]):
+                reach.add(w)
+                stack.append(w)
+    return n <= 1 or len(reach) == n
+
 
 def sigma_symmetric_graphs(field: Field, sigma: Sesquimorphism, n: int,
                            connected_only: bool = False) -> list[SigmaGraph]:
@@ -214,33 +377,10 @@ def sigma_symmetric_graphs(field: Field, sigma: Sesquimorphism, n: int,
     vertex extension with canonical-form rejection.  Vertices are 0..n-1."""
     if sigma.field != field:
         raise GraphError("sesqui-morphism is over a different field")
-    reps: dict = {}
-    G1 = SigmaGraph(field, (0,), np.zeros((1, 1), dtype=np.uint16), sigma)
-    reps[G1.canonical_form()] = G1
-    level = [G1]
-    sig_tab = sigma.np_table
-    for m in range(2, n + 1):
-        nxt: dict = {}
-        for G in level:
-            base = G.adj
-            for row_code in range(field.q ** (m - 1)):
-                row = np.empty(m - 1, dtype=np.uint16)
-                c = row_code
-                for i in range(m - 1):
-                    row[i] = c % field.q
-                    c //= field.q
-                a = np.zeros((m, m), dtype=np.uint16)
-                a[:m - 1, :m - 1] = base
-                a[m - 1, :m - 1] = sig_tab[row]
-                a[:m - 1, m - 1] = row
-                H = SigmaGraph(field, tuple(range(m)), a, sigma)
-                key = H.canonical_form()
-                if key not in nxt:
-                    nxt[key] = H
-        level = list(nxt.values())
-    if connected_only:
-        return [G for G in level if G.is_connected()]
-    return level
+    *_, level = _generate(field, sigma, n)
+    m = max(n, 1)
+    return [_graph(field, range(m), codes, sigma, lab) for codes, lab in level
+            if not connected_only or _connected(m, codes)]
 
 
 # -- obstructions ---------------------------------------------------------------
@@ -261,46 +401,65 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
     Minimality reduces to co-dimension 1: moves at surviving vertices commute
     with a deletion, so a proper minor of width > k forces a one-vertex-deleted
     minor of width > k.  Orbits share a width, so each orbit member is checked
-    against its single-vertex deletions only.
+    against its single-vertex deletions only, and orbits share minimality:
+    each orbit is searched once, and its verdict holds for every later
+    candidate whose form lies in it.
+
+    The "vertex" relation needs every unit to be sigma-compatible, so that
+    its moves keep the graphs sigma-symmetric (cut-rank is defined on those
+    only).
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}")
     if max_n > 8:
         raise GraphError("obstruction search limited to max_n <= 8")
-    width_cache: dict = {}
-    key_of: dict = {}     # adj bytes -> canonical form, in front of width_cache
+    if sigma.field != field:
+        raise GraphError("sesqui-morphism is over a different field")
+    if relation == "vertex" and len(sigma_compatible_set(sigma)) != field.q - 1:
+        raise GraphError("the vertex relation needs every unit to be "
+                         "sigma-compatible (sigma(l) = l * sigma(1)^2); use "
+                         "sigma-vertex")
+    q = field.q
+    successors = _successors(field, relation, sigma)
+    widths: dict = {}     # canonical form -> width
+    forms: dict = {}      # codes -> canonical form, in front of widths
 
-    def width_of(G: SigmaGraph) -> int:
-        b = G.adj.tobytes()
-        key = key_of.get(b)
-        if key is None:
-            key = key_of[b] = G.canonical_form()
-        w = width_cache.get(key)
+    def width_of(codes: tuple, n: int) -> int:
+        form = forms.get(codes)
+        if form is None:
+            form = forms[codes] = _canonical_labelling(q, n, codes)[0]
+        w = widths.get(form)
         if w is None:
-            w = width_exact(G, CutFunction(G, "cutrk")).width
-            width_cache[key] = w
+            G = SigmaGraph(field, range(n), codes, sigma)
+            w = widths[form] = width_exact(G, CutFunction(G, "cutrk")).width
         return w
 
+    def minor_too_wide(codes: tuple, n: int) -> bool:
+        return any(width_of(_delete(codes, n, d), n - 1) > k for d in range(n))
+
+    verdicts: dict = {}   # canonical form -> is its orbit minimal
     found: dict = {}
-    for n in range(2, max_n + 1):
-        for G in sigma_symmetric_graphs(field, sigma, n, connected_only=True):
-            if width_of(G) <= k:
+    for n, level in enumerate(_generate(field, sigma, max_n), 1):
+        if n < 2:
+            continue
+        for codes, lab in level:
+            form = lab[0]
+            if not _connected(n, codes):
                 continue
-            # cheap pre-filter: the graph's own single-vertex deletions
-            if any(width_of(G.induced_subgraph([v for v in G.vertices if v != d])) > k
-                   for d in G.vertices):
-                continue
-            minimal = True
-            for M in equivalence_orbit_graphs(G, relation, orbit_budget):
-                for d in M.vertices:
-                    sub = M.induced_subgraph([v for v in M.vertices if v != d])
-                    if width_of(sub) > k:
-                        minimal = False
-                        break
-                if not minimal:
-                    break
+            minimal = verdicts.get(form)
+            if minimal is None:
+                forms[codes] = form
+                # cheap pre-filter: the candidate's own single-vertex deletions
+                if width_of(codes, n) <= k or minor_too_wide(codes, n):
+                    continue
+                members = _orbit(q, (codes, True), form, successors, orbit_budget)
+                minimal = not any(minor_too_wide(c, n) for (c, _), _ in members)
+                verdicts[form] = minimal
+                for _, member_lab in members:
+                    verdicts[member_lab[0]] = minimal
             if minimal:
-                found[G.canonical_form()] = Obstruction(G, relation, k)
+                found[form] = Obstruction(_graph(field, range(n), codes, sigma, lab),
+                                          relation, k)
     return [found[c] for c in sorted(found)]
 
 

@@ -100,6 +100,16 @@ def test_transform_local_and_pivot(tmp_path, capsys):
     assert parse_graph(out).n == 5
 
 
+def test_transform_above_order_256_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "p3.rg"
+    path.write_text("field 257 1\nvertices a b c\n"
+                    "edge a b 1\nedge b a 1\nedge b c 1\nedge c b 1\n")
+    code, out, err = run(capsys, "transform", "--input", str(path),
+                         "--local", "b", "--lambda", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "order > 256" in err
+
+
 def test_term_compile_eval_roundtrip(tmp_path, capsys):
     path = write_c5(tmp_path)
     term_path = tmp_path / "c5.term"

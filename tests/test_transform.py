@@ -5,16 +5,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
 from rankw.fields import (FieldError, field_make, sigma_compatible_set,
                           sigma_frobenius_conj, sigma_identity, sigma_negation)
-from rankw.graphs import (GraphError, SigmaGraph, encode_undirected,
-                          is_sigma_symmetric, isomorphic)
+from rankw.graphs import (GraphError, SigmaGraph, _canonical_labelling,
+                          encode_undirected, is_sigma_symmetric, isomorphic)
 from rankw.layouts import birankwidth, rankwidth
-from rankw.matrix import rank_of
+from rankw.matrix import MatrixError, rank_of
 from rankw.selfcheck import random_colored_graph, random_sigma_graph
-from rankw.transform import (const_graph, ec_cycle,
+from rankw.transform import (RELATIONS, _codes, _delete, _successors,
+                             const_graph, ec_cycle,
                              equivalence_orbit, equivalence_orbit_graphs,
                              find_obstructions, is_minor, local_complement,
                              obstruction_size_bound, pivot_complement,
@@ -48,6 +51,65 @@ def test_local_complement_errors():
         local_complement(G, 0, 0)
     with pytest.raises(GraphError):
         local_complement(G, 9, 1)
+
+
+def test_order_above_256_raises_matrix_error():
+    """Fields above order 256 have no tables: every complementation and
+    closure search names that precondition."""
+    F = field_make(257, 1)
+    P = SigmaGraph(F, "abc", [[0, 1, 0], [1, 0, 1], [0, 1, 0]], sigma_identity(F))
+    calls = [lambda: local_complement(P, "b", 1),
+             lambda: local_complement(P.drop_sigma(), "b", 1),
+             lambda: pivot_complement(P, "a", "b"),
+             lambda: equivalence_orbit_graphs(P, "sigma-vertex"),
+             lambda: equivalence_orbit_graphs(P, "pivot"),
+             lambda: is_minor(P.induced_subgraph("ab"), P, "vertex")]
+    for call in calls:
+        with pytest.raises(MatrixError, match="order > 256"):
+            call()
+
+
+# -- the packed row moves of the closure engine against the graph moves ---------
+
+def _graph_moves(G, relation):
+    """The relation's moves through the public single-move functions, in
+    the engine's order."""
+    if relation == "pivot":
+        return [pivot_complement(G, u, v) for i, u in enumerate(G.vertices)
+                for j, v in enumerate(G.vertices) if G.adj[i, j]]
+    lams = (sigma_compatible_set(G.sigma) if relation == "sigma-vertex"
+            else list(G.field.units()))
+    return [local_complement(G, v, lam) for v in G.vertices for lam in lams]
+
+
+def _as_states(graphs):
+    return [(_codes(K), isinstance(K, SigmaGraph)) for K in graphs]
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=st.sampled_from([(F2, S2), (F3, S3I), (F3, S3N), (F4, S4)]),
+       relation=st.sampled_from(RELATIONS), n=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.6, 0.9]))
+def test_row_moves_match_graph_moves(case, relation, n, seed, density):
+    F, s = case
+    G = random_sigma_graph(random.Random(seed), F, s, n, density)
+    codes = _codes(G)
+    assert _canonical_labelling(F.q, n, codes)[0] == G.canonical_form()
+    moves = _successors(F, relation, s)
+    expected = _graph_moves(G, relation)
+    assert moves(codes, n, True) == _as_states(expected)
+    for K in expected:
+        assert _canonical_labelling(F.q, n, _codes(K))[0] == K.canonical_form()
+    if relation == "vertex":
+        # a state that lost sigma-symmetry stays a plain graph
+        plain = G.drop_sigma()
+        assert moves(codes, n, False) == _as_states(_graph_moves(plain, relation))
+        for K in expected:
+            assert moves(_codes(K), n, isinstance(K, SigmaGraph)) == \
+                _as_states(_graph_moves(K, relation))
+    for d in range(n):
+        H = G.induced_subgraph([v for v in G.vertices if v != G.vertices[d]])
+        assert _delete(codes, n, d) == _codes(H)
 
 
 def test_local_complement_gf4_uniform_increment():
@@ -375,6 +437,34 @@ def test_width1_obstructions_gf2():
     assert C6.canonical_form() in canon_p
     assert canon_p - {o.graph.canonical_form() for o in obs_v} == \
         equivalence_orbit(C6, "pivot")
+
+
+def test_width1_obstructions_at_the_size_bound():
+    """Up to the paper's bound (6^2-1)/5 = 7 vertices the width-1
+    obstructions are still C5's local-equivalence class (vertex-minors) and
+    the pivot classes of C5 and C6 (pivot-minors)."""
+    C5 = encode_undirected([(i, (i + 1) % 5) for i in range(5)])
+    C6 = encode_undirected([(i, (i + 1) % 6) for i in range(6)])
+    bound = obstruction_size_bound(1)
+    assert bound == 7
+    obs_v = find_obstructions(F2, S2, "sigma-vertex", 1, bound)
+    assert len(obs_v) == 3
+    assert {o.graph.canonical_form() for o in obs_v} == \
+        {H.canonical_form() for H in equivalence_orbit_graphs(C5, "sigma-vertex")}
+    obs_p = find_obstructions(F2, S2, "pivot", 1, bound)
+    assert len(obs_p) == 5
+    assert {o.graph.canonical_form() for o in obs_p} == \
+        {H.canonical_form() for G in (C5, C6)
+         for H in equivalence_orbit_graphs(G, "pivot")}
+
+
+def test_vertex_obstructions_need_compatible_units():
+    """Under the vertex relation every unit must be sigma-compatible, or a
+    move would leave the sigma-symmetric graphs that cut-rank is defined on."""
+    for F, s in [(F3, S3N), (F4, S4)]:
+        with pytest.raises(GraphError, match="sigma-compatible.*sigma-vertex"):
+            find_obstructions(F, s, "vertex", 1, 4)
+    assert len(find_obstructions(F3, S3I, "vertex", 1, 4)) == 6
 
 
 def test_const_graph_iso_classes():
