@@ -19,8 +19,8 @@ from .fields import FieldError, field_make, parse_sigma
 from .graphs import (ColoredGraph, GraphError, SigmaGraph, emit_dot,
                      emit_graph, encode_directed, encode_oriented,
                      encode_undirected, parse_graph)
-from .layouts import (Layout, LayoutError, SizeBoundError,
-                      decide_width_at_most, parse_newick, width_exact)
+from .layouts import (Layout, LayoutError, decide_width_at_most, parse_newick,
+                      width_exact)
 from .matrix import MatrixError
 from .selfcheck import run_selfcheck
 from .terms import (RankConst, RankProd, TermError, emit_term,
@@ -39,6 +39,20 @@ def _read(path: str) -> str:
 
 def _write(path, text: str):
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _output(args, text: str, doc: dict, graph=None) -> int:
+    """Write text to --out and the graph's DOT to --emit-dot; print doc as
+    JSON with --json, else the text unless --out took it."""
+    if args.out:
+        _write(args.out, text)
+    if graph is not None and args.emit_dot:
+        _write(args.emit_dot, emit_dot(graph))
+    if args.json:
+        print(json.dumps(doc, sort_keys=True))
+    elif not args.out:
+        sys.stdout.write(text)
+    return 0
 
 
 def _load_graph(path: str) -> ColoredGraph:
@@ -115,10 +129,9 @@ def cmd_cut(args) -> int:
         X = [labels[x] for x in X]
     except KeyError as exc:
         raise GraphError(f"unknown vertex {exc.args[0]!r}") from None
-    kind = {"cutrk": "cutrk", "bicutrk": "bicutrk", "lambda": "lambda"}[args.kind]
-    value = CutFunction(G, kind)(X)
+    value = CutFunction(G, args.kind)(X)
     if args.json:
-        print(json.dumps({"kind": kind, "set": sorted(map(str, X)),
+        print(json.dumps({"kind": args.kind, "set": sorted(map(str, X)),
                           "value": value}, sort_keys=True))
     else:
         print(value)
@@ -142,15 +155,7 @@ def cmd_transform(args) -> int:
                              "graph (declare sigma in the file)")
         H = pivot_complement(G, labels.get(x, x), labels.get(y, y))
     text = emit_graph(H)
-    if args.out:
-        _write(args.out, text)
-    if args.emit_dot:
-        _write(args.emit_dot, emit_dot(H))
-    if args.json:
-        print(json.dumps({"graph": text}, sort_keys=True))
-    elif not args.out:
-        sys.stdout.write(text)
-    return 0
+    return _output(args, text, {"graph": text}, H)
 
 
 def _parse_pairs(text: str, sep: str) -> list[tuple[str, str]]:
@@ -180,15 +185,7 @@ def cmd_encode(args) -> int:
         G = (encode_directed if args.source == "directed" else encode_oriented)(
             pairs, vertices=verts)
     text = emit_graph(G)
-    if args.out:
-        _write(args.out, text)
-    if args.emit_dot:
-        _write(args.emit_dot, emit_dot(G))
-    if args.json:
-        print(json.dumps({"graph": text}, sort_keys=True))
-    elif not args.out:
-        sys.stdout.write(text)
-    return 0
+    return _output(args, text, {"graph": text}, G)
 
 
 def cmd_term_eval(args) -> int:
@@ -203,13 +200,7 @@ def cmd_term_eval(args) -> int:
     else:
         G = eval_birank_term(t, field).graph
     text = emit_graph(G)
-    if args.out:
-        _write(args.out, text)
-    if args.json:
-        print(json.dumps({"graph": text}, sort_keys=True))
-    elif not args.out:
-        sys.stdout.write(text)
-    return 0
+    return _output(args, text, {"graph": text})
 
 
 def cmd_term_compile(args) -> int:
@@ -224,23 +215,15 @@ def cmd_term_compile(args) -> int:
         t = term_from_layout_rank(G, L)
     else:
         t = term_from_layout_birank(G, L)
-    text = emit_term(t) + "\n"
-    if args.out:
-        _write(args.out, text)
-    if args.json:
-        print(json.dumps({"term": text.strip()}, sort_keys=True))
-    elif not args.out:
-        sys.stdout.write(text)
-    return 0
+    text = emit_term(t)
+    return _output(args, text + "\n", {"term": text})
 
 
 def cmd_obstructions(args) -> int:
     p, k = args.field
     field = field_make(p, k)
     sigma = parse_sigma(field, args.sigma)
-    relation = {"sigma-vertex": "sigma-vertex", "vertex": "vertex",
-                "pivot": "pivot"}[args.relation]
-    obs = find_obstructions(field, sigma, relation, args.k, args.max_n)
+    obs = find_obstructions(field, sigma, args.relation, args.k, args.max_n)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     index_lines = []
@@ -279,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "over finite fields")
     ap.add_argument("--seed", type=int, default=0,
                     help="PRNG seed for randomized suites (default 0)")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="parallelism hint; results are identical for any N")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_json(p):
@@ -367,15 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.jobs < 1:
-        ap.error("--jobs must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SizeBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -421,7 +421,12 @@ def parse_graph(text: str) -> ColoredGraph:
             parts = arg.split()
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: edge needs <u> <v> <code>")
-            edges.append((parts[0], parts[1], int(parts[2]), lineno))
+            try:
+                code = int(parts[2])
+            except ValueError:
+                raise GraphError(f"line {lineno}: edge code {parts[2]!r} is not "
+                                 f"an integer") from None
+            edges.append((parts[0], parts[1], code, lineno))
         else:
             raise GraphError(f"line {lineno}: unknown declaration {head!r}")
     if field is None:
@@ -435,6 +440,9 @@ def parse_graph(text: str) -> ColoredGraph:
             raise GraphError(f"line {lineno}: unknown vertex in edge {u} {v}")
         if u == v:
             raise GraphError(f"line {lineno}: loop at {u}")
+        if not 0 <= code < field.q:
+            raise GraphError(f"line {lineno}: edge code {code} is not an element "
+                             f"code of the field (0..{field.q - 1})")
         a[idx[u], idx[v]] = code
     if sigma is not None:
         return SigmaGraph(field, verts, a, sigma)

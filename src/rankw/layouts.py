@@ -149,7 +149,7 @@ class Layout:
         if self.n == 1:
             return f"{next(iter(self.leaves.values()))};"
         # root at the edge incident to the first-listed vertex's leaf
-        first_leaf = min(self.leaves, key=lambda node: self._leaf_order(node))
+        first_leaf = next(iter(self.leaves))
         nbr = self._adj[first_leaf][0]
 
         def write(node: int, parent: int) -> str:
@@ -159,9 +159,6 @@ class Layout:
             return "(" + ",".join(kids) + ")"
 
         return f"({self.leaves[first_leaf]},{write(nbr, first_leaf)});"
-
-    def _leaf_order(self, node: int) -> int:
-        return list(self.leaves).index(node)
 
 
 def parse_newick(text: str, width_hint: Optional[int] = None) -> Layout:

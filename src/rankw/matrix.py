@@ -74,71 +74,6 @@ def fmatmul(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
     return out
 
 
-def rref_with_pivots(a: np.ndarray, field: Field):
-    """Reduced row echelon form and pivot column list (fresh array)."""
-    _require_tables(field)
-    a = a.astype(np.uint16, copy=True)
-    m, n = a.shape
-    SUB, MUL, INV = field.SUB, field.MUL, field.INV
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = -1
-        for i in range(r, m):
-            if a[i, col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = MUL[INV[a[r, col]], a[r]]
-        for i in range(m):
-            if i != r and a[i, col]:
-                a[i] = SUB[a[i], MUL[a[i, col], a[r]]]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
-
-
-def solve_in_row_span(basis: np.ndarray, targets: np.ndarray, field: Field) -> np.ndarray:
-    """Coordinates expressing each target row as a combination of the basis
-    rows (which must be linearly independent).  Raises if a target is outside
-    the span."""
-    _require_tables(field)
-    b = basis.shape[0]
-    if b == 0:
-        if targets.size and targets.any():
-            raise MatrixError("nonzero row is not in the span of an empty basis")
-        return np.zeros((targets.shape[0], 0), dtype=np.uint16)
-    R, pivots = rref_with_pivots(basis, field)
-    if len(pivots) != b:
-        raise MatrixError("basis rows are not independent")
-    # with unit pivots, a row v in the span satisfies v = v[pivots] . R,
-    # and coordinates w.r.t. the original basis follow by the same relation
-    # applied to R = T basis: solve T from basis[ :, pivots] structure.
-    coords_R = targets[:, pivots].astype(np.uint16)
-    if not np.array_equal(fmatmul(coords_R, R, field), targets.astype(np.uint16)):
-        raise MatrixError("row is not in the span of the basis")
-    # express R rows back in terms of basis rows: R = T basis with
-    # T = inverse of basis[:, pivots] (that square block is invertible).
-    T = _invert(basis[:, pivots], field)
-    return fmatmul(coords_R, T, field)
-
-
-def _invert(a: np.ndarray, field: Field) -> np.ndarray:
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise MatrixError("only square matrices can be inverted")
-    aug = np.concatenate([a.astype(np.uint16), np.eye(n, dtype=np.uint16)], axis=1)
-    R, pivots = rref_with_pivots(aug, field)
-    if pivots != list(range(n)):
-        raise MatrixError("matrix is singular")
-    return R[:, n:]
-
-
 class FMatrix:
     """A matrix over a Field with labeled row/column index sets."""
 

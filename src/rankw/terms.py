@@ -8,19 +8,29 @@ the sigma-image the other way), then recolors the two sides by N and P.
 Bi-rank terms carry separate outbound/inbound colorings and six matrices; no
 sesqui-morphism is involved.  Bi-rank color widths may be zero (empty
 vectors), which is what the layout compiler produces at one-sided leaves.
+
+The compiler roots the layout and, at each node, needs the basis of the
+candidate vertices (the children's bases) against the vertices outside the
+node, and every candidate's coordinates in it.  One forward elimination,
+`_row_basis`, gives both, on Python rows of the adjacency matrix with the
+field's tables from `cutrank._field_tables`: once per node for rank terms,
+twice for bi-rank terms (outbound rows, inbound columns).  Fields of order
+> 256 have no tables, so compiling over them raises MatrixError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Union
 
 import numpy as np
 
-from .fields import Field, Sesquimorphism
+from .cutrank import _field_tables
+from .fields import ORDER_BOUND, Field, Sesquimorphism
 from .graphs import ColoredGraph, SigmaGraph
 from .layouts import Layout
-from .matrix import FMatrix, fmatmul, rank_of, solve_in_row_span
+from .matrix import FMatrix, fmatmul
 
 
 class TermError(ValueError):
@@ -284,20 +294,62 @@ def syntactic_layout(t) -> Layout:
 
 # -- vertex bases and layout compilation --------------------------------------------
 
+def _row_basis(rows, tables):
+    """One forward elimination over `rows` (code lists of one length, with
+    the nested-tuple tables of `cutrank._field_tables`).  Returns the indices
+    of the greedy leftmost-independent rows (each raises the rank of the rows
+    before it) and every row's coordinates in those basis rows, unique
+    because the basis is independent.
+
+    Echelon rows have unit pivots and carry their own coordinates in the
+    basis.  A row is reduced against them in order, adding up what it
+    subtracts: that sum is the row's coordinates, unless a nonzero remainder
+    makes the row the next basis row."""
+    ADD, SUB, MUL, INV, NEG = tables
+    echelon = []  # (pivot column, unit-pivot row, its coordinates)
+    basis, coords = [], []
+    for i, v in enumerate(rows):
+        c = []
+        for p, e_row, t in echelon:
+            e = v[p]
+            if e:
+                me = MUL[e]
+                v = [SUB[x][me[y]] for x, y in zip(v, e_row)]
+                c = [ADD[x][me[y]] for x, y in zip_longest(c, t, fillvalue=0)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            coords.append(c)
+            continue
+        mp = MUL[INV[v[p]]]
+        c += [0] * (len(basis) - len(c))
+        echelon.append((p, [mp[x] for x in v], [mp[NEG[x]] for x in c] + [mp[1]]))
+        coords.append([0] * len(basis) + [1])
+        basis.append(i)
+    k = len(basis)
+    return basis, [c + [0] * (k - len(c)) for c in coords]
+
+
 def vertex_basis(M: FMatrix) -> tuple:
     """Greedy leftmost-independent rows in ambient row order, spanning the
     row space of M."""
-    field = M.field
-    picked = []
-    if M.shape[1] == 0:
-        return ()
-    stack = np.zeros((0, M.shape[1]), dtype=np.uint16)
-    for i, label in enumerate(M.rows):
-        cand = np.concatenate([stack, M.a[i:i + 1]], axis=0)
-        if rank_of(cand, field) > stack.shape[0]:
-            stack = cand
-            picked.append(label)
-    return tuple(picked)
+    picked, _ = _row_basis(M.a.tolist(), _field_tables(M.field))
+    return tuple(M.rows[i] for i in picked)
+
+
+def _basis_coords(A, cands, rest, tables):
+    """The greedy basis among the candidate rows A[z][rest] (z in cands, in
+    order) and a map from each candidate to its coordinates in that basis."""
+    picked, coords = _row_basis([[A[z][y] for y in rest] for z in cands], tables)
+    return tuple(cands[i] for i in picked), dict(zip(cands, coords))
+
+
+def _mat(rows, r: int, c: int) -> Mat:
+    """The r x c matrix holding the given code rows, zero-padded."""
+    data = []
+    for row in rows:
+        data += row
+        data += [0] * (c - len(row))
+    return Mat(r, c, tuple(data) + (0,) * (c * (r - len(rows))))
 
 
 def _rooted(L: Layout, first_vertex):
@@ -383,49 +435,24 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
 
 
 def _compile_rank_connected(G: SigmaGraph, L: Layout) -> RankTerm:
-    F = G.field
-    sigma = G.sigma
-    inv_s1 = F.inv(sigma.one)
+    tables = _field_tables(G.field)
+    scale = tables[2][G.field.inv(G.sigma.one)]
     vpos = {v: i for i, v in enumerate(G.vertices)}
-    all_v = set(G.vertices)
-    M = G.matrix
-
-    def block(rows, cols) -> np.ndarray:
-        return M.submatrix(rows, cols).a
+    A = G.adj.tolist()
 
     def rec(node):
         if not isinstance(node, tuple):
-            x = node
-            rest = sorted(all_v - {x}, key=vpos.get)
-            row = block([x], rest)
-            X = (x,) if row.any() else ()
-            return RankConst((1,)), X, [x]
-        left, right = node
-        t1, X1, vs1 = rec(left)
-        t2, X2, vs2 = rec(right)
-        w1, w2 = max(1, len(X1)), max(1, len(X2))
-        m = np.zeros((w1, w2), dtype=np.uint16)
-        if X1 and X2:
-            m[:len(X1), :len(X2)] = F.MUL[inv_s1, block(X1, X2)]
-        vs = vs1 + vs2
-        rest = sorted(all_v - set(vs), key=vpos.get)
-        candidates = sorted(X1 + X2, key=vpos.get)
-        if rest:
-            Xu = vertex_basis(M.submatrix(candidates, rest))
-            coords = solve_in_row_span(block(Xu, rest), block(candidates, rest), F)
-        else:
-            Xu = ()
-            coords = np.zeros((len(candidates), 0), dtype=np.uint16)
-        wu = max(1, len(Xu))
-        coord_of = {z: coords[i] for i, z in enumerate(candidates)}
-        n_mat = np.zeros((w1, wu), dtype=np.uint16)
-        for i, z in enumerate(X1):
-            n_mat[i, :len(Xu)] = coord_of[z]
-        p_mat = np.zeros((w2, wu), dtype=np.uint16)
-        for i, z in enumerate(X2):
-            p_mat[i, :len(Xu)] = coord_of[z]
-        t = RankProd(Mat.from_array(m), Mat.from_array(n_mat),
-                     Mat.from_array(p_mat), t1, t2)
+            x = vpos[node]
+            return RankConst((1,)), (x,) if any(A[x]) else (), {x}
+        t1, X1, vs1 = rec(node[0])
+        t2, X2, vs2 = rec(node[1])
+        vs = vs1 | vs2
+        rest = [y for y in range(len(A)) if y not in vs]
+        Xu, coords = _basis_coords(A, sorted(X1 + X2), rest, tables)
+        w1, w2, wu = max(1, len(X1)), max(1, len(X2)), max(1, len(Xu))
+        m = _mat([[scale[A[a][b]] for b in X2] for a in X1], w1, w2)
+        t = RankProd(m, _mat([coords[z] for z in X1], w1, wu),
+                     _mat([coords[z] for z in X2], w2, wu), t1, t2)
         return t, Xu, vs
 
     t, _, _ = rec(_rooted(L, G.vertices[0]))
@@ -454,56 +481,31 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
 
 
 def _compile_birank_connected(G: ColoredGraph, L: Layout) -> BiRankTerm:
-    F = G.field
+    tables = _field_tables(G.field)
     vpos = {v: i for i, v in enumerate(G.vertices)}
-    all_v = set(G.vertices)
-    M = G.matrix
-
-    def block(rows, cols) -> np.ndarray:
-        return M.submatrix(rows, cols).a
+    A = G.adj.tolist()
+    AT = G.adj.T.tolist()
 
     def rec(node):
         if not isinstance(node, tuple):
-            x = node
-            rest = sorted(all_v - {x}, key=vpos.get)
-            Xp = (x,) if block([x], rest).any() else ()
-            Xm = (x,) if block(rest, [x]).any() else ()
-            return BiConst((1,) * len(Xp), (1,) * len(Xm)), Xp, Xm, [x]
-        left, right = node
-        t1, Xp1, Xm1, vs1 = rec(left)
-        t2, Xp2, Xm2, vs2 = rec(right)
-        m1 = block(Xp1, Xm2)                      # k1 x l2
-        m2 = block(Xp2, Xm1).T.copy()             # k2 x l1
-        vs = vs1 + vs2
-        rest = sorted(all_v - set(vs), key=vpos.get)
-        cand_p = sorted(Xp1 + Xp2, key=vpos.get)
-        cand_m = sorted(Xm1 + Xm2, key=vpos.get)
-        if rest:
-            Xpu = vertex_basis(M.submatrix(cand_p, rest))
-            coords_p = solve_in_row_span(block(Xpu, rest), block(cand_p, rest), F)
-            Xmu = vertex_basis(FMatrix(F, cand_m, rest, block(rest, cand_m).T))
-            coords_m = solve_in_row_span(block(rest, Xmu).T.copy(),
-                                         block(rest, cand_m).T.copy(), F)
-        else:
-            Xpu = Xmu = ()
-            coords_p = np.zeros((len(cand_p), 0), dtype=np.uint16)
-            coords_m = np.zeros((len(cand_m), 0), dtype=np.uint16)
-        cp = {z: coords_p[i] for i, z in enumerate(cand_p)}
-        cm = {z: coords_m[i] for i, z in enumerate(cand_m)}
-
-        def rows_for(X, table, width):
-            out = np.zeros((len(X), width), dtype=np.uint16)
-            for i, z in enumerate(X):
-                out[i] = table[z]
-            return out
-
-        n1 = rows_for(Xp1, cp, len(Xpu))
-        p1 = rows_for(Xp2, cp, len(Xpu))
-        n2 = rows_for(Xm1, cm, len(Xmu))
-        p2 = rows_for(Xm2, cm, len(Xmu))
-        t = BiProd(Mat.from_array(m1), Mat.from_array(m2),
-                   Mat.from_array(n1), Mat.from_array(n2),
-                   Mat.from_array(p1), Mat.from_array(p2), t1, t2)
+            x = vpos[node]
+            Xp = (x,) if any(A[x]) else ()
+            Xm = (x,) if any(AT[x]) else ()
+            return BiConst((1,) * len(Xp), (1,) * len(Xm)), Xp, Xm, {x}
+        t1, Xp1, Xm1, vs1 = rec(node[0])
+        t2, Xp2, Xm2, vs2 = rec(node[1])
+        vs = vs1 | vs2
+        rest = [y for y in range(len(A)) if y not in vs]
+        # outbound basis over rows A[z][rest], inbound over columns A[rest][z]
+        Xpu, cp = _basis_coords(A, sorted(Xp1 + Xp2), rest, tables)
+        Xmu, cm = _basis_coords(AT, sorted(Xm1 + Xm2), rest, tables)
+        kp, km = len(Xpu), len(Xmu)
+        t = BiProd(_mat([[A[a][b] for b in Xm2] for a in Xp1], len(Xp1), len(Xm2)),
+                   _mat([[AT[a][b] for b in Xp2] for a in Xm1], len(Xm1), len(Xp2)),
+                   _mat([cp[z] for z in Xp1], len(Xp1), kp),
+                   _mat([cm[z] for z in Xm1], len(Xm1), km),
+                   _mat([cp[z] for z in Xp2], len(Xp2), kp),
+                   _mat([cm[z] for z in Xm2], len(Xm2), km), t1, t2)
         return t, Xpu, Xmu, vs
 
     t, _, _, _ = rec(_rooted(L, G.vertices[0]))
@@ -543,7 +545,9 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(ch)
             i += 1
         elif ch == "[":
-            j = text.index("]", i)
+            j = text.find("]", i)
+            if j < 0:
+                raise TermError(f"unclosed matrix literal at character {i}")
             tokens.append(text[i:j + 1])
             i = j + 1
         elif ch == "#":
@@ -567,6 +571,8 @@ def _mat_from_token(tok: str) -> Mat:
         data = tuple(int(x) for row in parts[1:] for x in row.split())
     except ValueError:
         raise TermError(f"bad matrix literal {tok!r}") from None
+    if min(r, c, *data) < 0 or any(x >= ORDER_BOUND for x in data):
+        raise TermError(f"bad matrix literal {tok!r}")
     return Mat(r, c, data)
 
 
@@ -593,9 +599,14 @@ def parse_term(text: str):
         head = next_token()
         if head == "const":
             codes = []
-            while tokens[pos[0]] != ")":
-                codes.append(int(next_token()))
-            expect(")")
+            while (tok := next_token()) != ")":
+                try:
+                    codes.append(int(tok))
+                except ValueError:
+                    raise TermError(f"constant color {tok!r} is not an "
+                                    f"integer") from None
+                if not 0 <= codes[-1] < ORDER_BOUND:
+                    raise TermError(f"constant color {tok} is not an element code")
             return RankConst(tuple(codes))
         if head == "biconst":
             u = _mat_from_token(next_token())

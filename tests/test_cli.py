@@ -110,6 +110,18 @@ def test_transform_above_order_256_is_a_domain_error(tmp_path, capsys):
     assert err.startswith("error: ") and "order > 256" in err
 
 
+def test_term_compile_above_order_256_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "k2.rg"
+    path.write_text("field 257 1\nsigma id\nvertices a b\nedge a b 1\nedge b a 1\n")
+    nwk = tmp_path / "k2.nwk"
+    nwk.write_text("(a,b);\n")
+    for param in ("rank", "birank"):
+        code, out, err = run(capsys, "term", "compile", "--input", str(path),
+                             "--param", param, "--layout", str(nwk))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "order > 256" in err
+
+
 def test_term_compile_eval_roundtrip(tmp_path, capsys):
     path = write_c5(tmp_path)
     term_path = tmp_path / "c5.term"
@@ -196,6 +208,10 @@ def test_exit_codes(tmp_path, capsys):
     path.write_text("field 2 1\nvertices a b\nedge a b 1\n")
     code, out, err = run(capsys, "width", "--input", str(path), "--param", "rank")
     assert code == 1 and "sigma" in err
+    # domain error: an edge code outside the field names its line
+    path.write_text("field 2 1\nvertices a b\nedge a b 70000\n")
+    code, out, err = run(capsys, "width", "--input", str(path))
+    assert code == 1 and out == "" and err.startswith("error: line 3: edge code")
     # domain error: pivot at a non-edge
     c5 = write_c5(tmp_path)
     code, _, err = run(capsys, "transform", "--input", str(c5),
@@ -213,12 +229,12 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_jobs_flag_accepted(tmp_path, capsys):
+def test_jobs_flag_removed(tmp_path):
+    """--jobs was a no-op and is gone: passing it is a usage error."""
     path = write_c5(tmp_path)
-    code, out, _ = run(capsys, "--jobs", "4", "width", "--input", str(path))
-    assert code == 0 and out.splitlines()[0] == "width 2"
-    with pytest.raises(SystemExit):
-        main(["--jobs", "0", "width", "--input", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "4", "width", "--input", str(path)])
+    assert exc.value.code == 2
 
 
 def test_python_m_rankw(tmp_path):

@@ -366,6 +366,10 @@ def test_graph_file_features_and_errors():
     with pytest.raises(GraphError):
         # missing back edge of color -1: not sigma-symmetric
         parse_graph("field 3 1\nsigma neg\nvertices a b\nedge a b 1\n")
+    # edge codes outside 0..q-1, or not integers, name their line
+    for code in ("-1", "2", "65535", "70000", "x"):
+        with pytest.raises(GraphError, match="line 3: edge code"):
+            parse_graph(f"field 2 1\nvertices a b\nedge a b {code}\nedge b a 1")
 
 
 def test_emit_dot():

@@ -8,7 +8,7 @@ import pytest
 
 from rankw.fields import field_make, sigma_frobenius_conj, sigma_identity
 from rankw.matrix import (FMatrix, MatrixError, fmatmul, matrix_from_literal,
-                          rank_of, solve_in_row_span)
+                          rank_of)
 
 
 def det_cofactor(a, F):
@@ -155,24 +155,6 @@ def test_rank_submodularity_6x6(p, k):
     a = np.array([[rng.randrange(F.q) for _ in range(6)] for _ in range(6)],
                  dtype=np.uint16)
     _assert_submodular(_rank_table(a, F), 6, 6)
-
-
-def test_solve_in_row_span():
-    rng = random.Random(6)
-    F4 = field_make(2, 2)
-    for _ in range(40):
-        b = np.array([[rng.randrange(4) for _ in range(6)] for _ in range(3)],
-                     dtype=np.uint16)
-        if rank_of(b, F4) != 3:
-            continue
-        coef = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(5)],
-                        dtype=np.uint16)
-        targets = fmatmul(coef, b, F4)
-        coords = solve_in_row_span(b, targets, F4)
-        assert np.array_equal(fmatmul(coords, b, F4), targets)
-    with pytest.raises(MatrixError):
-        solve_in_row_span(np.zeros((0, 3), dtype=np.uint16),
-                          np.ones((1, 3), dtype=np.uint16), F4)
 
 
 def test_matrix_literal_roundtrip():

@@ -4,19 +4,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankw.cutrank import CutFunction
+from rankw.cutrank import CutFunction, _field_tables
 from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import digraph_gf2, encode_undirected, isomorphic
 from rankw.layouts import birankwidth, enumerate_layouts, layout_width, rankwidth
-from rankw.matrix import rank_of
+from rankw.matrix import fmatmul, rank_of
 from rankw.selfcheck import random_colored_graph, random_sigma_graph
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
                          compiled_leaf_order, emit_term, eval_birank_term,
                          eval_rank_term, parse_term, syntactic_layout,
                          term_from_layout_birank, term_from_layout_rank,
-                         term_max_width, vertex_basis)
+                         term_max_width, vertex_basis, _row_basis)
 from rankw.matrix import FMatrix
 
 F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
@@ -157,6 +159,41 @@ def test_vertex_basis_examples():
     assert vertex_basis(FMatrix.identity(F2, ["a", "b", "c"])) == ("a", "b", "c")
     dup = FMatrix(F2, ["a", "b", "c"], range(2), [[1, 0], [1, 0], [0, 1]])
     assert vertex_basis(dup) == ("a", "c")
+
+
+@st.composite
+def _row_sets(draw):
+    """(field, width, rows): random rows mixed with combinations of a few
+    base rows, so that dependent rows are common."""
+    F = field_make(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    cols = draw(st.integers(0, 6))
+    code_rows = st.lists(st.integers(0, F.q - 1), min_size=cols, max_size=cols)
+    base = draw(st.lists(code_rows, min_size=1, max_size=3))
+    base_a = np.array(base, dtype=np.uint16).reshape(len(base), cols)
+    coef_rows = st.lists(st.integers(0, F.q - 1), min_size=len(base),
+                         max_size=len(base))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            rows.append(draw(code_rows))
+        else:
+            coef = np.array([draw(coef_rows)], dtype=np.uint16)
+            rows.append(fmatmul(coef, base_a, F)[0].tolist())
+    return F, cols, rows
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_row_sets())
+def test_row_basis_against_rank_of(case):
+    F, cols, rows = case
+    a = np.array(rows, dtype=np.uint16).reshape(len(rows), cols)
+    basis, coords = _row_basis(rows, _field_tables(F))
+    # the basis is exactly the rows that raise the rank of their prefix
+    assert basis == [i for i in range(len(rows))
+                     if rank_of(a[:i + 1], F) > rank_of(a[:i], F)]
+    # and the coordinates rebuild every row from the basis rows
+    c = np.array(coords, dtype=np.uint16).reshape(len(rows), len(basis))
+    assert np.array_equal(fmatmul(c, a[basis], F), a)
 
 
 def test_compile_k2():
@@ -355,3 +392,13 @@ def test_term_file_roundtrip():
         parse_term("(const 1) junk")
     with pytest.raises(TermError):
         parse_term("(product [1 1; 1])")
+    # truncated and malformed input is a TermError naming the problem
+    for text, problem in [("(const 1", "unexpected end"),
+                          ("(prod [1 1; 1", "unclosed matrix literal"),
+                          ("(const x)", "not an integer"),
+                          ("(const 1 -3)", "not an element code"),
+                          ("(const 70000)", "not an element code"),
+                          ("(biconst [1 1; -1] [1 0;])", "bad matrix literal"),
+                          ("(biconst [1 1; 1] [0 -1;])", "bad matrix literal")]:
+        with pytest.raises(TermError, match=problem):
+            parse_term(text)
