@@ -52,7 +52,7 @@ from .layouts import (
     rankwidth,
     width_exact,
 )
-from .matrix import FMatrix, MatrixError, matrix_from_literal
+from .matrix import MatrixError
 from .terms import (
     BiColoredGraph,
     BiConst,
@@ -69,7 +69,6 @@ from .terms import (
     syntactic_layout,
     term_from_layout_birank,
     term_from_layout_rank,
-    vertex_basis,
 )
 from .transform import (
     MinorSearchResult,

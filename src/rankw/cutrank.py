@@ -19,7 +19,7 @@ cut makes no numpy call and copies no sub-matrix:
                          a rank is the size of an XOR basis;
     other orders <= 256  rows are lists of element codes, eliminated with
                          the field's SUB/MUL/INV tables as nested tuples
-                         (built once per field);
+                         (`matrix._field_tables`, built once per field);
     orders > 256         no tables: the first such cut raises MatrixError.
 
 The field order picks the kernel.  lambda stays on numpy `rank_of` on
@@ -29,15 +29,13 @@ purpose: `lambda == bicutrk + 1` then compares two different rank kernels
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Union
 
 import numpy as np
 
-from .fields import Field
 from .graphs import ColoredGraph, GraphError, SigmaGraph
-from .matrix import _require_tables, rank_of
+from .matrix import _field_tables, rank_of
 
 KINDS = ("cutrk", "bicutrk", "lambda")
 
@@ -139,16 +137,6 @@ def _xor_rank(vectors) -> int:
         if v:
             basis.append(v)
     return len(basis)
-
-
-@lru_cache(maxsize=None)
-def _field_tables(F: Field):
-    """ADD, SUB, MUL, INV and NEG of a field with tables, as nested tuples
-    (a field of order > 256 raises MatrixError)."""
-    _require_tables(F)
-    return (tuple(map(tuple, F.ADD.tolist())), tuple(map(tuple, F.SUB.tolist())),
-            tuple(map(tuple, F.MUL.tolist())), tuple(F.INV.tolist()),
-            tuple(F.NEG.tolist()))
 
 
 def _list_rank(A, rows, cols, tables) -> int:

@@ -452,6 +452,17 @@ def sigma_frobenius_conj(field: Field) -> Sesquimorphism:
     return _make_sigma(field, [field.pow(a, q0) for a in range(field.q)], "frob-inv")
 
 
+def plain_int(tok: str) -> int:
+    """The integer that tok writes in ASCII digits, with an optional leading
+    minus that the caller's range check then rejects.  Anything else that
+    int() would take (a plus sign, underscores, spaces, non-ASCII digits)
+    raises ValueError."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a plain integer: {tok!r}")
+    return int(tok)
+
+
 def parse_sigma(field: Field, spec: str) -> Sesquimorphism:
     """Parse a sesqui-morphism spec: 'id', 'neg', 'frob-inv', or q codes."""
     parts = spec.split()
@@ -462,7 +473,7 @@ def parse_sigma(field: Field, spec: str) -> Sesquimorphism:
     if parts == ["frob-inv"]:
         return sigma_frobenius_conj(field)
     try:
-        table = [int(t) for t in parts]
+        table = [plain_int(t) for t in parts]
     except ValueError as exc:
         raise FieldError(f"bad sesqui-morphism spec {spec!r}") from exc
     return _make_sigma(field, table, "")

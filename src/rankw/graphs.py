@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import (Field, FieldError, Sesquimorphism, field_extend_quadratic,
-                     field_make, parse_sigma, sigma_frobenius_conj,
+                     field_make, parse_sigma, plain_int, sigma_frobenius_conj,
                      sigma_identity, sigma_negation)
-from .matrix import FMatrix
 
 CANONICAL_MAX_N = 12
 
@@ -71,10 +70,6 @@ class ColoredGraph:
 
     def color(self, u, v) -> int:
         return int(self.adj[self.index(u), self.index(v)])
-
-    @property
-    def matrix(self) -> FMatrix:
-        return FMatrix(self.field, self.vertices, self.vertices, self.adj)
 
     def with_adj(self, adj) -> "ColoredGraph":
         return ColoredGraph(self.field, self.vertices, adj)
@@ -407,7 +402,7 @@ def parse_graph(text: str) -> ColoredGraph:
         arg = rest[0] if rest else ""
         if head == "field":
             try:
-                p, k = (int(t) for t in arg.split())
+                p, k = (plain_int(t) for t in arg.split())
             except ValueError:
                 raise GraphError(f"line {lineno}: bad field declaration") from None
             field = field_make(p, k)
@@ -422,7 +417,7 @@ def parse_graph(text: str) -> ColoredGraph:
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: edge needs <u> <v> <code>")
             try:
-                code = int(parts[2])
+                code = plain_int(parts[2])
             except ValueError:
                 raise GraphError(f"line {lineno}: edge code {parts[2]!r} is not "
                                  f"an integer") from None

@@ -92,21 +92,6 @@ class Layout:
     def n(self) -> int:
         return len(self.leaves)
 
-    def side(self, edge: tuple[int, int]) -> frozenset:
-        """Vertex labels on the first-endpoint side of the edge."""
-        u, v = edge
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for w in self._adj[x]:
-                if x == u and w == v:
-                    continue
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(self.leaves[x] for x in seen if x in self.leaves)
-
     def edge_sides(self) -> list[tuple[tuple[int, int], frozenset]]:
         """All tree edges with their first-endpoint vertex sides, computed in
         one rooted traversal."""
@@ -206,7 +191,10 @@ def parse_newick(text: str, width_hint: Optional[int] = None) -> Layout:
         leaves[node] = label
         return node
 
-    parse()
+    try:
+        parse()
+    except RecursionError:
+        raise LayoutError("nesting too deep") from None
     while pos < len(text) and text[pos] in "; \t\n":
         pos += 1
     if pos != len(text):

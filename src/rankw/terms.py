@@ -9,13 +9,17 @@ Bi-rank terms carry separate outbound/inbound colorings and six matrices; no
 sesqui-morphism is involved.  Bi-rank color widths may be zero (empty
 vectors), which is what the layout compiler produces at one-sided leaves.
 
-The compiler roots the layout and, at each node, needs the basis of the
-candidate vertices (the children's bases) against the vertices outside the
-node, and every candidate's coordinates in it.  One forward elimination,
-`_row_basis`, gives both, on Python rows of the adjacency matrix with the
-field's tables from `cutrank._field_tables`: once per node for rank terms,
-twice for bi-rank terms (outbound rows, inbound columns).  Fields of order
-> 256 have no tables, so compiling over them raises MatrixError.
+The compiler roots the layout at the leaf of the graph's first vertex and,
+at each node, needs the basis of the candidate vertices (the children's
+bases) against the vertices outside the node, and every candidate's
+coordinates in it.  One forward elimination, `_row_basis`, gives both, on
+Python rows of the adjacency matrix with the field's tables from
+`matrix._field_tables`: once per node for rank terms, twice for bi-rank terms
+(outbound rows, inbound columns).  Color widths are cut ranks of the layout,
+so connectivity plays no part: a disconnected graph compiles on the same
+path, and a cut between parts with no arc across gets a zero product.
+Fields of order > 256 have no tables, so compiling over them raises
+MatrixError.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cutrank import _field_tables
-from .fields import ORDER_BOUND, Field, Sesquimorphism
+from .fields import ORDER_BOUND, Field, Sesquimorphism, plain_int
 from .graphs import ColoredGraph, SigmaGraph
 from .layouts import Layout
-from .matrix import FMatrix, fmatmul
+from .matrix import _field_tables, fmatmul
 
 
 class TermError(ValueError):
@@ -296,7 +299,7 @@ def syntactic_layout(t) -> Layout:
 
 def _row_basis(rows, tables):
     """One forward elimination over `rows` (code lists of one length, with
-    the nested-tuple tables of `cutrank._field_tables`).  Returns the indices
+    the nested-tuple tables of `matrix._field_tables`).  Returns the indices
     of the greedy leftmost-independent rows (each raises the rank of the rows
     before it) and every row's coordinates in those basis rows, unique
     because the basis is independent.
@@ -327,13 +330,6 @@ def _row_basis(rows, tables):
         basis.append(i)
     k = len(basis)
     return basis, [c + [0] * (k - len(c)) for c in coords]
-
-
-def vertex_basis(M: FMatrix) -> tuple:
-    """Greedy leftmost-independent rows in ambient row order, spanning the
-    row space of M."""
-    picked, _ = _row_basis(M.a.tolist(), _field_tables(M.field))
-    return tuple(M.rows[i] for i in picked)
 
 
 def _basis_coords(A, cands, rest, tables):
@@ -376,38 +372,6 @@ def _rooted(L: Layout, first_vertex):
     return (first_vertex, sub(nbr, start))
 
 
-def _restrict_layout(L: Layout, keep: set) -> Layout:
-    """The layout induced on a vertex subset: minimal spanning subtree with
-    degree-2 nodes suppressed."""
-    keep_nodes = {node for node, lbl in L.leaves.items() if lbl in keep}
-    adj = {node: set(nbrs) for node, nbrs in L._adj.items()}
-    # prune leaves outside the kept set until stable
-    changed = True
-    while changed:
-        changed = False
-        for node in list(adj):
-            if len(adj[node]) <= 1 and node not in keep_nodes:
-                for w in adj[node]:
-                    adj[w].discard(node)
-                del adj[node]
-                changed = True
-    for node in list(adj):
-        if node not in keep_nodes and len(adj[node]) == 2:
-            a, b = adj[node]
-            adj[a].discard(node)
-            adj[b].discard(node)
-            adj[a].add(b)
-            adj[b].add(a)
-            del adj[node]
-    edges = {tuple(sorted((u, v))) for u, nb in adj.items() for v in nb}
-    leaves = {node: L.leaves[node] for node in keep_nodes}
-    return Layout(sorted(edges), leaves)
-
-
-def _zero_mat(r: int, c: int) -> Mat:
-    return Mat(r, c, (0,) * (r * c))
-
-
 def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
     """Compile a layout of G into a rank term whose evaluation is isomorphic
     to G; all matrix dimensions stay within the layout's cutrk-width
@@ -421,20 +385,6 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
         raise TermError("rank terms compile from sigma-symmetric graphs")
     if set(L.leaves.values()) != set(G.vertices):
         raise TermError("layout leaves do not match the graph's vertices")
-    comps = G.components()
-    if len(comps) > 1:
-        parts = [term_from_layout_rank(G.induced_subgraph(c),
-                                       _restrict_layout(L, set(c)))
-                 for c in comps]
-        t = parts[0]
-        for part in parts[1:]:
-            zero = _zero_mat(1, 1)
-            t = RankProd(zero, zero, zero, t, part)
-        return t
-    return _compile_rank_connected(G, L)
-
-
-def _compile_rank_connected(G: SigmaGraph, L: Layout) -> RankTerm:
     tables = _field_tables(G.field)
     scale = tables[2][G.field.inv(G.sigma.one)]
     vpos = {v: i for i, v in enumerate(G.vertices)}
@@ -465,22 +415,6 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
     the bi-cut-rank of the node's cut."""
     if set(L.leaves.values()) != set(G.vertices):
         raise TermError("layout leaves do not match the graph's vertices")
-    comps = G.components()
-    if len(comps) > 1:
-        parts = [term_from_layout_birank(G.induced_subgraph(c),
-                                         _restrict_layout(L, set(c)))
-                 for c in comps]
-        t = parts[0]
-        for part in parts[1:]:
-            def z(r, c):
-                return _zero_mat(r, c)
-            t = BiProd(z(0, 0), z(0, 0), z(0, 0), z(0, 0), z(0, 0), z(0, 0),
-                       t, part)
-        return t
-    return _compile_birank_connected(G, L)
-
-
-def _compile_birank_connected(G: ColoredGraph, L: Layout) -> BiRankTerm:
     tables = _field_tables(G.field)
     vpos = {v: i for i, v in enumerate(G.vertices)}
     A = G.adj.tolist()
@@ -513,22 +447,18 @@ def _compile_birank_connected(G: ColoredGraph, L: Layout) -> BiRankTerm:
 
 
 def compiled_leaf_order(G: ColoredGraph, L: Layout) -> list:
-    """Graph vertices in the leaf order the compiler uses (per component,
-    components in order), matching evaluation vertex numbering."""
-    comps = G.components()
+    """Graph vertices in the leaf order the compiler uses, matching
+    evaluation vertex numbering."""
     order = []
-    for c in comps:
-        sub = _restrict_layout(L, set(c)) if len(comps) > 1 else L
-        first = G.induced_subgraph(c).vertices[0] if len(comps) > 1 else G.vertices[0]
 
-        def walk(node):
-            if not isinstance(node, tuple):
-                order.append(node)
-            else:
-                walk(node[0])
-                walk(node[1])
+    def walk(node):
+        if not isinstance(node, tuple):
+            order.append(node)
+        else:
+            walk(node[0])
+            walk(node[1])
 
-        walk(_rooted(sub, first))
+    walk(_rooted(L, G.vertices[0]))
     return order
 
 
@@ -567,8 +497,8 @@ def _mat_from_token(tok: str) -> Mat:
         raise TermError(f"expected a matrix literal, got {tok!r}")
     parts = [p.strip() for p in tok[1:-1].split(";")]
     try:
-        r, c = (int(x) for x in parts[0].split())
-        data = tuple(int(x) for row in parts[1:] for x in row.split())
+        r, c = (plain_int(x) for x in parts[0].split())
+        data = tuple(plain_int(x) for row in parts[1:] for x in row.split())
     except ValueError:
         raise TermError(f"bad matrix literal {tok!r}") from None
     if min(r, c, *data) < 0 or any(x >= ORDER_BOUND for x in data):
@@ -601,7 +531,7 @@ def parse_term(text: str):
             codes = []
             while (tok := next_token()) != ")":
                 try:
-                    codes.append(int(tok))
+                    codes.append(plain_int(tok))
                 except ValueError:
                     raise TermError(f"constant color {tok!r} is not an "
                                     f"integer") from None
@@ -629,7 +559,10 @@ def parse_term(text: str):
             return BiProd(*ms, t1, t2)
         raise TermError(f"unknown term head {head!r}")
 
-    t = parse()
+    try:
+        t = parse()
+    except RecursionError:
+        raise TermError("nesting too deep") from None
     if pos[0] != len(tokens):
         raise TermError("trailing tokens after term")
     return t

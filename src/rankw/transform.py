@@ -12,7 +12,7 @@ searches share one closure engine that never builds a graph per move.  A
 state is the row-major tuple of the n*n element codes of a matrix, and that
 tuple is also the key under which the state is deduplicated.  The moves and
 the one-vertex deletions map tuples to tuples through the field's tables as
-nested tuples (`cutrank._field_tables`, built once per field).  The engine
+nested tuples (`matrix._field_tables`, built once per field).  The engine
 walks the closure breadth first: a tuple it has handled before is skipped
 unlabelled, and each new canonical form keeps the first state that reached
 it.  Orbits, minor queries and the obstruction search run on it, and
@@ -29,13 +29,13 @@ from math import isqrt
 
 import numpy as np
 
-from .cutrank import CutFunction, _field_tables
+from .cutrank import CutFunction
 from .fields import Field, FieldError, Sesquimorphism, sigma_compatible, \
     sigma_compatible_set
 from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
     digraph_gf2
 from .layouts import width_exact
-from .matrix import _require_tables
+from .matrix import _field_tables, _require_tables
 
 RELATIONS = ("sigma-vertex", "vertex", "pivot")
 

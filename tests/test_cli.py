@@ -212,8 +212,28 @@ def test_exit_codes(tmp_path, capsys):
     path.write_text("field 2 1\nvertices a b\nedge a b 70000\n")
     code, out, err = run(capsys, "width", "--input", str(path))
     assert code == 1 and out == "" and err.startswith("error: line 3: edge code")
-    # domain error: pivot at a non-edge
+    # domain error: codes are plain ASCII digits (int() would read 1 here)
+    path.write_text("field 2 1\nvertices a b\nedge a b \u0661\n")
+    code, out, err = run(capsys, "width", "--input", str(path))
+    assert code == 1 and out == "" and err.startswith("error: line 3: edge code")
+    term = tmp_path / "bad.term"
+    term.write_text("(const 1_0)")
+    code, out, err = run(capsys, "term", "eval", "--input", str(term),
+                         "--field", "2", "1", "--sigma", "id")
+    assert code == 1 and out == "" and err.startswith("error: constant color")
+    # domain error: term and layout files nested too deep for the parsers
+    term.write_text("(prod [1 1; 1] [1 1; 1] [1 1; 1] " * 3000 + "(const 1) "
+                    + "(const 1))" * 3000)
+    code, out, err = run(capsys, "term", "eval", "--input", str(term),
+                         "--field", "2", "1", "--sigma", "id")
+    assert code == 1 and out == "" and err == "error: nesting too deep\n"
     c5 = write_c5(tmp_path)
+    layout = tmp_path / "deep.nwk"
+    layout.write_text("(" * 3000 + "v1" + ",x)" * 3000 + ";\n")
+    code, out, err = run(capsys, "term", "compile", "--input", str(c5),
+                         "--layout", str(layout))
+    assert code == 1 and out == "" and err == "error: nesting too deep\n"
+    # domain error: pivot at a non-edge
     code, _, err = run(capsys, "transform", "--input", str(c5),
                        "--pivot", "v1,v3")
     assert code == 1 and "edge" in err

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
-from rankw.fields import (field_extend_quadratic, field_make,
+from rankw.fields import (FieldError, field_extend_quadratic, field_make,
                           sigma_frobenius_conj, sigma_identity)
 from rankw.graphs import (ColoredGraph, GraphError, SigmaGraph, digraph_gf2,
                           emit_dot, emit_graph, encode_directed,
@@ -366,10 +366,20 @@ def test_graph_file_features_and_errors():
     with pytest.raises(GraphError):
         # missing back edge of color -1: not sigma-symmetric
         parse_graph("field 3 1\nsigma neg\nvertices a b\nedge a b 1\n")
-    # edge codes outside 0..q-1, or not integers, name their line
-    for code in ("-1", "2", "65535", "70000", "x"):
+    # edge codes outside 0..q-1, or not integers, name their line; integers
+    # are plain ASCII digits (int() would read the last three as 10, 1, 1)
+    for code in ("-1", "2", "65535", "70000", "x", "1_0", "+1", "\u0661"):
         with pytest.raises(GraphError, match="line 3: edge code"):
             parse_graph(f"field 2 1\nvertices a b\nedge a b {code}\nedge b a 1")
+    for decl in ("field 2 +1", "field 2 1_0", "field \u0662 1"):
+        with pytest.raises(GraphError, match="line 1: bad field declaration"):
+            parse_graph(f"{decl}\nvertices a b\n")
+    # explicit sesqui-morphism tables too (0 2 1 is negation over GF(3))
+    G = parse_graph("field 3 1\nsigma 0 2 1\nvertices a\n")
+    assert G.sigma.table == (0, 2, 1)
+    for table in ("0 +2 1", "0 2 0_1", "0 \u0662 1"):
+        with pytest.raises(FieldError, match="bad sesqui-morphism spec"):
+            parse_graph(f"field 3 1\nsigma {table}\nvertices a\n")
 
 
 def test_emit_dot():

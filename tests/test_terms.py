@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankw.cutrank import CutFunction, _field_tables
+from rankw.cutrank import CutFunction
 from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
-from rankw.graphs import digraph_gf2, encode_undirected, isomorphic
+from rankw.graphs import (ColoredGraph, SigmaGraph, digraph_gf2,
+                          encode_undirected, isomorphic)
 from rankw.layouts import birankwidth, enumerate_layouts, layout_width, rankwidth
-from rankw.matrix import fmatmul, rank_of
+from rankw.matrix import _field_tables, fmatmul, rank_of
 from rankw.selfcheck import random_colored_graph, random_sigma_graph
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
                          compiled_leaf_order, emit_term, eval_birank_term,
                          eval_rank_term, parse_term, syntactic_layout,
                          term_from_layout_birank, term_from_layout_rank,
-                         term_max_width, vertex_basis, _row_basis)
-from rankw.matrix import FMatrix
+                         term_max_width, _row_basis)
 
 F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
 S2, S3N, S4 = sigma_identity(F2), sigma_negation(F3), sigma_frobenius_conj(F4)
@@ -155,10 +155,10 @@ def test_syntactic_layout_shapes():
 
 
 def test_vertex_basis_examples():
-    assert vertex_basis(FMatrix.zeros(F2, ["a", "b"], range(3))) == ()
-    assert vertex_basis(FMatrix.identity(F2, ["a", "b", "c"])) == ("a", "b", "c")
-    dup = FMatrix(F2, ["a", "b", "c"], range(2), [[1, 0], [1, 0], [0, 1]])
-    assert vertex_basis(dup) == ("a", "c")
+    tables = _field_tables(F2)
+    assert _row_basis([[0, 0, 0], [0, 0, 0]], tables)[0] == []
+    assert _row_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]], tables)[0] == [0, 1, 2]
+    assert _row_basis([[1, 0], [1, 0], [0, 1]], tables)[0] == [0, 2]
 
 
 @st.composite
@@ -219,30 +219,66 @@ def test_compile_c5_roundtrip():
     assert layout_width(ev.graph, CutFunction(ev.graph, "cutrk"), L).width <= 2
 
 
+def _products(t):
+    if isinstance(t, (RankConst, BiConst)):
+        return []
+    return [t] + _products(t.left) + _products(t.right)
+
+
 def test_compile_isolated_vertices():
     G = encode_undirected([], vertices=range(3))
     L = next(enumerate_layouts(3, range(3)))
     t = term_from_layout_rank(G, L)
-    # a chain of products over 1x1 zero matrices
-    assert isinstance(t, RankProd) and t.m.is_zero()
-    assert isinstance(t.left, RankProd) and t.left.m.is_zero()
+    # every cut has rank 0, so every product is over 1x1 zero matrices
+    prods = _products(t)
+    assert len(prods) == 2
+    assert all(p.m.is_zero() and p.n.is_zero() and p.p.is_zero() for p in prods)
     assert not eval_rank_term(t, S2).graph.adj.any()
+
+
+def _disjoint_union_adj(rng, G1, G2):
+    """Adjacency of G1 + G2 + one isolated vertex: the two parts' vertices
+    interleaved, the isolated vertex at a random position."""
+    tags = sorted([(2 * i, 0, i) for i in range(G1.n)]
+                  + [(2 * j + 1, 1, j) for j in range(G2.n)])
+    tags.insert(rng.randrange(len(tags) + 1), (None, 2, 0))
+    n = len(tags)
+    adj = np.zeros((n, n), dtype=np.uint16)
+    for x, (_, gx, i) in enumerate(tags):
+        for y, (_, gy, j) in enumerate(tags):
+            if gx == gy < 2:
+                adj[x, y] = (G1, G2)[gx].adj[i, j]
+    return adj
+
+
+def _assert_compiles_back(G, res, t, ev):
+    """The term evaluates to G under compiled_leaf_order."""
+    order = compiled_leaf_order(G, res.witness)
+    relab = {v: i for i, v in enumerate(order)}
+    assert np.array_equal(ev.graph.adj,
+                          G.relabel(relab).permuted(range(G.n)).adj)
 
 
 def test_compile_rank_random_roundtrips():
     rng = random.Random(3)
+    graphs = []
     for _ in range(40):
         F, s = rng.choice([(F2, S2), (F3, S3N), (F4, S4)])
         n = rng.randrange(1, 7)
-        G = random_sigma_graph(rng, F, s, n, density=rng.choice([0.3, 0.6]))
+        graphs.append(random_sigma_graph(rng, F, s, n,
+                                         density=rng.choice([0.3, 0.6])))
+    # disconnected inputs compile on the same path
+    for _ in range(20):
+        F, s = rng.choice([(F2, S2), (F3, S3N), (F4, S4)])
+        G1, G2 = (random_sigma_graph(rng, F, s, rng.randrange(1, 4), density=0.6)
+                  for _ in range(2))
+        adj = _disjoint_union_adj(rng, G1, G2)
+        graphs.append(SigmaGraph(F, tuple(range(len(adj))), adj, s))
+    for G in graphs:
         res = rankwidth(G)
         t = term_from_layout_rank(G, res.witness)
         assert term_max_width(t) <= max(res.width, 1)
-        ev = eval_rank_term(t, s)
-        order = compiled_leaf_order(G, res.witness)
-        relab = {v: i for i, v in enumerate(order)}
-        assert np.array_equal(ev.graph.adj,
-                              G.relabel(relab).permuted(range(n)).adj)
+        _assert_compiles_back(G, res, t, eval_rank_term(t, G.sigma))
 
 
 def test_compile_birank_arc():
@@ -261,18 +297,24 @@ def test_compile_birank_arc():
 
 def test_compile_birank_random_roundtrips():
     rng = random.Random(4)
+    graphs = []
     for _ in range(40):
         F = rng.choice([F2, F3, F4])
         n = rng.randrange(1, 7)
-        G = random_colored_graph(rng, F, n, density=rng.choice([0.3, 0.6]))
+        graphs.append(random_colored_graph(rng, F, n,
+                                           density=rng.choice([0.3, 0.6])))
+    # disconnected inputs compile on the same path
+    for _ in range(20):
+        F = rng.choice([F2, F3, F4])
+        G1, G2 = (random_colored_graph(rng, F, rng.randrange(1, 4), density=0.6)
+                  for _ in range(2))
+        adj = _disjoint_union_adj(rng, G1, G2)
+        graphs.append(ColoredGraph(F, tuple(range(len(adj))), adj))
+    for G in graphs:
         res = birankwidth(G)
         t = term_from_layout_birank(G, res.witness)
         assert term_max_width(t) <= res.width
-        ev = eval_birank_term(t, F)
-        order = compiled_leaf_order(G, res.witness)
-        relab = {v: i for i, v in enumerate(order)}
-        assert np.array_equal(ev.graph.adj,
-                              G.relabel(relab).permuted(range(n)).adj)
+        _assert_compiles_back(G, res, t, eval_birank_term(t, G.field))
 
 
 def test_birank_dims_double_rank_dims_on_symmetric_input():
@@ -394,6 +436,15 @@ def test_term_file_roundtrip():
         parse_term("(product [1 1; 1])")
     # truncated and malformed input is a TermError naming the problem
     for text, problem in [("(const 1", "unexpected end"),
+                          # integers are plain ASCII digits
+                          ("(const 1_0)", "not an integer"),
+                          ("(const +1)", "not an integer"),
+                          ("(const \u0661)", "not an integer"),
+                          ("(biconst [1 1; 1_0] [1 0;])", "bad matrix literal"),
+                          ("(biconst [+1 1; 1] [1 0;])", "bad matrix literal"),
+                          ("(biconst [1 1; \u0661] [1 0;])", "bad matrix literal"),
+                          ("(prod [1 1; 1] [1 1; 1] [1 1; 1] " * 3000
+                           + "(const 1)", "nesting too deep"),
                           ("(prod [1 1; 1", "unclosed matrix literal"),
                           ("(const x)", "not an integer"),
                           ("(const 1 -3)", "not an element code"),
