@@ -15,14 +15,13 @@ import sys
 from pathlib import Path
 
 from .cutrank import CutFunction
-from .fields import FieldError, field_make, parse_sigma
+from .fields import FieldError, field_make, parse_sigma, plain_int
 from .graphs import (ColoredGraph, GraphError, SigmaGraph, emit_dot,
                      emit_graph, encode_directed, encode_oriented,
                      encode_undirected, parse_graph)
 from .layouts import (Layout, LayoutError, decide_width_at_most, parse_newick,
                       width_exact)
 from .matrix import MatrixError
-from .selfcheck import run_selfcheck
 from .terms import (RankConst, RankProd, TermError, emit_term,
                     eval_birank_term, eval_rank_term, parse_term,
                     term_from_layout_birank, term_from_layout_rank)
@@ -243,6 +242,7 @@ def cmd_obstructions(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import run_selfcheck  # the battery loads only when run
     results = run_selfcheck(seed=args.seed)
     ok_all = all(ok for _, ok in results)
     if args.json:
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rankw",
         description="Rank-width and bi-rank-width of edge-colored graphs "
                     "over finite fields")
-    ap.add_argument("--seed", type=int, default=0,
+    ap.add_argument("--seed", type=plain_int, default=0,
                     help="PRNG seed for randomized suites (default 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("width", help="exact rank-/bi-rank-width")
     pw.add_argument("--input", required=True)
     pw.add_argument("--param", choices=("rank", "birank"), default="rank")
-    pw.add_argument("--k", type=int, default=None,
+    pw.add_argument("--k", type=plain_int, default=None,
                     help="decide width <= k instead of computing the optimum")
     pw.add_argument("--emit-layout", default=None)
     pw.add_argument("--force", action="store_true",
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("transform", help="local or pivot complementation")
     pt.add_argument("--input", required=True)
     pt.add_argument("--local", default=None, metavar="X")
-    pt.add_argument("--lambda", dest="lam", type=int, default=None)
+    pt.add_argument("--lambda", dest="lam", type=plain_int, default=None)
     pt.add_argument("--pivot", default=None, metavar="X,Y")
     pt.add_argument("--out", default=None)
     pt.add_argument("--emit-dot", default=None)
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = ptm.add_subparsers(dest="term_command", required=True)
     te = tsub.add_parser("eval", help="term file -> graph file")
     te.add_argument("--input", required=True)
-    te.add_argument("--field", nargs=2, type=int, required=True,
+    te.add_argument("--field", nargs=2, type=plain_int, required=True,
                     metavar=("P", "K"))
     te.add_argument("--sigma", default=None)
     te.add_argument("--out", default=None)
@@ -330,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     tc.set_defaults(fn=cmd_term_compile)
 
     po = sub.add_parser("obstructions", help="minimal width-k obstructions")
-    po.add_argument("--field", nargs=2, type=int, required=True,
+    po.add_argument("--field", nargs=2, type=plain_int, required=True,
                     metavar=("P", "K"))
     po.add_argument("--sigma", required=True)
     po.add_argument("--relation", choices=RELATIONS, required=True)
-    po.add_argument("--k", type=int, required=True)
-    po.add_argument("--max-n", type=int, required=True)
+    po.add_argument("--k", type=plain_int, required=True)
+    po.add_argument("--max-n", type=plain_int, required=True)
     po.add_argument("--out", required=True)
     add_json(po)
     po.set_defaults(fn=cmd_obstructions)

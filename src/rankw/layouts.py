@@ -37,8 +37,8 @@ class Layout:
     """A sub-cubic tree with a bijection from vertices to its leaves.
 
     Nodes are opaque ints; ``leaves`` maps node -> vertex label.  Internal
-    nodes of enumerated layouts have degree exactly 3; parsed layouts may be
-    any sub-cubic tree.
+    nodes of enumerated, searched and parsed layouts have degree exactly 3;
+    hand-built layouts may be any sub-cubic tree.
     """
 
     __slots__ = ("edges", "leaves", "_adj")
@@ -66,20 +66,9 @@ class Layout:
                 raise LayoutError(f"node {node} has degree {len(nbrs)} > 3")
             if node in self.leaves and len(nbrs) > 1:
                 raise LayoutError(f"leaf {node} has degree {len(nbrs)}")
-        if len(self.edges) != len(nodes) - 1:
+        if (len(self.edges) != len(nodes) - 1
+                or len(self._walk(next(iter(nodes)))) != len(nodes)):
             raise LayoutError("layout tree must be acyclic and connected")
-        if nodes - set(self.leaves):
-            # connectivity: walk from any node
-            start = next(iter(nodes))
-            seen = {start}
-            stack = [start]
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if seen != nodes:
-                raise LayoutError("layout tree must be connected")
         for node in nodes - set(self.leaves):
             if len(self._adj[node]) < 2:
                 raise LayoutError(f"internal node {node} of degree < 2")
@@ -92,35 +81,51 @@ class Layout:
     def n(self) -> int:
         return len(self.leaves)
 
-    def edge_sides(self) -> list[tuple[tuple[int, int], frozenset]]:
-        """All tree edges with their first-endpoint vertex sides, computed in
-        one rooted traversal."""
-        if not self.edges:
-            return []
-        root = self.edges[0][0]
-        order: list[tuple[int, int]] = []   # (node, parent)
-        stack = [(root, -1)]
+    def _walk(self, root: int) -> list[tuple[int, Optional[int]]]:
+        """(node, parent) pairs of a depth-first walk from root, without
+        recursion: each reached node once, after its parent, and the subtrees
+        of a node's children in reverse adjacency order, so that the reversed
+        list is a post-order with children in adjacency order."""
+        order, stack, seen = [], [(root, None)], {root}
         while stack:
             x, p = stack.pop()
             order.append((x, p))
             for w in self._adj[x]:
-                if w != p:
+                if w not in seen:
+                    seen.add(w)
                     stack.append((w, x))
-        below: dict[int, set] = {}
+        return order
+
+    def edge_sides(self) -> list[tuple[tuple[int, int], frozenset]]:
+        """All tree edges with their first-endpoint vertex sides, computed in
+        one rooted traversal."""
+        order = self._walk(next(iter(self._adj)))
+        below: dict[int, set] = {x: set() for x, _ in order}
         for x, p in reversed(order):
-            s = {self.leaves[x]} if x in self.leaves else set()
-            for w in self._adj[x]:
-                if w != p:
-                    s |= below[w]
-            below[x] = s
-        out = []
-        parent = {x: p for x, p in order}
-        for u, v in self.edges:
-            if parent.get(u) == v:
-                out.append(((u, v), frozenset(below[u])))
-            else:
-                out.append(((u, v), frozenset(self.leaves.values()) - frozenset(below[v])))
-        return out
+            if x in self.leaves:
+                below[x].add(self.leaves[x])
+            if p is not None:
+                below[p] |= below[x]
+        parent = dict(order)
+        everything = frozenset(self.leaves.values())
+        return [((u, v), frozenset(below[u]) if parent[u] == v
+                 else everything - below[v]) for u, v in self.edges]
+
+    def rooted(self, vertex) -> Iterator[Optional[int]]:
+        """The layout rooted by subdividing the edge at vertex's leaf, as a
+        post-order stream: each leaf node in turn, and None wherever the two
+        subtrees before it join (see `fold`).  The leaf of vertex comes
+        first and the root join last; degree-2 nodes join nothing."""
+        start = {v: x for x, v in self.leaves.items()}[vertex]
+        order = self._walk(start)
+        yield start
+        for x, _ in reversed(order[1:]):
+            if x in self.leaves:
+                yield x
+            elif len(self._adj[x]) == 3:
+                yield None
+        if len(order) > 1:
+            yield None
 
     def relabel_leaves(self, mapping: dict) -> "Layout":
         return Layout(self.edges, {node: mapping[lbl] for node, lbl in self.leaves.items()})
@@ -131,22 +136,59 @@ class Layout:
     # Newick serialization ----------------------------------------------------
 
     def to_newick(self) -> str:
-        if self.n == 1:
-            return f"{next(iter(self.leaves.values()))};"
-        # root at the edge incident to the first-listed vertex's leaf
-        first_leaf = next(iter(self.leaves))
-        nbr = self._adj[first_leaf][0]
-
-        def write(node: int, parent: int) -> str:
-            if node in self.leaves:
-                return str(self.leaves[node])
-            kids = [write(w, node) for w in self._adj[node] if w != parent]
-            return "(" + ",".join(kids) + ")"
-
-        return f"({self.leaves[first_leaf]},{write(nbr, first_leaf)});"
+        """Nested groups rooted at the first-listed vertex's leaf edge."""
+        first = next(iter(self.leaves.values()))
+        text = fold(self.rooted(first), lambda x: str(self.leaves[x]),
+                    lambda _, a, b: f"({a},{b})")
+        return text + ";"
 
 
-def parse_newick(text: str, width_hint: Optional[int] = None) -> Layout:
+def fold(stream, leaf, join, is_join=lambda x: x is None):
+    """Evaluate a post-order stream bottom-up on one value stack, without
+    recursion: a join item x replaces the last two values a, b by
+    join(x, a, b), and any other item x pushes leaf(x).  The join items are
+    the Nones of `Layout.rooted` unless is_join says otherwise."""
+    values = []
+    for x in stream:
+        if is_join(x):
+            b = values.pop()
+            values[-1] = join(x, values[-1], b)
+        else:
+            values.append(leaf(x))
+    return values[0]
+
+
+def build_layout(tree, labels: Sequence) -> Layout:
+    """The layout of a nested tree, built without recursion.  Tuples are
+    groups and ints index `labels`; leaf i is node i and groups become nodes
+    len(labels), len(labels) + 1, ... in pre-order.  A group of one member
+    below the root is that member, and a root group of two joins its members
+    by one edge (degree-2 nodes are suppressed); other groups are nodes."""
+    n = len(labels)
+    edges: list[tuple[int, int]] = []
+    pair_root = isinstance(tree, tuple) and len(tree) == 2
+    stack = [(t, None) for t in reversed(tree)] if pair_root else [(tree, None)]
+    first = None
+    while stack:
+        t, p = stack.pop()
+        while (p is not None or pair_root) and isinstance(t, tuple) and len(t) == 1:
+            t = t[0]
+        if isinstance(t, tuple):
+            x = n
+            n += 1
+            stack += [(c, x) for c in reversed(t)]
+        else:
+            x = t
+        if p is not None:
+            edges.append((p, x))
+        elif first is None:
+            first = x
+        else:
+            edges.append((first, x))
+    return Layout(edges, dict(enumerate(labels)))
+
+
+def parse_newick(text: str) -> Layout:
     """Parse nested-parenthesis layouts, e.g. ((v1,v2),(v3,(v4,v5)));
     An optional `# width <k>` trailer (and # comments generally) is ignored;
     degree-2 interior nodes (including a binary root) are suppressed."""
@@ -154,24 +196,18 @@ def parse_newick(text: str, width_hint: Optional[int] = None) -> Layout:
     if text.endswith(";"):
         text = text[:-1]
     pos = 0
-    counter = [0]
-    edges: list[tuple[int, int]] = []
-    leaves: dict[int, str] = {}
+    labels: list[str] = []
 
-    def new_node() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def parse() -> int:
+    def parse():
+        """The group or leaf at pos: a tuple of members or a label index."""
         nonlocal pos
         if pos >= len(text):
             raise LayoutError("unexpected end of layout text")
         if text[pos] == "(":
             pos += 1
-            node = new_node()
+            members = []
             while True:
-                child = parse()
-                edges.append((node, child))
+                members.append(parse())
                 if pos >= len(text):
                     raise LayoutError("unbalanced parentheses")
                 if text[pos] == ",":
@@ -179,7 +215,7 @@ def parse_newick(text: str, width_hint: Optional[int] = None) -> Layout:
                     continue
                 if text[pos] == ")":
                     pos += 1
-                    return node
+                    return tuple(members)
                 raise LayoutError(f"unexpected character {text[pos]!r}")
         start = pos
         while pos < len(text) and text[pos] not in "(),;":
@@ -187,35 +223,18 @@ def parse_newick(text: str, width_hint: Optional[int] = None) -> Layout:
         label = text[start:pos].strip()
         if not label:
             raise LayoutError("empty leaf label")
-        node = new_node()
-        leaves[node] = label
-        return node
+        labels.append(label)
+        return len(labels) - 1
 
     try:
-        parse()
+        tree = parse()
     except RecursionError:
         raise LayoutError("nesting too deep") from None
     while pos < len(text) and text[pos] in "; \t\n":
         pos += 1
     if pos != len(text):
         raise LayoutError("trailing characters after layout")
-    # suppress degree-2 nodes
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    for node in list(adj):
-        if node not in leaves and len(adj[node]) == 2:
-            a, b = adj[node]
-            adj[a].discard(node)
-            adj[b].discard(node)
-            adj[a].add(b)
-            adj[b].add(a)
-            del adj[node]
-    final_edges = {tuple(sorted((u, v))) for u, nbrs in adj.items() for v in nbrs}
-    if not final_edges and len(leaves) == 1:
-        return Layout([], leaves)
-    return Layout(sorted(final_edges), leaves)
+    return build_layout(tree, labels)
 
 
 @dataclass
@@ -303,7 +322,6 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int):
     edge; feasibility of a subset is independent of its surroundings, so
     results memoize by mask."""
     n = G.n
-    full = (1 << n) - 1
     if _singleton_floor(f, n) > k:
         return None
     if n == 1:
@@ -331,33 +349,12 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int):
         memo[mask] = result
         return result
 
-    rest = full & ~1
-    t = feasible(rest)  # f(rest) = f({v0}) <= floor <= k already
+    try:
+        t = feasible((1 << n) - 2)  # f(rest) = f({v0}) <= floor <= k already
+    except RecursionError:
+        raise LayoutError(f"the forced search on n={n} vertices nests deeper "
+                          f"than Python's recursion limit") from None
     return None if t is None else (0, t)
-
-
-def _tree_to_layout(tree, vertices) -> Layout:
-    """Nested index pair tree -> Layout; the root pair's two sides join by a
-    single tree edge."""
-    n = len(vertices)
-    if n == 1:
-        return Layout([], {0: vertices[0]})
-    edges: list[tuple[int, int]] = []
-    counter = [n]
-
-    def realize(t) -> int:
-        if isinstance(t, int):
-            return t
-        node = counter[0]
-        counter[0] += 1
-        a, b = t
-        edges.append((node, realize(a)))
-        edges.append((node, realize(b)))
-        return node
-
-    a, b = tree
-    edges.append((realize(a), realize(b)))
-    return Layout(edges, {i: vertices[i] for i in range(n)})
 
 
 def _check_size(n: int, force: bool) -> None:
@@ -376,7 +373,7 @@ def width_exact(G: ColoredGraph, f: CutFunction, *, force: bool = False) -> Widt
     k = _singleton_floor(f, G.n)
     while (t := _feasible_tree(G, f, k)) is None:
         k += 1
-    return layout_width(G, f, _tree_to_layout(t, G.vertices))
+    return layout_width(G, f, build_layout(t, G.vertices))
 
 
 def decide_width_at_most(G: ColoredGraph, f: CutFunction, k: int, *,
@@ -384,7 +381,7 @@ def decide_width_at_most(G: ColoredGraph, f: CutFunction, k: int, *,
     """A witness layout of f-width <= k, or None."""
     _check_size(G.n, force)
     t = _feasible_tree(G, f, k)
-    return None if t is None else _tree_to_layout(t, G.vertices)
+    return None if t is None else build_layout(t, G.vertices)
 
 
 def rankwidth(G: SigmaGraph, *, force: bool = False) -> WidthResult:

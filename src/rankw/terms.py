@@ -25,14 +25,14 @@ MatrixError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import Optional, Union
 
 import numpy as np
 
 from .fields import ORDER_BOUND, Field, Sesquimorphism, plain_int
 from .graphs import ColoredGraph, SigmaGraph
-from .layouts import Layout
+from .layouts import Layout, build_layout, fold
 from .matrix import _field_tables, fmatmul
 
 
@@ -139,25 +139,47 @@ class BiColoredGraph:
     gamma_minus: np.ndarray  # |V| x k2
 
 
+_PRODUCTS = (RankProd, BiProd)
+
+
+def _subterms(t, products=_PRODUCTS):
+    """The subterms of t in post-order (left, right, then their product),
+    listed without recursion; only nodes of the `products` types are opened."""
+    order, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        if isinstance(x, products):
+            stack += (x.left, x.right)
+    return reversed(order)
+
+
+def _fold(t, const, prod, products=_PRODUCTS):
+    """`fold` over t's subterms: prod(x, a, b) at each product x of the
+    given types, whose subterms have the values a and b, and const(x) at
+    every other node."""
+    return fold(_subterms(t, products), const, prod,
+                lambda x: isinstance(x, products))
+
+
 def term_leaves(t) -> int:
-    if isinstance(t, (RankConst, BiConst)):
-        return 1
-    return term_leaves(t.left) + term_leaves(t.right)
+    return sum(not isinstance(x, _PRODUCTS) for x in _subterms(t))
 
 
 def term_max_width(t) -> int:
     """Largest color width appearing in the term (k1+k2 for bi-rank nodes)."""
-    if isinstance(t, RankConst):
-        return len(t.u)
-    if isinstance(t, BiConst):
-        return len(t.u) + len(t.v)
-    if isinstance(t, RankProd):
-        dims = [t.m.rows, t.m.cols, t.n.cols]
-        return max(max(dims), term_max_width(t.left), term_max_width(t.right))
-    dims = [t.m1.rows + t.m2.rows,      # k1 + k2
-            t.m2.cols + t.m1.cols,      # l1 + l2
-            t.n1.cols + t.n2.cols]      # m1 + m2
-    return max(max(dims), term_max_width(t.left), term_max_width(t.right))
+    def width(x) -> int:
+        if isinstance(x, RankConst):
+            return len(x.u)
+        if isinstance(x, BiConst):
+            return len(x.u) + len(x.v)
+        if isinstance(x, RankProd):
+            return max(x.m.rows, x.m.cols, x.n.cols)
+        return max(x.m1.rows + x.m2.rows,      # k1 + k2
+                   x.m2.cols + x.m1.cols,      # l1 + l2
+                   x.n1.cols + x.n2.cols)      # m1 + m2
+
+    return max(map(width, _subterms(t)))
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -169,21 +191,23 @@ def eval_rank_term(t: RankTerm, sigma: Sesquimorphism,
     subterm in post-order."""
     field = sigma.field
     sig = sigma.np_table
+    leaves = 0
 
-    def rec(t, offset: int):
-        if isinstance(t, RankConst):
-            u = np.array([t.u], dtype=np.uint16)
-            if u.size and int(u.max()) >= field.q:
-                raise TermError("constant color is not an element code")
-            adj = np.zeros((1, 1), dtype=np.uint16)
-            if trace is not None:
-                trace.append(((offset, offset + 1), u))
-            return adj, u
-        if not isinstance(t, RankProd):
+    def const(t):
+        nonlocal leaves
+        if not isinstance(t, RankConst):
             raise TermError(f"not a rank term node: {t!r}")
-        a_g, gam_g = rec(t.left, offset)
-        n_g = a_g.shape[0]
-        a_h, gam_h = rec(t.right, offset + n_g)
+        u = np.array([t.u], dtype=np.uint16)
+        if u.size and int(u.max()) >= field.q:
+            raise TermError("constant color is not an element code")
+        adj = np.zeros((1, 1), dtype=np.uint16)
+        if trace is not None:
+            trace.append(((leaves, leaves + 1), u))
+        leaves += 1
+        return adj, u
+
+    def prod(t, left, right):
+        (a_g, gam_g), (a_h, gam_h) = left, right
         M, N, P = t.m.np(field), t.n.np(field), t.p.np(field)
         k, l = gam_g.shape[1], gam_h.shape[1]
         if M.shape != (k, l):
@@ -191,19 +215,14 @@ def eval_rank_term(t: RankTerm, sigma: Sesquimorphism,
         if N.shape[0] != k or P.shape[0] != l or N.shape[1] != P.shape[1]:
             raise TermError("N and P must map both sides to one color width")
         cross = fmatmul(fmatmul(gam_g, M, field), sig[gam_h].T, field)
-        n_h = a_h.shape[0]
-        adj = np.zeros((n_g + n_h, n_g + n_h), dtype=np.uint16)
-        adj[:n_g, :n_g] = a_g
-        adj[n_g:, n_g:] = a_h
-        adj[:n_g, n_g:] = cross
-        adj[n_g:, :n_g] = sig[cross.T]
+        adj = np.block([[a_g, cross], [sig[cross.T], a_h]])
         gamma = np.concatenate([fmatmul(gam_g, N, field),
                                 fmatmul(gam_h, P, field)], axis=0)
         if trace is not None:
-            trace.append(((offset, offset + n_g + n_h), gamma))
+            trace.append(((leaves - len(adj), leaves), gamma))
         return adj, gamma
 
-    adj, gamma = rec(t, 0)
+    adj, gamma = _fold(t, const, prod, RankProd)
     n = adj.shape[0]
     G = SigmaGraph(field, tuple(range(n)), adj, sigma)
     return VColoredGraph(G, gamma)
@@ -213,24 +232,25 @@ def eval_birank_term(t: BiRankTerm, field: Field,
                      trace: Optional[list] = None) -> BiColoredGraph:
     """Evaluate a bi-rank term over the field; vertices numbered by leaf
     position.  trace (optional list) collects (leaf_span, gamma+, gamma-)."""
+    leaves = 0
 
-    def rec(t, offset: int):
-        if isinstance(t, BiConst):
-            u = np.array([t.u], dtype=np.uint16).reshape(1, len(t.u))
-            v = np.array([t.v], dtype=np.uint16).reshape(1, len(t.v))
-            for vec in (u, v):
-                if vec.size and int(vec.max(initial=0)) >= field.q:
-                    raise TermError("constant color is not an element code")
-            adj = np.zeros((1, 1), dtype=np.uint16)
-            if trace is not None:
-                trace.append(((offset, offset + 1), u, v))
-            return adj, u, v
-        if not isinstance(t, BiProd):
+    def const(t):
+        nonlocal leaves
+        if not isinstance(t, BiConst):
             raise TermError(f"not a bi-rank term node: {t!r}")
-        a_g, gp_g, gm_g = rec(t.left, offset)
-        n_g = a_g.shape[0]
-        a_h, gp_h, gm_h = rec(t.right, offset + n_g)
-        n_h = a_h.shape[0]
+        u = np.array([t.u], dtype=np.uint16).reshape(1, len(t.u))
+        v = np.array([t.v], dtype=np.uint16).reshape(1, len(t.v))
+        for vec in (u, v):
+            if vec.size and int(vec.max(initial=0)) >= field.q:
+                raise TermError("constant color is not an element code")
+        adj = np.zeros((1, 1), dtype=np.uint16)
+        if trace is not None:
+            trace.append(((leaves, leaves + 1), u, v))
+        leaves += 1
+        return adj, u, v
+
+    def prod(t, left, right):
+        (a_g, gp_g, gm_g), (a_h, gp_h, gm_h) = left, right
         M1, M2 = t.m1.np(field), t.m2.np(field)
         N1, N2 = t.n1.np(field), t.n2.np(field)
         P1, P2 = t.p1.np(field), t.p2.np(field)
@@ -246,20 +266,16 @@ def eval_birank_term(t: BiRankTerm, field: Field,
             raise TermError("N2/P2 must map the inbound colors to one width")
         fwd = fmatmul(fmatmul(gp_g, M1, field), gm_h.T, field)   # G -> H arcs
         back = fmatmul(fmatmul(gm_g, M2, field), gp_h.T, field)  # H -> G arcs
-        adj = np.zeros((n_g + n_h, n_g + n_h), dtype=np.uint16)
-        adj[:n_g, :n_g] = a_g
-        adj[n_g:, n_g:] = a_h
-        adj[:n_g, n_g:] = fwd
-        adj[n_g:, :n_g] = back.T
+        adj = np.block([[a_g, fwd], [back.T, a_h]])
         gp = np.concatenate([fmatmul(gp_g, N1, field),
                              fmatmul(gp_h, P1, field)], axis=0)
         gm = np.concatenate([fmatmul(gm_g, N2, field),
                              fmatmul(gm_h, P2, field)], axis=0)
         if trace is not None:
-            trace.append(((offset, offset + n_g + n_h), gp, gm))
+            trace.append(((leaves - len(adj), leaves), gp, gm))
         return adj, gp, gm
 
-    adj, gp, gm = rec(t, 0)
+    adj, gp, gm = _fold(t, const, prod, BiProd)
     n = adj.shape[0]
     return BiColoredGraph(ColoredGraph(field, tuple(range(n)), adj), gp, gm)
 
@@ -269,30 +285,9 @@ def eval_birank_term(t: BiRankTerm, field: Field,
 def syntactic_layout(t) -> Layout:
     """The term's binary syntactic tree as an unrooted layout; leaves are the
     constants numbered left to right (matching evaluation vertex labels)."""
-    n = term_leaves(t)
-    if n == 1:
-        return Layout([], {0: 0})
-    counter = [n]
-    edges: list[tuple[int, int]] = []
-    leaf_counter = [0]
-
-    def build(t) -> int:
-        if isinstance(t, (RankConst, BiConst)):
-            node = leaf_counter[0]
-            leaf_counter[0] += 1
-            return node
-        node = counter[0]
-        counter[0] += 1
-        edges.append((node, build(t.left)))
-        edges.append((node, build(t.right)))
-        return node
-
-    root = build(t)
-    # the root has degree 2: splice it out so internal nodes are cubic
-    kids = [v for u, v in edges if u == root]
-    edges = [(u, v) for u, v in edges if u != root]
-    edges.append((kids[0], kids[1]))
-    return Layout(edges, {i: i for i in range(n)})
+    leaves = count()
+    tree = _fold(t, lambda x: next(leaves), lambda x, a, b: (a, b))
+    return build_layout(tree, range(term_leaves(t)))
 
 
 # -- vertex bases and layout compilation --------------------------------------------
@@ -348,30 +343,6 @@ def _mat(rows, r: int, c: int) -> Mat:
     return Mat(r, c, tuple(data) + (0,) * (c * (r - len(rows))))
 
 
-def _rooted(L: Layout, first_vertex):
-    """Rooted binary structure for the layout, rooted by subdividing the edge
-    at first_vertex's leaf: nested pairs of vertex labels.  Degree-2 interior
-    nodes collapse transparently."""
-    node_of = {lbl: node for node, lbl in L.leaves.items()}
-    start = node_of[first_vertex]
-    if L.n == 1:
-        return first_vertex
-    adj = L._adj
-
-    def sub(node: int, parent: int):
-        if node in L.leaves:
-            return L.leaves[node]
-        kids = [w for w in adj[node] if w != parent]
-        if len(kids) == 1:
-            return sub(kids[0], node)
-        if len(kids) != 2:
-            raise TermError("layout interior nodes must have degree <= 3")
-        return (sub(kids[0], node), sub(kids[1], node))
-
-    nbr = adj[start][0]
-    return (first_vertex, sub(nbr, start))
-
-
 def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
     """Compile a layout of G into a rank term whose evaluation is isomorphic
     to G; all matrix dimensions stay within the layout's cutrk-width
@@ -390,12 +361,12 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
     vpos = {v: i for i, v in enumerate(G.vertices)}
     A = G.adj.tolist()
 
-    def rec(node):
-        if not isinstance(node, tuple):
-            x = vpos[node]
-            return RankConst((1,)), (x,) if any(A[x]) else (), {x}
-        t1, X1, vs1 = rec(node[0])
-        t2, X2, vs2 = rec(node[1])
+    def leaf(node):
+        x = vpos[L.leaves[node]]
+        return RankConst((1,)), (x,) if any(A[x]) else (), {x}
+
+    def join(_, left, right):
+        (t1, X1, vs1), (t2, X2, vs2) = left, right
         vs = vs1 | vs2
         rest = [y for y in range(len(A)) if y not in vs]
         Xu, coords = _basis_coords(A, sorted(X1 + X2), rest, tables)
@@ -405,8 +376,7 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
                      _mat([coords[z] for z in X2], w2, wu), t1, t2)
         return t, Xu, vs
 
-    t, _, _ = rec(_rooted(L, G.vertices[0]))
-    return t
+    return fold(L.rooted(G.vertices[0]), leaf, join)[0]
 
 
 def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
@@ -420,14 +390,14 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
     A = G.adj.tolist()
     AT = G.adj.T.tolist()
 
-    def rec(node):
-        if not isinstance(node, tuple):
-            x = vpos[node]
-            Xp = (x,) if any(A[x]) else ()
-            Xm = (x,) if any(AT[x]) else ()
-            return BiConst((1,) * len(Xp), (1,) * len(Xm)), Xp, Xm, {x}
-        t1, Xp1, Xm1, vs1 = rec(node[0])
-        t2, Xp2, Xm2, vs2 = rec(node[1])
+    def leaf(node):
+        x = vpos[L.leaves[node]]
+        Xp = (x,) if any(A[x]) else ()
+        Xm = (x,) if any(AT[x]) else ()
+        return BiConst((1,) * len(Xp), (1,) * len(Xm)), Xp, Xm, {x}
+
+    def join(_, left, right):
+        (t1, Xp1, Xm1, vs1), (t2, Xp2, Xm2, vs2) = left, right
         vs = vs1 | vs2
         rest = [y for y in range(len(A)) if y not in vs]
         # outbound basis over rows A[z][rest], inbound over columns A[rest][z]
@@ -442,24 +412,13 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
                    _mat([cm[z] for z in Xm2], len(Xm2), km), t1, t2)
         return t, Xpu, Xmu, vs
 
-    t, _, _, _ = rec(_rooted(L, G.vertices[0]))
-    return t
+    return fold(L.rooted(G.vertices[0]), leaf, join)[0]
 
 
 def compiled_leaf_order(G: ColoredGraph, L: Layout) -> list:
     """Graph vertices in the leaf order the compiler uses, matching
     evaluation vertex numbering."""
-    order = []
-
-    def walk(node):
-        if not isinstance(node, tuple):
-            order.append(node)
-        else:
-            walk(node[0])
-            walk(node[1])
-
-    walk(_rooted(L, G.vertices[0]))
-    return order
+    return [L.leaves[x] for x in L.rooted(G.vertices[0]) if x is not None]
 
 
 # -- term file format (s-expressions) ---------------------------------------------
@@ -569,16 +528,20 @@ def parse_term(text: str):
 
 
 def emit_term(t) -> str:
-    if isinstance(t, RankConst):
-        return "(const " + " ".join(str(c) for c in t.u) + ")"
-    if isinstance(t, BiConst):
-        u = Mat(1, len(t.u), t.u).literal()
-        v = Mat(1, len(t.v), t.v).literal()
-        return f"(biconst {u} {v})"
-    if isinstance(t, RankProd):
-        return (f"(prod {t.m.literal()} {t.n.literal()} {t.p.literal()} "
-                f"{emit_term(t.left)} {emit_term(t.right)})")
-    if isinstance(t, BiProd):
-        mats = " ".join(x.literal() for x in (t.m1, t.m2, t.n1, t.n2, t.p1, t.p2))
-        return f"(biprod {mats} {emit_term(t.left)} {emit_term(t.right)})"
-    raise TermError(f"not a term: {t!r}")
+    def const(t) -> str:
+        if isinstance(t, RankConst):
+            return "(const " + " ".join(str(c) for c in t.u) + ")"
+        if isinstance(t, BiConst):
+            u = Mat(1, len(t.u), t.u).literal()
+            v = Mat(1, len(t.v), t.v).literal()
+            return f"(biconst {u} {v})"
+        raise TermError(f"not a term: {t!r}")
+
+    def prod(t, left: str, right: str) -> str:
+        if isinstance(t, RankProd):
+            head, mats = "prod", (t.m, t.n, t.p)
+        else:
+            head, mats = "biprod", (t.m1, t.m2, t.n1, t.n2, t.p1, t.p2)
+        return f"({head} {' '.join(x.literal() for x in mats)} {left} {right})"
+
+    return _fold(t, const, prod)

@@ -13,7 +13,9 @@ import rankw
 from rankw.cli import main
 from rankw.graphs import parse_graph
 from rankw.layouts import parse_newick
-from rankw.terms import parse_term
+from rankw.terms import (TermError, eval_birank_term, eval_rank_term,
+                         parse_term, term_from_layout_birank,
+                         term_from_layout_rank)
 
 
 def run(capsys, *argv):
@@ -162,6 +164,34 @@ def test_term_compile_with_explicit_layout(tmp_path, capsys):
     assert code == 1
 
 
+def test_term_compile_deep_layout(tmp_path, capsys):
+    """Two 600-leaf caterpillars joined at the root nest 601 deep as text
+    but about 1,200 deep once rooted at the first vertex's leaf.  The layout
+    compiles; its term file is deeper than the term parser takes."""
+    def caterpillar(lo, hi):
+        text = f"v{lo}"
+        for i in range(lo + 1, hi):
+            text = f"({text},v{i})"
+        return text
+
+    graph = tmp_path / "edgeless.rg"
+    graph.write_text("field 2 1\nsigma id\nvertices "
+                     + " ".join(f"v{i}" for i in range(1200)) + "\n")
+    layout = tmp_path / "deep.nwk"
+    layout.write_text(f"({caterpillar(0, 600)},{caterpillar(600, 1200)});\n")
+    term = tmp_path / "deep.term"
+    code, out, err = run(capsys, "term", "compile", "--input", str(graph),
+                         "--layout", str(layout), "--out", str(term))
+    assert code == 0 and out == "" and err == ""
+    with pytest.raises(TermError, match="nesting too deep"):
+        parse_term(term.read_text())
+    G = parse_graph(graph.read_text())
+    L = parse_newick(layout.read_text())
+    for ev in (eval_rank_term(term_from_layout_rank(G, L), G.sigma),
+               eval_birank_term(term_from_layout_birank(G, L), G.field)):
+        assert ev.graph.n == 1200 and not ev.graph.adj.any()
+
+
 def test_selfcheck_subcommand(capsys):
     code, out, _ = run(capsys, "selfcheck", "--json")
     payload = json.loads(out)
@@ -240,6 +270,25 @@ def test_exit_codes(tmp_path, capsys):
     # domain error: unknown vertex in cut
     code, _, err = run(capsys, "cut", "--input", str(c5), "--set", "zz")
     assert code == 1
+    # domain error: a forced search nests one call per vertex here
+    edgeless = tmp_path / "edgeless.rg"
+    edgeless.write_text("field 2 1\nsigma id\nvertices "
+                        + " ".join(f"v{i}" for i in range(1000)) + "\n")
+    code, out, err = run(capsys, "width", "--input", str(edgeless), "--force")
+    assert code == 1 and out == "" and "recursion limit" in err
+    # usage error: integer options take plain ASCII digits, as files do
+    for argv in (["width", "--input", str(c5), "--k", "1_0"],
+                 ["width", "--input", str(c5), "--k", "\u0662"],
+                 ["--seed", "+1", "selfcheck"],
+                 ["transform", "--input", str(c5), "--local", "v1",
+                  "--lambda", "1_0"],
+                 ["term", "eval", "--input", str(term), "--field", "2", "\u0661"],
+                 ["obstructions", "--field", "2", "1", "--sigma", "id",
+                  "--relation", "vertex", "--k", "1", "--max-n", "\u0663",
+                  "--out", str(tmp_path / "obs")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     # usage error: bad subcommand
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,5 +1,6 @@
 """Layout enumeration, f-width evaluation, and exact width search."""
 
+import functools
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from rankw.layouts import (Layout, LayoutError, SizeBoundError, birankwidth,
                            layout_width, parse_newick, rankwidth, width_exact)
 from rankw.selfcheck import (is_strongly_connected, random_colored_graph,
                              random_digraph_arcs, random_sigma_graph)
+from rankw.terms import compiled_leaf_order
 
 
 def rank_mod2(rows):
@@ -309,6 +311,8 @@ def test_newick_roundtrip_and_parsing():
     assert single.n == 1
     with_trailer = parse_newick("((v1,v2),(v3,(v4,v5)));\n# width 2\n")
     assert with_trailer.n == 5 and len(with_trailer.edges) == 7
+    # a hand-built degree-2 node is left out, as parse_newick suppresses it
+    assert Layout([(0, 3), (3, 1)], {0: "a", 1: "b"}).to_newick() == "(a,b);"
     with pytest.raises(LayoutError):
         parse_newick("((a,b)")
     with pytest.raises(LayoutError):
@@ -321,3 +325,55 @@ def test_layout_validation():
     with pytest.raises(LayoutError):
         layout_width(c5(), CutFunction(c5(), "cutrk"),
                      Layout([(0, 1)], {0: 0, 1: 1}))
+
+
+def test_forced_search_too_deep_is_a_layout_error():
+    # an edgeless graph splits off one vertex per level of the search
+    G = encode_undirected([], vertices=range(1000))
+    with pytest.raises(LayoutError, match="recursion limit") as exc:
+        rankwidth(G, force=True)
+    assert not isinstance(exc.value, SizeBoundError)
+
+
+@functools.lru_cache(maxsize=None)
+def _layouts(n):
+    return list(enumerate_layouts(n))
+
+
+def _brute_sides(L):
+    """Each edge with the leaf labels still joined to its first endpoint
+    once the edge is cut, grown edge by edge from that endpoint."""
+    out = []
+    for u, v in L.edges:
+        others = [e for e in L.edges if e != (u, v)]
+        reach, grew = {u}, True
+        while grew:
+            grew = False
+            for a, b in others:
+                if (a in reach) != (b in reach):
+                    reach |= {a, b}
+                    grew = True
+        out.append(((u, v), frozenset(L.leaves[x] for x in reach if x in L.leaves)))
+    return out
+
+
+def _splits(L):
+    everything = frozenset(L.vertices)
+    return {frozenset((s, everything - s)) for _, s in L.edge_sides()}
+
+
+_LABELS = {"int": lambda i: i, "str": lambda i: f"v{i}", "tuple": lambda i: (i, "x")}
+
+
+@settings(derandomize=True, deadline=None)
+@given(n=st.integers(1, 7), kind=st.sampled_from(sorted(_LABELS)), data=st.data())
+def test_rooted_walks_on_enumerated_layouts(n, kind, data):
+    shapes = _layouts(n)
+    L = shapes[data.draw(st.integers(0, len(shapes) - 1))]
+    L = L.relabel_leaves({i: _LABELS[kind](i) for i in range(n)})
+    assert L.edge_sides() == _brute_sides(L)
+    if kind == "str":
+        assert _splits(parse_newick(L.to_newick())) == _splits(L)
+    order = data.draw(st.permutations(L.vertices))
+    got = compiled_leaf_order(encode_undirected([], vertices=order), L)
+    assert len(got) == n and set(got) == set(order) and got[0] == order[0]

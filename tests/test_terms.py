@@ -281,6 +281,19 @@ def test_compile_rank_random_roundtrips():
         _assert_compiles_back(G, res, t, eval_rank_term(t, G.sigma))
 
 
+def test_compile_tuple_labels():
+    # the compiler walks leaf nodes, so a tuple label is not a subtree
+    C5 = encode_undirected([((i, "x"), ((i + 1) % 5, "x")) for i in range(5)])
+    res = rankwidth(C5)
+    t = term_from_layout_rank(C5, res.witness)
+    _assert_compiles_back(C5, res, t, eval_rank_term(t, S2))
+    assert compiled_leaf_order(C5, res.witness)[0] == C5.vertices[0]
+    D = digraph_gf2([((i, "x"), ((i + 1) % 4, "x")) for i in range(4)])
+    res = birankwidth(D)
+    t = term_from_layout_birank(D, res.witness)
+    _assert_compiles_back(D, res, t, eval_birank_term(t, F2))
+
+
 def test_compile_birank_arc():
     arc = digraph_gf2([("x", "y")])
     res = birankwidth(arc)
