@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="decide width <= k instead of computing the optimum")
     pw.add_argument("--emit-layout", default=None)
     pw.add_argument("--force", action="store_true",
-                    help="search beyond the n=12 exact-search bound")
+                    help="search beyond the n=14 exact-search bound")
     add_json(pw)
     pw.set_defaults(fn=cmd_width)
 

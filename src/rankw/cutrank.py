@@ -22,9 +22,12 @@ cut makes no numpy call and copies no sub-matrix:
                          (`matrix._field_tables`, built once per field);
     orders > 256         no tables: the first such cut raises MatrixError.
 
-The field order picks the kernel.  lambda stays on numpy `rank_of` on
-purpose: `lambda == bicutrk + 1` then compares two different rank kernels
-(the tests and `rankw selfcheck` also compare both kernels with `rank_of`).
+Rows are found by walking the set bits of X.  cutrk eliminates the smaller
+side: M[V\\X][X] = sigma(M[X][V\\X])^T has the same rank, since sigma is
+sigma(1) times a field automorphism.  The field order picks the kernel.
+lambda stays on numpy `rank_of` on purpose: `lambda == bicutrk + 1` then
+compares two different rank kernels (the tests and `rankw selfcheck` also
+compare both kernels with `rank_of`).
 """
 
 from __future__ import annotations
@@ -87,21 +90,22 @@ class CutFunction:
         return v
 
     def _evaluate(self, mask: int) -> int:
-        n = self._n
-        rows = [i for i in range(n) if mask >> i & 1]
-        cols = [i for i in range(n) if not mask >> i & 1]
+        X, Y = mask, self._full ^ mask
         if self.kind == "lambda":
-            return self._matroid_lambda(rows, cols)
+            return self._matroid_lambda(_bits(X), _bits(Y))
         if not mask:  # keys are min(X, V\X): only 0 has an empty side
             return 0
         if self._rows is None:
             self._pack()
         R, tables = self._rows, self._tables
+        if self.kind == "cutrk" and Y.bit_count() < X.bit_count():
+            X, Y = Y, X  # M[Y][X] = sigma(M[X][Y])^T has the same rank
         if tables is None:
-            r = _xor_rank([R[i] & ~mask for i in rows])
+            r = _xor_rank(R, X, Y)
             if self.kind == "bicutrk":
-                r += _xor_rank([R[j] & mask for j in cols])
+                r += _xor_rank(R, Y, X)
             return r
+        rows, cols = _bits(X), _bits(Y)
         r = _list_rank(R, rows, cols, tables)
         if self.kind == "bicutrk":
             r += _list_rank(R, cols, rows, tables)
@@ -124,12 +128,25 @@ class CutFunction:
         return (_matroid_rank(a, rows, F) + _matroid_rank(a, cols, F) - n + 1)
 
 
-def _xor_rank(vectors) -> int:
-    """Rank over GF(2) of bit-packed vectors.  Each basis vector has its own
-    leading bit, and v ^ b < v exactly when v has the leading bit of b (the
-    comparison is min(v, v ^ b) without the builtin call)."""
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _xor_rank(R, rows: int, cols: int) -> int:
+    """Rank over GF(2) of the bit-packed rows R[i] & cols, i in rows.  Each
+    basis vector has its own leading bit, and v ^ b < v exactly when v has
+    the leading bit of b (min(v, v ^ b) without the builtin call)."""
     basis = []
-    for v in vectors:
+    while rows:
+        low = rows & -rows
+        rows ^= low
+        v = R[low.bit_length() - 1] & cols
         for b in basis:
             w = v ^ b
             if w < v:

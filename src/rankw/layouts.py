@@ -6,9 +6,10 @@ Exact computation is one bounded search over recursive canonical splits, an
 O*(2^n) subset search in the manner of S. Oum, "Computing rank-width exactly"
 (IPL 2009): rooting at the first vertex's leaf edge makes every subtree's leaf
 set a committed cut, so a subset is feasible under a bound independently of
-its surroundings and the search memoizes by subset.  The width deepens the
-bound from the singleton floor until a tree fits.  Graphs above BNB_BOUND
-vertices need force=True.
+its surroundings.  The search runs on one explicit stack, reads cut values
+straight from the CutFunction's memo (which `layout_width` reuses) and keeps
+each subset's verdict across the bounds, which deepen from the singleton
+floor until a tree fits.  Graphs above BNB_BOUND vertices need force=True.
 
 `enumerate_layouts` lists all (2n-5)!! cubic leaf-tree shapes; the search does
 not use it, and it serves as the oracle of the tests and of `rankw selfcheck`.
@@ -22,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 from .cutrank import CutFunction
 from .graphs import ColoredGraph, SigmaGraph
 
-BNB_BOUND = 12
+BNB_BOUND = 14
 
 
 class LayoutError(ValueError):
@@ -301,60 +302,60 @@ def _singleton_floor(f: CutFunction, n: int) -> int:
 
 # -- bounded search over recursive canonical splits ----------------------------
 
-def _splits(mask: int):
-    """Proper splits (A, B) of mask with the lowest set bit kept in A."""
-    low = mask & -mask
-    others = mask ^ low
-    sub = others
-    while True:
-        a = low | (others ^ sub)
-        b = mask ^ a
-        if b:
-            yield a, b
-        if sub == 0:
-            break
-        sub = (sub - 1) & others
-
-
-def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int):
+def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict):
     """A rooted split tree (nested index pairs; the leaf index 0 when n = 1)
-    whose every cut is <= k, or None.  Rooted at the first vertex's leaf
-    edge; feasibility of a subset is independent of its surroundings, so
-    results memoize by mask."""
-    n = G.n
-    if _singleton_floor(f, n) > k:
+    whose every cut is <= k, or None.  seen, shared over increasing bounds,
+    keeps verdicts by mask: a tree (valid at every larger bound) or the
+    largest bound found infeasible.  A frame (mask, others, sub, left) tries
+    the splits (mask ^ sub, sub), sub a nonempty subset of mask less its
+    lowest bit, in decreasing order: it asks for the tree of mask ^ sub,
+    then of sub; a None moves it on."""
+    if _singleton_floor(f, G.n) > k:
         return None
-    if n == 1:
-        return 0
-    memo: dict[int, object] = {}
-
-    def feasible(mask: int):
-        if mask & (mask - 1) == 0:
-            return mask.bit_length() - 1
-        hit = memo.get(mask, False)
-        if hit is not False:
-            return hit
-        result = None
-        for a, b in _splits(mask):
-            if f(a) > k or f(b) > k:
-                continue
-            ta = feasible(a)
-            if ta is None:
-                continue
-            tb = feasible(b)
-            if tb is None:
-                continue
-            result = (ta, tb)
-            break
-        memo[mask] = result
-        return result
-
-    try:
-        t = feasible((1 << n) - 2)  # f(rest) = f({v0}) <= floor <= k already
-    except RecursionError:
-        raise LayoutError(f"the forced search on n={n} vertices nests deeper "
-                          f"than Python's recursion limit") from None
-    return None if t is None else (0, t)
+    if G.n <= 2:
+        return 0 if G.n == 1 else (0, 1)
+    memo, full, evaluate = f.memo, f._full, f._evaluate
+    stack, mask = [], full ^ 1  # f(rest) = f({v0}) <= floor <= k already
+    others, sub, left, t = mask & (mask - 1), 0, None, None
+    while True:
+        if t is None:  # the next split whose cuts, read from f.memo, are <= k
+            sub = (sub - 1) & others  # from 0, the first split
+            while sub:
+                x = mask ^ sub
+                if x > full ^ x:
+                    x ^= full
+                v = memo.get(x)
+                if v is None:
+                    v = memo[x] = evaluate(x)
+                if v <= k:
+                    x = sub if sub < full ^ sub else full ^ sub
+                    v = memo.get(x)
+                    if v is None:
+                        v = memo[x] = evaluate(x)
+                    if v <= k:
+                        break
+                sub = (sub - 1) & others
+            left, child = None, mask ^ sub if sub else 0
+            if not child:
+                seen[mask] = k
+        elif left is None:
+            left, child = t, sub
+        else:
+            t = seen[mask] = (left, t)
+            child = 0
+        if not child:  # the frame is done: hand t to the frame below
+            if not stack:
+                return None if t is None else (0, t)
+            mask, others, sub, left = stack.pop()
+        elif child & (child - 1) == 0:
+            t = child.bit_length() - 1
+        else:
+            t = seen.get(child, -1)
+            if t.__class__ is int:  # not a tree
+                if t < k:  # not known infeasible at k: a frame of its own
+                    stack.append((mask, others, sub, left))
+                    mask, others, sub, left = child, child & (child - 1), 0, None
+                t = None
 
 
 def _check_size(n: int, force: bool) -> None:
@@ -370,8 +371,8 @@ def width_exact(G: ColoredGraph, f: CutFunction, *, force: bool = False) -> Widt
     deepens from the singleton floor; it needs no ceiling, since every split
     is feasible once it reaches the largest cut value."""
     _check_size(G.n, force)
-    k = _singleton_floor(f, G.n)
-    while (t := _feasible_tree(G, f, k)) is None:
+    k, seen = _singleton_floor(f, G.n), {}
+    while (t := _feasible_tree(G, f, k, seen)) is None:
         k += 1
     return layout_width(G, f, build_layout(t, G.vertices))
 
@@ -380,7 +381,7 @@ def decide_width_at_most(G: ColoredGraph, f: CutFunction, k: int, *,
                          force: bool = False) -> Optional[Layout]:
     """A witness layout of f-width <= k, or None."""
     _check_size(G.n, force)
-    t = _feasible_tree(G, f, k)
+    t = _feasible_tree(G, f, k, {})
     return None if t is None else build_layout(t, G.vertices)
 
 

@@ -24,7 +24,7 @@ MatrixError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import count, zip_longest
 from typing import Optional, Union
 
@@ -89,8 +89,30 @@ class RankConst:
         return len(self.u)
 
 
-@dataclass(frozen=True)
-class RankProd:
+class _Product:
+    """repr, == and hash of the product nodes, on their subterms in
+    post-order: the dataclass-generated ones recurse once per level."""
+
+    def _nodes(self) -> list:
+        """The subterms in post-order, each product as its type and matrices."""
+        return [(type(x), *(getattr(x, f.name) for f in fields(x)[:-2]))
+                if isinstance(x, _Product) else x for x in _subterms(self)]
+
+    def __repr__(self):
+        return _fold(self, repr, lambda x, a, b: f"{type(x).__qualname__}(" + "".join(
+            f"{f.name}={getattr(x, f.name)!r}, " for f in fields(x)[:-2])
+            + f"left={a}, right={b})")
+
+    def __eq__(self, other):
+        return (self._nodes() == other._nodes() if other.__class__ is self.__class__
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(tuple(self._nodes()))
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class RankProd(_Product):
     m: Mat
     n: Mat
     p: Mat
@@ -111,8 +133,8 @@ class BiConst:
     v: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BiProd:
+@dataclass(frozen=True, repr=False, eq=False)
+class BiProd(_Product):
     m1: Mat
     m2: Mat
     n1: Mat

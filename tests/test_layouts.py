@@ -2,6 +2,8 @@
 
 import functools
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,17 @@ from rankw.cutrank import CutFunction
 from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import ColoredGraph, digraph_gf2, encode_undirected
-from rankw.layouts import (Layout, LayoutError, SizeBoundError, birankwidth,
-                           decide_width_at_most, enumerate_layouts,
+from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SizeBoundError,
+                           birankwidth, decide_width_at_most, enumerate_layouts,
                            layout_width, parse_newick, rankwidth, width_exact)
 from rankw.selfcheck import (is_strongly_connected, random_colored_graph,
                              random_digraph_arcs, random_sigma_graph)
 from rankw.terms import compiled_leaf_order
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(_BENCH) not in sys.path:
+    sys.path.insert(0, str(_BENCH))
+import oracle  # noqa: E402  (the benchmark's independent subset DP)
 
 
 def rank_mod2(rows):
@@ -291,7 +298,8 @@ def test_width_one_class_is_distance_hereditary():
 
 
 def test_size_bound_error():
-    G = encode_undirected([(i, (i + 1) % 13) for i in range(13)])
+    n = BNB_BOUND + 1
+    G = encode_undirected([(i, (i + 1) % n) for i in range(n)])
     with pytest.raises(SizeBoundError):
         rankwidth(G)
     with pytest.raises(SizeBoundError):
@@ -327,12 +335,72 @@ def test_layout_validation():
                      Layout([(0, 1)], {0: 0, 1: 1}))
 
 
-def test_forced_search_too_deep_is_a_layout_error():
+def test_forced_search_has_no_depth_limit():
     # an edgeless graph splits off one vertex per level of the search
     G = encode_undirected([], vertices=range(1000))
-    with pytest.raises(LayoutError, match="recursion limit") as exc:
-        rankwidth(G, force=True)
-    assert not isinstance(exc.value, SizeBoundError)
+    res = rankwidth(G, force=True)
+    assert res.width == 0 and res.witness.n == 1000
+
+
+def test_tiny_graphs():
+    """n = 1, 2 and 3, where the search has no frame (n <= 2) or one."""
+    one = encode_undirected([], vertices=["a"])
+    f = CutFunction(one, "cutrk")
+    res = width_exact(one, f)
+    assert res.width == 0 and res.witness.n == 1
+    assert decide_width_at_most(one, f, 0).to_newick() == "a;"
+    assert decide_width_at_most(one, f, -1) is None
+    for edges, w in (([], 0), ([("a", "b")], 1)):
+        G = encode_undirected(edges, vertices=["a", "b"])
+        for kind, wk in (("cutrk", w), ("bicutrk", 2 * w), ("lambda", 2 * w + 1)):
+            f = CutFunction(G, kind)
+            res = width_exact(G, f)
+            assert res.width == wk and res.witness.to_newick() == "(a,b);"
+            assert decide_width_at_most(G, f, wk - 1) is None
+            assert decide_width_at_most(G, f, wk).to_newick() == "(a,b);"
+    for edges, w in (([], 0), ([(0, 1)], 1), ([(0, 1), (1, 2)], 1),
+                     ([(0, 1), (1, 2), (0, 2)], 1)):
+        G = encode_undirected(edges, vertices=range(3))
+        f = CutFunction(G, "cutrk")
+        res = width_exact(G, f)
+        assert res.width == w and res.witness.n == 3 and len(res.witness.edges) == 3
+        assert decide_width_at_most(G, f, w - 1) is None
+        assert layout_width(G, f, decide_width_at_most(G, f, w)).width == w
+
+
+def test_memo_keys_are_the_smaller_side():
+    """The search reads and fills f.memo under min(X, V\\X) only, so at
+    most 2^(n-1) cuts are ever evaluated."""
+    rng = random.Random(6)
+    for kind in ("cutrk", "bicutrk", "lambda"):
+        for n in (4, 7, 9):
+            G = random_sigma_graph(rng, _F4, sigma_frobenius_conj(_F4), n)
+            f = CutFunction(G, kind)
+            width_exact(G, f)
+            decide_width_at_most(G, f, 1)
+            full = (1 << n) - 1
+            assert f.memo and all(x == min(x, full ^ x) for x in f.memo)
+            assert len(f.memo) <= 1 << (n - 1)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_search_matches_subset_dp_oracle(n):
+    """width_exact and both sides of decide_width_at_most against
+    `bench/oracle.exact_width`: cutrk over GF(2), GF(3) with negation and
+    GF(4) with conjugation, and bicutrk over each field."""
+    rng = random.Random(f"oracle:{n}")
+    for case in _SIGMA_CASES[:1] + _SIGMA_CASES[2:]:
+        for kind in ("cutrk", "bicutrk"):
+            for _ in range(2):
+                F, density = case[0], rng.choice([0.3, 0.5, 0.7])
+                G = (random_sigma_graph(rng, F, case[1], n, density) if kind == "cutrk"
+                     else random_colored_graph(rng, F, n, density))
+                w = oracle.exact_width(oracle.Cuts(F.q, G.adj.tolist(), kind))
+                f = CutFunction(G, kind)
+                assert width_exact(G, f).width == w
+                assert decide_width_at_most(G, CutFunction(G, kind), w - 1) is None
+                L = decide_width_at_most(G, CutFunction(G, kind), w)
+                assert L is not None and layout_width(G, f, L).width <= w
 
 
 @functools.lru_cache(maxsize=None)

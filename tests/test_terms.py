@@ -12,7 +12,8 @@ from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import (ColoredGraph, SigmaGraph, digraph_gf2,
                           encode_undirected, isomorphic)
-from rankw.layouts import birankwidth, enumerate_layouts, layout_width, rankwidth
+from rankw.layouts import (birankwidth, enumerate_layouts, layout_width,
+                           parse_newick, rankwidth)
 from rankw.matrix import _field_tables, fmatmul, rank_of
 from rankw.selfcheck import random_colored_graph, random_sigma_graph
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
@@ -292,6 +293,46 @@ def test_compile_tuple_labels():
     res = birankwidth(D)
     t = term_from_layout_birank(D, res.witness)
     _assert_compiles_back(D, res, t, eval_birank_term(t, F2))
+
+
+def test_product_repr_eq_hash():
+    """repr, == and hash of product nodes keep the dataclass format and
+    semantics on shallow terms and need no recursion on deep ones."""
+    P3 = encode_undirected([(0, 1), (1, 2)])
+    assert repr(term_from_layout_rank(P3, rankwidth(P3).witness)) == (
+        "RankProd(m=Mat(rows=1, cols=1, data=(1,)), n=Mat(rows=1, cols=1, "
+        "data=(0,)), p=Mat(rows=1, cols=1, data=(0,)), left=RankConst(u=(1,)), "
+        "right=RankProd(m=Mat(rows=1, cols=1, data=(1,)), n=Mat(rows=1, cols=1, "
+        "data=(1,)), p=Mat(rows=1, cols=1, data=(0,)), left=RankConst(u=(1,)), "
+        "right=RankConst(u=(1,))))")
+    A = digraph_gf2([("x", "y")])
+    assert repr(term_from_layout_birank(A, birankwidth(A).witness)) == (
+        "BiProd(m1=Mat(rows=1, cols=1, data=(1,)), m2=Mat(rows=0, cols=0, "
+        "data=()), n1=Mat(rows=1, cols=0, data=()), n2=Mat(rows=0, cols=0, "
+        "data=()), p1=Mat(rows=0, cols=0, data=()), p2=Mat(rows=1, cols=0, "
+        "data=()), left=BiConst(u=(1,), v=()), right=BiConst(u=(), v=(1,)))")
+    t = RankProd(ONE, ONE, ONE, RankConst((1,)), RankConst((1,)))
+    assert t == RankProd(ONE, ONE, ONE, RankConst((1,)), RankConst((1,)))
+    assert t != RankProd(ONE, ONE, ZERO, RankConst((1,)), RankConst((1,)))
+    assert t != RankProd(ONE, ONE, ONE, RankConst((1,)), RankConst((2,)))
+    assert t != BiProd(ONE, ONE, ONE, ONE, ONE, ONE, RankConst((1,)), RankConst((1,)))
+    assert len({t, RankProd(ONE, ONE, ONE, RankConst((1,)), RankConst((1,)))}) == 1
+    # the 1,200-level term of two 600-leaf caterpillars joined at the root
+    def caterpillar(lo, hi):
+        text = f"v{lo}"
+        for i in range(lo + 1, hi):
+            text = f"({text},v{i})"
+        return text
+
+    L = parse_newick(f"({caterpillar(0, 600)},{caterpillar(600, 1200)});")
+    G = encode_undirected([], vertices=[f"v{i}" for i in range(1200)])
+    H = encode_undirected([("v1198", "v1199")], vertices=G.vertices)
+    for compile_ in (term_from_layout_rank, term_from_layout_birank):
+        deep, copy = compile_(G, L), compile_(G, L)
+        assert deep is not copy and deep == copy and not deep != copy
+        assert hash(deep) == hash(copy) and repr(deep) == repr(copy)
+        assert repr(deep).startswith(type(deep).__name__ + "(m")
+        assert deep != compile_(H, L)
 
 
 def test_compile_birank_arc():
