@@ -9,36 +9,34 @@ three kinds are
     lambda(X)  = connectivity of {P_x : x in X} in the matroid on (I | M_G)
                  with P_x = {x, x'}; equals bicutrk(X) + 1.
 
-cutrk and bicutrk are evaluated on Python rows of the adjacency matrix,
+cutrk and bicutrk are evaluated on the rows of the graph's code tuple,
 made once per CutFunction on the first cut with both sides nonempty, so a
-cut makes no numpy call and copies no sub-matrix:
+cut copies no sub-matrix:
 
     GF(2)                each row is packed into an int (bit j = entry
                          (i, j)); M[X][V\\X] is the rows R[i] & ~X for i in
                          X, M[V\\X][X] the rows R[i] & X for i outside X, and
                          a rank is the size of an XOR basis;
-    other orders <= 256  rows are lists of element codes, eliminated with
-                         the field's SUB/MUL/INV tables as nested tuples
-                         (`matrix._field_tables`, built once per field);
+    other orders <= 256  rows are tuples of element codes, eliminated with
+                         the field's SUB/MUL/INV tables;
     orders > 256         no tables: the first such cut raises MatrixError.
 
 Rows are found by walking the set bits of X.  cutrk eliminates the smaller
 side: M[V\\X][X] = sigma(M[X][V\\X])^T has the same rank, since sigma is
 sigma(1) times a field automorphism.  The field order picks the kernel.
-lambda stays on numpy `rank_of` on purpose: `lambda == bicutrk + 1` then
-compares two different rank kernels (the tests and `rankw selfcheck` also
-compare both kernels with `rank_of`).
+lambda stays on numpy `rank_of` on purpose (numpy loads on its first cut):
+`lambda == bicutrk + 1` then compares two different rank kernels (the tests
+and `rankw selfcheck` also compare both kernels with `rank_of`).  Masks are
+taken through `operator.index`, so numpy integers work without numpy.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Union
 
-import numpy as np
-
 from .graphs import ColoredGraph, GraphError, SigmaGraph
-from .matrix import _field_tables, rank_of
+from .matrix import _require_tables, rank_of
 
 KINDS = ("cutrk", "bicutrk", "lambda")
 
@@ -74,11 +72,9 @@ class CutFunction:
         return m
 
     def __call__(self, X: Union[int, Iterable]) -> int:
-        if isinstance(X, int):
-            mask = X
-        elif isinstance(X, np.integer):
-            mask = int(X)
-        else:
+        try:
+            mask = index(X)
+        except TypeError:
             mask = self.mask_of(X)
         if not 0 <= mask <= self._full:
             raise GraphError("subset mask out of range")
@@ -112,12 +108,12 @@ class CutFunction:
         return r
 
     def _pack(self):
-        F = self.graph.field
-        rows = self.graph.adj.tolist()
+        F, rows = self.graph.field, self.graph.rows()
         if F.q == 2:
             self._rows = [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
         else:
-            self._tables = _field_tables(F)
+            _require_tables(F)
+            self._tables = F.SUB, F.MUL, F.INV
             self._rows = rows
 
     def _matroid_lambda(self, rows, cols) -> int:
@@ -157,11 +153,11 @@ def _xor_rank(R, rows: int, cols: int) -> int:
 
 
 def _list_rank(A, rows, cols, tables) -> int:
-    """Rank of A[rows][cols] (A a list of code lists, rows and cols
-    nonempty), first-nonzero pivots."""
+    """Rank of A[rows][cols] (A a list of code rows, rows and cols nonempty,
+    tables the field's SUB, MUL and INV), first-nonzero pivots."""
     if len(cols) == 1:  # itemgetter of one index returns the entry itself
         return int(any(A[i][cols[0]] for i in rows))
-    _, SUB, MUL, INV, _ = tables
+    SUB, MUL, INV = tables
     pick = itemgetter(*cols)
     m = [pick(A[i]) for i in rows]
     h = len(m)
@@ -188,8 +184,10 @@ def _list_rank(A, rows, cols, tables) -> int:
     return rank
 
 
-def _matroid_rank(a: np.ndarray, X, field) -> int:
-    """Rank of the columns {e_x : x in X} u {M[:, x] : x in X} of (I | M)."""
+def _matroid_rank(a, X, field) -> int:
+    """Rank of the columns {e_x : x in X} u {M[:, x] : x in X} of (I | M),
+    for the numpy matrix a."""
+    import numpy as np
     n = a.shape[0]
     if not X:
         return 0

@@ -7,17 +7,18 @@ extensions of a non-prime base keep the tower structure, so their codes are
 base-q digit pairs (a0 + a1*alpha -> a0 + q*a1), which flattens to the same
 base-p convention.
 
-Arithmetic uses precomputed q x q numpy tables for q <= 256 and polynomial
-reduction above; fields of order > 2^16 are rejected.
+Arithmetic uses precomputed tables for q <= 256: ADD, SUB and MUL as q x q
+nested tuples, NEG and INV as tuples, all built in Python.  Above that it
+uses polynomial reduction, and fields of order > 2^16 are rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
-
-import numpy as np
 
 ORDER_BOUND = 1 << 16
 TABLE_BOUND = 256
@@ -202,13 +203,13 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         if self.ADD is not None:
-            return int(self.ADD[self._check(a), self._check(b)])
+            return self.ADD[self._check(a)][self._check(b)]
         ca, cb = self._coeffs(self._check(a)), self._coeffs(self._check(b))
         return self._encode([self._cadd(x, y) for x, y in zip(ca, cb)])
 
     def neg(self, a: int) -> int:
         if self.NEG is not None:
-            return int(self.NEG[self._check(a)])
+            return self.NEG[self._check(a)]
         return self._encode([self._cneg(x) for x in self._coeffs(self._check(a))])
 
     def sub(self, a: int, b: int) -> int:
@@ -216,7 +217,7 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         if self.MUL is not None:
-            return int(self.MUL[self._check(a), self._check(b)])
+            return self.MUL[self._check(a)][self._check(b)]
         return self._mul_poly(self._check(a), self._check(b))
 
     def _mul_poly(self, a: int, b: int) -> int:
@@ -242,7 +243,7 @@ class Field:
         if self._check(a) == 0:
             raise FieldError("inverse of zero")
         if self.INV is not None:
-            return int(self.INV[a])
+            return self.INV[a]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -271,48 +272,48 @@ class Field:
     # table construction -----------------------------------------------------
 
     def _build_tables(self):
-        q = self.q
-        codes = np.arange(q, dtype=np.int64)
-        b = self._digit_base
-        digits = np.stack([(codes // b ** i) % b for i in range(self._deg)], axis=1)
-        weights = np.array([b ** i for i in range(self._deg)], dtype=np.int64)
+        """ADD grows one digit at a time: codes x + B*u and y + B*v (B a power
+        of the digit base, u and v the next digits) add to ADD[x][y] + B*s,
+        with s = u + v in GF(p) or in the base field, so each row is a
+        concatenation of shifted rows.  NEG and SUB follow from ADD; MUL and
+        INV come from the discrete logarithms of a generator."""
+        q, b = self.q, self._digit_base
         if self.base is None:
-            dsum = (digits[:, None, :] + digits[None, :, :]) % self.p
-            dneg = (-digits) % self.p
+            digit = tuple(tuple((u + v) % b for v in range(b)) for u in range(b))
         else:
-            BA, BN = self.base.ADD.astype(np.int64), self.base.NEG.astype(np.int64)
-            dsum = BA[digits[:, None, :], digits[None, :, :]]
-            dneg = BN[digits]
-        self.ADD = (dsum @ weights).astype(np.uint16)
-        self.NEG = (dneg @ weights).astype(np.uint16)
-        self.SUB = self.ADD[:, self.NEG].astype(np.uint16)
-        # multiplication through discrete logs of a generator
-        gen = self._find_generator()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
+            digit = self.base.ADD
+        add, B = digit, b
+        while B < q:
+            shifted = [[tuple(map((B * s).__add__, row)) for s in range(b)]
+                       for row in add]
+            add = tuple(tuple(chain.from_iterable(map(sh.__getitem__, digit[u])))
+                        for u in range(b) for sh in shifted)
+            B *= b
+        self.ADD = add
+        self.NEG = tuple(row.index(0) for row in add)
+        self.SUB = tuple(map(itemgetter(*self.NEG), add))
+        exp = self._powers_of_generator()
+        log = [0] * q
+        for i, x in enumerate(exp):
             log[x] = i
-            x = self._mul_poly(x, gen)
-        mul = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
-        MUL = np.zeros((q, q), dtype=np.uint16)
-        MUL[1:, 1:] = mul
-        self.MUL = MUL
-        INV = np.zeros(q, dtype=np.uint16)
-        INV[1:] = exp[(-log[1:]) % (q - 1)]
-        self.INV = INV
+        # a * b = exp[log a + log b]: row a is exp rotated by log a, read at
+        # log b, with a zero appended for b = 0
+        exp2, by_log = exp + exp, itemgetter(q - 1, *log[1:])
+        self.MUL = ((0,) * q,) + tuple(
+            by_log(exp2[log[a]:log[a] + q - 1] + [0]) for a in range(1, q))
+        self.INV = (0,) + tuple(exp[-log[a] % (q - 1)] for a in range(1, q))
 
-    def _find_generator(self) -> int:
+    def _powers_of_generator(self) -> list[int]:
+        """1, g, g^2, ..., g^(q-2) for the least g that generates the units."""
         for g in range(1, self.q):
-            x, order = g, 1
+            powers, x = [1], g
             while x != 1:
+                powers.append(x)
                 x = self._mul_poly(x, g)
-                order += 1
-                if order > self.q:
+                if len(powers) > self.q:
                     raise FieldError("modulus is not irreducible (no field structure)")
-            if order == self.q - 1:
-                return g
+            if len(powers) == self.q - 1:
+                return powers
         raise FieldError("no multiplicative generator found")
 
     # misc --------------------------------------------------------------------
@@ -373,19 +374,17 @@ class Sesquimorphism:
     field: Field
     table: tuple[int, ...]
     name: str = ""
-    _tab: np.ndarray = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        tab = np.asarray(self.table, dtype=np.uint16)
-        tab.flags.writeable = False
-        object.__setattr__(self, "_tab", tab)
 
     def __call__(self, a: int) -> int:
         return self.table[a]
 
-    @property
-    def np_table(self) -> np.ndarray:
-        return self._tab
+    @cached_property
+    def np_table(self):
+        """The table as a read-only numpy uint16 array (numpy loads here)."""
+        import numpy as np
+        tab = np.array(self.table, dtype=np.uint16)
+        tab.flags.writeable = False
+        return tab
 
     @property
     def one(self) -> int:
@@ -517,15 +516,10 @@ class QuadraticExtension:
         return a0, B.add(a0, B.mul(self.p_elt, a1))
 
     @property
-    def f_tilde_table(self) -> np.ndarray:
-        """(q x q) -> ext codes, f_tilde over all pairs."""
+    def f_tilde_table(self) -> tuple:
+        """f_tilde over all pairs, as nested tuples: row a, column b."""
         q = self.base.q
-        tab = np.empty((q, q), dtype=np.uint16)
-        for a in range(q):
-            for b in range(q):
-                tab[a, b] = self.f_tilde(a, b)
-        tab.flags.writeable = False
-        return tab
+        return tuple(tuple(self.f_tilde(a, b) for b in range(q)) for a in range(q))
 
 
 @lru_cache(maxsize=None)

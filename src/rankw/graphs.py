@@ -3,8 +3,10 @@ and oriented graphs, the quadratic-extension lift, induced subgraphs,
 isomorphism, and canonical forms.
 
 A graph is a square matrix of element codes with zero diagonal; code 0 is a
-non-edge.  A SigmaGraph additionally carries a sesqui-morphism sigma and
-satisfies adj[y][x] = sigma(adj[x][y]).
+non-edge.  It is stored as `codes`, the row-major tuple of its n*n codes,
+which every layer reads directly; `adj`, the same matrix as a numpy array,
+is made only when asked for.  A SigmaGraph additionally carries a
+sesqui-morphism sigma and satisfies adj[y][x] = sigma(adj[x][y]).
 
 Canonical forms come from one individualization-refinement search (McKay
 and Piperno, "Practical graph isomorphism, II", 2014).  Refinement splits an
@@ -19,9 +21,8 @@ compares forms and pairs up the two canonical orders.
 
 from __future__ import annotations
 
+from operator import index as _index, itemgetter
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .fields import (Field, FieldError, Sesquimorphism, field_extend_quadratic,
                      field_make, parse_sigma, plain_int, sigma_frobenius_conj,
@@ -34,10 +35,59 @@ class GraphError(ValueError):
     """Invalid graph construction or operation."""
 
 
-class ColoredGraph:
-    """An F*-graph: square matrix over a field with zero diagonal."""
+def _flat_codes(field: Field, n: int, adj) -> tuple:
+    """The row-major tuple of the n*n codes of adj (an array, code rows, or
+    a flat sequence of n*n codes), checked: integers in 0..q-1 with a zero
+    diagonal."""
+    seq = adj.tolist() if hasattr(adj, "tolist") else list(adj)
+    if seq and hasattr(seq[0], "__len__") and not isinstance(seq[0], str):
+        if len(seq) != n or any(len(row) != n for row in seq):
+            raise GraphError(f"adjacency must be {n} x {n} for {n} vertices")
+        seq = [c for row in seq for c in row]
+    if len(seq) != n * n:
+        raise GraphError(f"adjacency has {len(seq)} entries; {n} vertices "
+                         f"need {n * n}")
+    try:
+        codes = tuple(map(_index, seq))
+    except TypeError:
+        bad = next(c for c in seq if not hasattr(type(c), "__index__"))
+        raise FieldError(f"color {bad!r} is not an integer element code") from None
+    bad = [c for c in set(codes) if not 0 <= c < field.q]
+    if bad:
+        raise FieldError(f"color {min(bad)} is not an element code of {field!r} "
+                         f"(0..{field.q - 1})")
+    if any(codes[::n + 1]):
+        raise GraphError("graphs are loop-free: diagonal must be zero")
+    return codes
 
-    __slots__ = ("field", "vertices", "adj", "_index", "_canon")
+
+def _components(n: int, codes: tuple) -> list[list[int]]:
+    """Connected components of the underlying graph of an n x n code matrix
+    (an arc either way joins), as sorted index lists, by least index."""
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack, comp = [s], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            row, col = codes[u * n:u * n + n], codes[u::n]
+            for w in range(n):
+                if not seen[w] and (row[w] or col[w]):
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+class ColoredGraph:
+    """An F*-graph: square matrix over a field with zero diagonal, kept as
+    ``codes``, the row-major tuple of its n*n element codes."""
+
+    __slots__ = ("field", "vertices", "codes", "_index", "_canon", "_adj")
 
     def __init__(self, field: Field, vertices: Sequence, adj):
         self.field = field
@@ -45,22 +95,31 @@ class ColoredGraph:
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise GraphError("duplicate vertex labels")
-        a = np.asarray(adj, dtype=np.uint16).reshape(n, n).copy()
-        if a.size:
-            if int(a.max(initial=0)) >= field.q:
-                raise FieldError("color is not a valid element code")
-            if a.trace() != 0 or np.diag(a).any():
-                raise GraphError("graphs are loop-free: diagonal must be zero")
-        a.flags.writeable = False
-        self.adj = a
+        self.codes = _flat_codes(field, n, adj)
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._canon = None
+        self._adj = None
 
     # basic accessors -------------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    @property
+    def adj(self):
+        """The matrix as a read-only numpy uint16 array, made on first use
+        (numpy loads here)."""
+        if self._adj is None:
+            import numpy as np
+            self._adj = np.array(self.codes, dtype=np.uint16).reshape(self.n, self.n)
+            self._adj.flags.writeable = False
+        return self._adj
+
+    def rows(self) -> list[tuple]:
+        """The rows of the matrix, as code tuples."""
+        n = self.n
+        return [self.codes[b:b + n] for b in range(0, n * n, n)]
 
     def index(self, v) -> int:
         try:
@@ -69,16 +128,16 @@ class ColoredGraph:
             raise GraphError(f"unknown vertex {v!r}") from None
 
     def color(self, u, v) -> int:
-        return int(self.adj[self.index(u), self.index(v)])
+        return self.codes[self.index(u) * self.n + self.index(v)]
 
     def with_adj(self, adj) -> "ColoredGraph":
-        return ColoredGraph(self.field, self.vertices, adj)
+        return type(self)._rebuild(self, self.vertices, adj)
 
     def induced_subgraph(self, X) -> "ColoredGraph":
         X = tuple(X)
         idx = [self.index(x) for x in X]
-        sub = self.adj[np.ix_(idx, idx)] if idx else np.zeros((0, 0), dtype=np.uint16)
-        return type(self)._rebuild(self, X, sub)
+        c, n = self.codes, self.n
+        return type(self)._rebuild(self, X, [c[i * n + j] for i in idx for j in idx])
 
     @classmethod
     def _rebuild(cls, proto, vertices, adj):
@@ -86,37 +145,20 @@ class ColoredGraph:
 
     def relabel(self, mapping) -> "ColoredGraph":
         """New graph with vertex v renamed mapping[v]; matrix untouched."""
-        return type(self)._rebuild(self, [mapping[v] for v in self.vertices], self.adj)
+        return type(self)._rebuild(self, [mapping[v] for v in self.vertices], self.codes)
 
     def permuted(self, order: Sequence) -> "ColoredGraph":
         """Same graph with vertices listed in the given order."""
-        idx = [self.index(v) for v in order]
-        return type(self)._rebuild(self, order, self.adj[np.ix_(idx, idx)])
+        return self.induced_subgraph(order)
 
     def components(self) -> list[tuple]:
         """Connected components of the underlying graph (an arc either way
         makes vertices adjacent), as vertex tuples in input order."""
-        n = self.n
-        seen = [False] * n
-        und = (self.adj != 0) | (self.adj != 0).T
-        comps = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            stack, comp = [s], []
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in np.nonzero(und[u])[0]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(int(w))
-            comps.append(tuple(self.vertices[i] for i in sorted(comp)))
-        return comps
+        return [tuple(self.vertices[i] for i in comp)
+                for comp in _components(self.n, self.codes)]
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return len(_components(self.n, self.codes)) <= 1
 
     # canonical form ---------------------------------------------------------
 
@@ -129,22 +171,21 @@ class ColoredGraph:
     def _labelling(self):
         """(canonical form, canonical vertex-index order), computed once."""
         if self._canon is None:
-            self._canon = _canonical_labelling(self.field.q, self.n,
-                                               tuple(self.adj.ravel().tolist()))
+            self._canon = _canonical_labelling(self.field.q, self.n, self.codes)
         return self._canon
 
     def __eq__(self, other):
         if not isinstance(other, ColoredGraph):
             return NotImplemented
         return (self.field == other.field and self.vertices == other.vertices
-                and np.array_equal(self.adj, other.adj))
+                and self.codes == other.codes)
 
     def __hash__(self):
-        return hash((self.field, self.vertices, self.adj.tobytes()))
+        return hash((self.field, self.vertices, self.codes))
 
     def __repr__(self):
         kind = type(self).__name__
-        edges = int(np.count_nonzero(self.adj))
+        edges = len(self.codes) - self.codes.count(0)
         return f"{kind}(n={self.n}, arcs={edges}, field={self.field!r})"
 
 
@@ -159,125 +200,110 @@ class SigmaGraph(ColoredGraph):
         if sigma.field != field:
             raise GraphError("sesqui-morphism is over a different field")
         self.sigma = sigma
-        if not _symmetric(self.adj, sigma):
+        if not _symmetric(self.n, self.codes, sigma):
             raise GraphError("matrix is not sigma-symmetric")
 
     @classmethod
     def _rebuild(cls, proto, vertices, adj):
         return SigmaGraph(proto.field, vertices, adj, proto.sigma)
 
-    def with_adj(self, adj) -> "SigmaGraph":
-        return SigmaGraph(self.field, self.vertices, adj, self.sigma)
-
     def drop_sigma(self) -> ColoredGraph:
-        return ColoredGraph(self.field, self.vertices, self.adj)
+        return ColoredGraph(self.field, self.vertices, self.codes)
 
 
-def _symmetric(adj: np.ndarray, sigma: Sesquimorphism) -> bool:
-    return np.array_equal(adj.T, sigma.np_table[adj])
+def _symmetric(n: int, codes: tuple, sigma: Sesquimorphism) -> bool:
+    """Is column i the sigma-image of row i, for every i?"""
+    if n < 2:  # the diagonal is zero, and sigma(0) = 0
+        return True
+    sig = sigma.table
+    images = codes if sig == tuple(range(len(sig))) else itemgetter(*codes)(sig)
+    return all(codes[i::n] == images[i * n:i * n + n] for i in range(n))
 
 
 def is_sigma_symmetric(G: ColoredGraph, sigma: Sesquimorphism) -> bool:
     if sigma.field != G.field:
         raise GraphError("sesqui-morphism is over a different field")
-    return _symmetric(G.adj, sigma)
+    return _symmetric(G.n, G.codes, sigma)
 
 
 # -- encodings ---------------------------------------------------------------
 
-def _collect_vertices(pairs, vertices):
-    if vertices is not None:
-        return tuple(vertices)
-    seen = []
-    for u, v in pairs:
-        for w in (u, v):
-            if w not in seen:
-                seen.append(w)
-    return tuple(seen)
+def _arc_indices(arcs, vertices):
+    """The vertices (by default in order of first appearance) and the (i, j)
+    index pairs of the arcs; a loop raises."""
+    arcs = [tuple(e) for e in arcs]
+    verts = tuple(dict.fromkeys(w for arc in arcs for w in arc)
+                  if vertices is None else vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    pairs = []
+    for u, v in arcs:
+        if u == v:
+            raise GraphError(f"loop at {u!r}")
+        pairs.append((idx[u], idx[v]))
+    return verts, pairs
 
 
 def encode_undirected(edges, vertices=None) -> SigmaGraph:
     """Undirected graph as a GF(2) graph with the identity sesqui-morphism."""
-    edges = [tuple(e) for e in edges]
-    verts = _collect_vertices(edges, vertices)
+    verts, pairs = _arc_indices(edges, vertices)
     F = field_make(2, 1)
     n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    a = np.zeros((n, n), dtype=np.uint16)
-    for u, v in edges:
-        if u == v:
-            raise GraphError(f"loop at {u!r}")
-        a[idx[u], idx[v]] = a[idx[v], idx[u]] = 1
+    a = [0] * (n * n)
+    for i, j in pairs:
+        a[i * n + j] = a[j * n + i] = 1
     return SigmaGraph(F, verts, a, sigma_identity(F))
 
 
 def encode_directed(arcs, vertices=None) -> SigmaGraph:
     """Directed graph over GF(4) with sigma4: a bidirected pair becomes 1, a
     lone arc (x, y) becomes a at (x, y) and a^2 at (y, x)."""
-    arcs = [tuple(e) for e in arcs]
-    verts = _collect_vertices(arcs, vertices)
+    verts, pairs = _arc_indices(arcs, vertices)
     F = field_make(2, 2)
     A, A2 = 2, 3
     n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    arcset = set()
-    for u, v in arcs:
-        if u == v:
-            raise GraphError(f"loop at {u!r}")
-        arcset.add((idx[u], idx[v]))
-    a = np.zeros((n, n), dtype=np.uint16)
+    arcset = set(pairs)
+    a = [0] * (n * n)
     for (i, j) in arcset:
         if (j, i) in arcset:
-            a[i, j] = a[j, i] = 1
+            a[i * n + j] = a[j * n + i] = 1
         else:
-            a[i, j], a[j, i] = A, A2
+            a[i * n + j], a[j * n + i] = A, A2
     return SigmaGraph(F, verts, a, sigma_frobenius_conj(F))
 
 
 def encode_oriented(arcs, vertices=None) -> SigmaGraph:
     """Oriented graph over GF(3) with negation: arc (x, y) becomes 1 at
     (x, y) and -1 at (y, x); opposite arc pairs are rejected."""
-    arcs = [tuple(e) for e in arcs]
-    verts = _collect_vertices(arcs, vertices)
+    verts, pairs = _arc_indices(arcs, vertices)
     F = field_make(3, 1)
     n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    arcset = set()
-    for u, v in arcs:
-        if u == v:
-            raise GraphError(f"loop at {u!r}")
-        arcset.add((idx[u], idx[v]))
-    a = np.zeros((n, n), dtype=np.uint16)
+    arcset = set(pairs)
+    a = [0] * (n * n)
     for (i, j) in arcset:
         if (j, i) in arcset:
             raise GraphError("oriented graphs admit no opposite arc pairs")
-        a[i, j], a[j, i] = 1, 2
+        a[i * n + j], a[j * n + i] = 1, 2
     return SigmaGraph(F, verts, a, sigma_negation(F))
 
 
 def digraph_gf2(arcs, vertices=None) -> ColoredGraph:
     """Directed graph as a plain GF(2) graph (adj[x][y] = 1 iff arc x->y);
     generally not sigma-symmetric.  This is the bi-rank-width representation."""
-    arcs = [tuple(e) for e in arcs]
-    verts = _collect_vertices(arcs, vertices)
-    F = field_make(2, 1)
+    verts, pairs = _arc_indices(arcs, vertices)
     n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    a = np.zeros((n, n), dtype=np.uint16)
-    for u, v in arcs:
-        if u == v:
-            raise GraphError(f"loop at {u!r}")
-        a[idx[u], idx[v]] = 1
-    return ColoredGraph(F, verts, a)
+    a = [0] * (n * n)
+    for i, j in pairs:
+        a[i * n + j] = 1
+    return ColoredGraph(field_make(2, 1), verts, a)
 
 
 def tilde(G: ColoredGraph) -> SigmaGraph:
     """Lift to the quadratic extension: entry (x, y) becomes
-    f~(adj[x][y], adj[y][x]); the result is sigma~-symmetric."""
+    f~(adj[x][y], adj[y][x]); the result is sigma~-symmetric (and the
+    diagonal stays zero, since f~(0, 0) = 0)."""
     ext = field_extend_quadratic(G.field)
-    tab = ext.f_tilde_table
-    a = tab[G.adj, G.adj.T].astype(np.uint16)
-    np.fill_diagonal(a, 0)  # f~(0,0) = 0 anyway; keep the invariant explicit
+    tab, c, n = ext.f_tilde_table, G.codes, G.n
+    a = [tab[c[i * n + j]][c[j * n + i]] for i in range(n) for j in range(n)]
     return SigmaGraph(ext.ext, G.vertices, a, ext.sigma_tilde)
 
 
@@ -429,7 +455,8 @@ def parse_graph(text: str) -> ColoredGraph:
     if verts is None:
         raise GraphError("missing vertices declaration")
     idx = {v: i for i, v in enumerate(verts)}
-    a = np.zeros((len(verts), len(verts)), dtype=np.uint16)
+    n = len(verts)
+    a = [0] * (n * n)
     for u, v, code, lineno in edges:
         if u not in idx or v not in idx:
             raise GraphError(f"line {lineno}: unknown vertex in edge {u} {v}")
@@ -438,7 +465,7 @@ def parse_graph(text: str) -> ColoredGraph:
         if not 0 <= code < field.q:
             raise GraphError(f"line {lineno}: edge code {code} is not an element "
                              f"code of the field (0..{field.q - 1})")
-        a[idx[u], idx[v]] = code
+        a[idx[u] * n + idx[v]] = code
     if sigma is not None:
         return SigmaGraph(field, verts, a, sigma)
     return ColoredGraph(field, verts, a)
@@ -451,10 +478,8 @@ def emit_graph(G: ColoredGraph) -> str:
         spec = sigma.name if sigma.name else " ".join(map(str, sigma.table))
         lines.append(f"sigma {spec}")
     lines.append("vertices " + " ".join(str(v) for v in G.vertices))
-    for i, u in enumerate(G.vertices):
-        for j, v in enumerate(G.vertices):
-            if G.adj[i, j]:
-                lines.append(f"edge {u} {v} {int(G.adj[i, j])}")
+    V, n = G.vertices, G.n
+    lines += [f"edge {V[k // n]} {V[k % n]} {c}" for k, c in enumerate(G.codes) if c]
     return "\n".join(lines) + "\n"
 
 
@@ -463,9 +488,8 @@ def emit_dot(G: ColoredGraph) -> str:
     lines = ["digraph G {"]
     for v in G.vertices:
         lines.append(f'  "{v}";')
-    for i, u in enumerate(G.vertices):
-        for j, v in enumerate(G.vertices):
-            if G.adj[i, j]:
-                lines.append(f'  "{u}" -> "{v}" [label="{int(G.adj[i, j])}"];')
+    V, n = G.vertices, G.n
+    lines += [f'  "{V[k // n]}" -> "{V[k % n]}" [label="{c}"];'
+              for k, c in enumerate(G.codes) if c]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,21 +1,20 @@
-"""Table arithmetic for matrices over a finite field.
+"""Table arithmetic for matrices over a finite field, and the numpy oracles.
 
 Entries are element codes; all arithmetic goes through the field's lookup
-tables, and fields of order > 256 have none (MatrixError).  Two forms:
+tables (`Field.ADD`, `SUB`, `MUL`, `INV` and `NEG`, nested tuples that the
+kernels on Python code rows read directly), and fields of order > 256 have
+none (MatrixError).
 
-    numpy uint16 arrays   `rank_of` (Gaussian elimination, the oracle the
-                          faster rank kernels are checked against) and
-                          `fmatmul`;
-    nested tuples         `_field_tables`: ADD, SUB, MUL, INV and NEG for
-                          eliminations over Python code rows (the cut-rank
-                          kernels, the closure engine, the term compiler).
+The numpy oracles live here and import numpy inside the function: `rank_of`
+(Gaussian elimination, the reference the faster rank kernels are checked
+against), `fmatmul`, and `np_tables`, the field's tables as uint16 arrays
+for both.  Outside this module only `cutrank._matroid_rank`, the `adj` and
+`np_table` properties and `selfcheck` touch numpy.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import numpy as np
 
 from .fields import Field
 
@@ -30,23 +29,26 @@ def _require_tables(field: Field):
 
 
 @lru_cache(maxsize=None)
-def _field_tables(F: Field):
-    """ADD, SUB, MUL, INV and NEG of a field with tables, as nested tuples
-    (a field of order > 256 raises MatrixError)."""
-    _require_tables(F)
-    return (tuple(map(tuple, F.ADD.tolist())), tuple(map(tuple, F.SUB.tolist())),
-            tuple(map(tuple, F.MUL.tolist())), tuple(F.INV.tolist()),
-            tuple(F.NEG.tolist()))
-
-
-def rank_of(a: np.ndarray, field: Field) -> int:
-    """Rank over the field by Gaussian elimination, first-nonzero pivots."""
+def np_tables(field: Field):
+    """ADD, SUB, MUL, INV and NEG of a field with tables, as read-only numpy
+    uint16 arrays (a field of order > 256 raises MatrixError)."""
+    import numpy as np
     _require_tables(field)
+    tables = tuple(np.array(t, dtype=np.uint16)
+                   for t in (field.ADD, field.SUB, field.MUL, field.INV, field.NEG))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def rank_of(a, field: Field) -> int:
+    """Rank over the field by Gaussian elimination, first-nonzero pivots."""
+    import numpy as np
+    _, SUB, MUL, INV, _ = np_tables(field)
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
     a = a.astype(np.uint16, copy=True)
-    SUB, MUL, INV = field.SUB, field.MUL, field.INV
     rank = 0
     for col in range(n):
         piv = -1
@@ -70,12 +72,12 @@ def rank_of(a: np.ndarray, field: Field) -> int:
     return rank
 
 
-def fmatmul(a: np.ndarray, b: np.ndarray, field: Field) -> np.ndarray:
+def fmatmul(a, b, field: Field):
     """Matrix product over the field (handles empty inner dimension)."""
-    _require_tables(field)
+    import numpy as np
+    ADD, _, MUL, _, _ = np_tables(field)
     if a.shape[1] != b.shape[0]:
         raise MatrixError(f"dimension mismatch {a.shape} x {b.shape}")
-    ADD, MUL = field.ADD, field.MUL
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint16)
     for t in range(a.shape[1]):
         out = ADD[out, MUL[a[:, t][:, None], b[t, :][None, :]]]

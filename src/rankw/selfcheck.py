@@ -20,7 +20,7 @@ from .graphs import (ColoredGraph, SigmaGraph, digraph_gf2, encode_directed,
                      encode_undirected, is_sigma_symmetric, isomorphic, tilde)
 from .layouts import (birankwidth, enumerate_layouts, layout_width, rankwidth,
                       width_exact)
-from .matrix import rank_of
+from .matrix import np_tables, rank_of
 from .terms import (eval_birank_term, eval_rank_term, syntactic_layout,
                     term_from_layout_birank, term_from_layout_rank,
                     compiled_leaf_order)
@@ -31,23 +31,23 @@ from .transform import (ec_cycle, local_complement, pivot_complement)
 
 def random_sigma_graph(rng: random.Random, field, sigma, n: int,
                        density: float = 0.5) -> SigmaGraph:
-    a = np.zeros((n, n), dtype=np.uint16)
+    a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
                 c = rng.randrange(1, field.q)
-                a[i, j] = c
-                a[j, i] = sigma(c)
+                a[i][j] = c
+                a[j][i] = sigma(c)
     return SigmaGraph(field, tuple(range(n)), a, sigma)
 
 
 def random_colored_graph(rng: random.Random, field, n: int,
                          density: float = 0.5) -> ColoredGraph:
-    a = np.zeros((n, n), dtype=np.uint16)
+    a = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < density:
-                a[i, j] = rng.randrange(1, field.q)
+                a[i][j] = rng.randrange(1, field.q)
     return ColoredGraph(field, tuple(range(n)), a)
 
 
@@ -101,7 +101,7 @@ def check_field_axioms(rng) -> bool:
         F = field_make(p, k)
         q = F.q
         i = np.arange(q)
-        A, M = F.ADD.astype(np.int64), F.MUL.astype(np.int64)
+        A, M = (np.array(t, dtype=np.int64) for t in (F.ADD, F.MUL))
         if not (np.array_equal(A, A.T) and np.array_equal(M, M.T)):
             return False
         if not np.array_equal(A[A[i[:, None, None], i[None, :, None]], i[None, None, :]],
@@ -148,6 +148,7 @@ def check_quadratic_extensions(rng) -> bool:
 
 def check_rank_properties(rng) -> bool:
     for F, _ in _std_cases():
+        ADD, _, MUL, _, _ = np_tables(F)
         for _ in range(20):
             m, n = rng.randrange(1, 6), rng.randrange(1, 6)
             a = np.array([[rng.randrange(F.q) for _ in range(n)]
@@ -155,12 +156,12 @@ def check_rank_properties(rng) -> bool:
             b = np.array([[rng.randrange(F.q) for _ in range(n)]
                           for _ in range(m)], dtype=np.uint16)
             ra, rb = rank_of(a, F), rank_of(b, F)
-            if rank_of(F.ADD[a, b], F) > ra + rb:
+            if rank_of(ADD[a, b], F) > ra + rb:
                 return False
             if rank_of(a.T.copy(), F) != ra:
                 return False
             c = rng.randrange(1, F.q)
-            if rank_of(F.MUL[c, a], F) != ra:
+            if rank_of(MUL[c, a], F) != ra:
                 return False
     return True
 
@@ -462,7 +463,7 @@ def check_term_soundness(rng) -> bool:
             inside = list(range(lo, hi))
             outside = [v for v in range(adj.shape[0]) if v < lo or v >= hi]
             cut = rank_of(adj[np.ix_(inside, outside)], F) if outside else 0
-            if cut > rank_of(gamma, F):
+            if cut > rank_of(np.array(gamma), F):
                 return False
     for _ in range(10):
         F, _ = rng.choice(_std_cases())
@@ -477,9 +478,10 @@ def check_term_soundness(rng) -> bool:
             outside = [v for v in range(adj.shape[0]) if v < lo or v >= hi]
             if not outside:
                 continue
-            if rank_of(adj[np.ix_(inside, outside)], F) > rank_of(gp, F):
+            if rank_of(adj[np.ix_(inside, outside)], F) > rank_of(np.array(gp), F):
                 return False
-            if rank_of(adj[np.ix_(outside, inside)].T.copy(), F) > rank_of(gm, F):
+            if rank_of(adj[np.ix_(outside, inside)].T.copy(), F) > \
+                    rank_of(np.array(gm), F):
                 return False
     return True
 

@@ -9,12 +9,17 @@ Bi-rank terms carry separate outbound/inbound colorings and six matrices; no
 sesqui-morphism is involved.  Bi-rank color widths may be zero (empty
 vectors), which is what the layout compiler produces at one-sided leaves.
 
+Evaluation runs on code rows with the field's tables: a coloring gamma is a
+tuple of code-row tuples, one per vertex (a zero-width row is ``()``, so the
+vertex count is kept), and each product writes its cross entries straight
+into the code tuple of the evaluated graph.
+
 The compiler roots the layout at the leaf of the graph's first vertex and,
 at each node, needs the basis of the candidate vertices (the children's
 bases) against the vertices outside the node, and every candidate's
 coordinates in it.  One forward elimination, `_row_basis`, gives both, on
-Python rows of the adjacency matrix with the field's tables from
-`matrix._field_tables`: once per node for rank terms, twice for bi-rank terms
+the rows of the graph's code tuple with the field's tables: once per node
+for rank terms, twice for bi-rank terms
 (outbound rows, inbound columns).  Color widths are cut ranks of the layout,
 so connectivity plays no part: a disconnected graph compiles on the same
 path, and a cut between parts with no arc across gets a zero product.
@@ -28,12 +33,10 @@ from dataclasses import dataclass, fields
 from itertools import count, zip_longest
 from typing import Optional, Union
 
-import numpy as np
-
 from .fields import ORDER_BOUND, Field, Sesquimorphism, plain_int
 from .graphs import ColoredGraph, SigmaGraph
 from .layouts import Layout, build_layout, fold
-from .matrix import _field_tables, fmatmul
+from .matrix import _require_tables
 
 
 class TermError(ValueError):
@@ -52,18 +55,11 @@ class Mat:
         if len(self.data) != self.rows * self.cols:
             raise TermError("matrix data does not match its shape")
 
-    @classmethod
-    def from_array(cls, a) -> "Mat":
-        a = np.asarray(a, dtype=np.uint16)
-        if a.ndim != 2:
-            raise TermError("matrices must be 2-dimensional")
-        return cls(a.shape[0], a.shape[1], tuple(int(x) for x in a.ravel()))
-
-    def np(self, field: Field) -> np.ndarray:
-        a = np.array(self.data, dtype=np.uint16).reshape(self.rows, self.cols)
-        if a.size and int(a.max(initial=0)) >= field.q:
+    def columns(self, field: Field) -> list:
+        """The columns as code tuples, after checking the entries."""
+        if not all(0 <= c < field.q for c in self.data):
             raise TermError("matrix entry is not an element code of the field")
-        return a
+        return [self.data[c::self.cols] for c in range(self.cols)]
 
     def literal(self) -> str:
         body = ""
@@ -151,14 +147,14 @@ BiRankTerm = Union[BiConst, BiProd]
 @dataclass
 class VColoredGraph:
     graph: ColoredGraph
-    gamma: np.ndarray  # |V| x k
+    gamma: tuple  # |V| code rows of width k
 
 
 @dataclass
 class BiColoredGraph:
     graph: ColoredGraph
-    gamma_plus: np.ndarray   # |V| x k1
-    gamma_minus: np.ndarray  # |V| x k2
+    gamma_plus: tuple   # |V| code rows of width k1
+    gamma_minus: tuple  # |V| code rows of width k2
 
 
 _PRODUCTS = (RankProd, BiProd)
@@ -206,100 +202,123 @@ def term_max_width(t) -> int:
 
 # -- evaluation -----------------------------------------------------------------
 
+def _times(rows, cols, field: Field) -> list:
+    """The code rows times the columns: entry (i, c) is the dot product of
+    rows[i] and cols[c], computed once per distinct row."""
+    ADD, MUL = field.ADD, field.MUL
+
+    def dot(u, v):
+        acc = 0
+        for a, b in zip(u, v):
+            if a and b:
+                acc = ADD[acc][MUL[a][b]]
+        return acc
+
+    memo = {r: tuple(dot(r, c) for c in cols) for r in set(rows)}
+    return [memo[r] for r in rows]
+
+
+def _place(codes: list, n: int, lo: int, mid: int, block):
+    """Write the code rows of block into the flat n x n code list codes, in
+    rows lo, lo + 1, ... from column mid."""
+    for i, row in enumerate(block, lo):
+        if any(row):
+            codes[i * n + mid:i * n + mid + len(row)] = row
+
+
+def _evaluate(t, kind, prod_kind, field: Field, product, trace):
+    """The colorings of t (constants of type kind, products of type
+    prod_kind).  A constant is one vertex colored by its checked vectors;
+    product(x, lo, mid, left, right) writes the cross entries of x, whose
+    subterms have the colorings left (vertices from lo) and right (from
+    mid), and returns x's colorings.  trace, if a list, collects
+    ((lo, hi), *colorings) for every subterm in post-order."""
+    if isinstance(t, prod_kind):
+        _require_tables(field)
+    leaves = count()
+
+    def const(x):
+        if not isinstance(x, kind):
+            name = "rank" if kind is RankConst else "bi-rank"
+            raise TermError(f"not a {name} term node: {x!r}")
+        colors = tuple((tuple(getattr(x, f.name)),) for f in fields(x))
+        if not all(0 <= e < field.q for (c,) in colors for e in c):
+            raise TermError("constant color is not an element code")
+        lo = next(leaves)
+        if trace is not None:
+            trace.append(((lo, lo + 1), *colors))
+        return lo, colors
+
+    def prod(x, left, right):
+        (lo, colors_l), (mid, colors_r) = left, right
+        colors = product(x, lo, mid, colors_l, colors_r)
+        if trace is not None:
+            trace.append(((lo, lo + len(colors[0])), *colors))
+        return lo, colors
+
+    return _fold(t, const, prod, prod_kind)[1]
+
+
 def eval_rank_term(t: RankTerm, sigma: Sesquimorphism,
                    trace: Optional[list] = None) -> VColoredGraph:
     """Evaluate to a sigma-symmetric graph with vertices numbered by leaf
     position.  If trace is a list, (leaf_span, gamma) is appended for every
     subterm in post-order."""
-    field = sigma.field
-    sig = sigma.np_table
-    leaves = 0
+    field, sig = sigma.field, sigma.table.__getitem__
+    n = term_leaves(t)
+    codes = [0] * (n * n)
 
-    def const(t):
-        nonlocal leaves
-        if not isinstance(t, RankConst):
-            raise TermError(f"not a rank term node: {t!r}")
-        u = np.array([t.u], dtype=np.uint16)
-        if u.size and int(u.max()) >= field.q:
-            raise TermError("constant color is not an element code")
-        adj = np.zeros((1, 1), dtype=np.uint16)
-        if trace is not None:
-            trace.append(((leaves, leaves + 1), u))
-        leaves += 1
-        return adj, u
-
-    def prod(t, left, right):
-        (a_g, gam_g), (a_h, gam_h) = left, right
-        M, N, P = t.m.np(field), t.n.np(field), t.p.np(field)
-        k, l = gam_g.shape[1], gam_h.shape[1]
-        if M.shape != (k, l):
-            raise TermError(f"M must be {k}x{l}, got {M.shape}")
-        if N.shape[0] != k or P.shape[0] != l or N.shape[1] != P.shape[1]:
+    def product(x, lo, mid, left, right):
+        (gam_g,), (gam_h,) = left, right
+        M, N, P = (m.columns(field) for m in (x.m, x.n, x.p))
+        k, l = len(gam_g[0]), len(gam_h[0])
+        if (x.m.rows, x.m.cols) != (k, l):
+            raise TermError(f"M must be {k}x{l}, got {(x.m.rows, x.m.cols)}")
+        if x.n.rows != k or x.p.rows != l or x.n.cols != x.p.cols:
             raise TermError("N and P must map both sides to one color width")
-        cross = fmatmul(fmatmul(gam_g, M, field), sig[gam_h].T, field)
-        adj = np.block([[a_g, cross], [sig[cross.T], a_h]])
-        gamma = np.concatenate([fmatmul(gam_g, N, field),
-                                fmatmul(gam_h, P, field)], axis=0)
-        if trace is not None:
-            trace.append(((leaves - len(adj), leaves), gamma))
-        return adj, gamma
+        if not x.m.is_zero():
+            # gamma(x) M sigma(gamma(y))^T, and its sigma-image the other way
+            cross = _times(_times(gam_g, M, field),
+                           [tuple(map(sig, r)) for r in gam_h], field)
+            _place(codes, n, lo, mid, cross)
+            _place(codes, n, mid, lo, [tuple(map(sig, c)) for c in zip(*cross)])
+        return (tuple(_times(gam_g, N, field) + _times(gam_h, P, field)),)
 
-    adj, gamma = _fold(t, const, prod, RankProd)
-    n = adj.shape[0]
-    G = SigmaGraph(field, tuple(range(n)), adj, sigma)
-    return VColoredGraph(G, gamma)
+    gamma, = _evaluate(t, RankConst, RankProd, field, product, trace)
+    return VColoredGraph(SigmaGraph(field, range(n), codes, sigma), gamma)
 
 
 def eval_birank_term(t: BiRankTerm, field: Field,
                      trace: Optional[list] = None) -> BiColoredGraph:
     """Evaluate a bi-rank term over the field; vertices numbered by leaf
     position.  trace (optional list) collects (leaf_span, gamma+, gamma-)."""
-    leaves = 0
+    n = term_leaves(t)
+    codes = [0] * (n * n)
 
-    def const(t):
-        nonlocal leaves
-        if not isinstance(t, BiConst):
-            raise TermError(f"not a bi-rank term node: {t!r}")
-        u = np.array([t.u], dtype=np.uint16).reshape(1, len(t.u))
-        v = np.array([t.v], dtype=np.uint16).reshape(1, len(t.v))
-        for vec in (u, v):
-            if vec.size and int(vec.max(initial=0)) >= field.q:
-                raise TermError("constant color is not an element code")
-        adj = np.zeros((1, 1), dtype=np.uint16)
-        if trace is not None:
-            trace.append(((leaves, leaves + 1), u, v))
-        leaves += 1
-        return adj, u, v
-
-    def prod(t, left, right):
-        (a_g, gp_g, gm_g), (a_h, gp_h, gm_h) = left, right
-        M1, M2 = t.m1.np(field), t.m2.np(field)
-        N1, N2 = t.n1.np(field), t.n2.np(field)
-        P1, P2 = t.p1.np(field), t.p2.np(field)
-        k1, k2 = gp_g.shape[1], gm_g.shape[1]
-        l1, l2 = gp_h.shape[1], gm_h.shape[1]
-        if M1.shape != (k1, l2):
-            raise TermError(f"M1 must be {k1}x{l2}, got {M1.shape}")
-        if M2.shape != (k2, l1):
-            raise TermError(f"M2 must be {k2}x{l1}, got {M2.shape}")
-        if N1.shape[0] != k1 or P1.shape[0] != l1 or N1.shape[1] != P1.shape[1]:
+    def product(x, lo, mid, left, right):
+        (gp_g, gm_g), (gp_h, gm_h) = left, right
+        M1, M2, N1, N2, P1, P2 = (m.columns(field)
+                                  for m in (x.m1, x.m2, x.n1, x.n2, x.p1, x.p2))
+        k1, k2 = len(gp_g[0]), len(gm_g[0])
+        l1, l2 = len(gp_h[0]), len(gm_h[0])
+        if (x.m1.rows, x.m1.cols) != (k1, l2):
+            raise TermError(f"M1 must be {k1}x{l2}, got {(x.m1.rows, x.m1.cols)}")
+        if (x.m2.rows, x.m2.cols) != (k2, l1):
+            raise TermError(f"M2 must be {k2}x{l1}, got {(x.m2.rows, x.m2.cols)}")
+        if x.n1.rows != k1 or x.p1.rows != l1 or x.n1.cols != x.p1.cols:
             raise TermError("N1/P1 must map the outbound colors to one width")
-        if N2.shape[0] != k2 or P2.shape[0] != l2 or N2.shape[1] != P2.shape[1]:
+        if x.n2.rows != k2 or x.p2.rows != l2 or x.n2.cols != x.p2.cols:
             raise TermError("N2/P2 must map the inbound colors to one width")
-        fwd = fmatmul(fmatmul(gp_g, M1, field), gm_h.T, field)   # G -> H arcs
-        back = fmatmul(fmatmul(gm_g, M2, field), gp_h.T, field)  # H -> G arcs
-        adj = np.block([[a_g, fwd], [back.T, a_h]])
-        gp = np.concatenate([fmatmul(gp_g, N1, field),
-                             fmatmul(gp_h, P1, field)], axis=0)
-        gm = np.concatenate([fmatmul(gm_g, N2, field),
-                             fmatmul(gm_h, P2, field)], axis=0)
-        if trace is not None:
-            trace.append(((leaves - len(adj), leaves), gp, gm))
-        return adj, gp, gm
+        if not x.m1.is_zero():   # G -> H arcs
+            _place(codes, n, lo, mid, _times(_times(gp_g, M1, field), gm_h, field))
+        if not x.m2.is_zero():   # H -> G arcs
+            back = _times(_times(gm_g, M2, field), gp_h, field)
+            _place(codes, n, mid, lo, list(zip(*back)))
+        return (tuple(_times(gp_g, N1, field) + _times(gp_h, P1, field)),
+                tuple(_times(gm_g, N2, field) + _times(gm_h, P2, field)))
 
-    adj, gp, gm = _fold(t, const, prod, BiProd)
-    n = adj.shape[0]
-    return BiColoredGraph(ColoredGraph(field, tuple(range(n)), adj), gp, gm)
+    gp, gm = _evaluate(t, BiConst, BiProd, field, product, trace)
+    return BiColoredGraph(ColoredGraph(field, range(n), codes), gp, gm)
 
 
 # -- syntactic layout -------------------------------------------------------------
@@ -314,9 +333,9 @@ def syntactic_layout(t) -> Layout:
 
 # -- vertex bases and layout compilation --------------------------------------------
 
-def _row_basis(rows, tables):
-    """One forward elimination over `rows` (code lists of one length, with
-    the nested-tuple tables of `matrix._field_tables`).  Returns the indices
+def _row_basis(rows, field: Field):
+    """One forward elimination over `rows` (code lists of one length, over
+    a field with tables).  Returns the indices
     of the greedy leftmost-independent rows (each raises the rank of the rows
     before it) and every row's coordinates in those basis rows, unique
     because the basis is independent.
@@ -325,7 +344,7 @@ def _row_basis(rows, tables):
     basis.  A row is reduced against them in order, adding up what it
     subtracts: that sum is the row's coordinates, unless a nonzero remainder
     makes the row the next basis row."""
-    ADD, SUB, MUL, INV, NEG = tables
+    ADD, SUB, MUL, INV, NEG = field.ADD, field.SUB, field.MUL, field.INV, field.NEG
     echelon = []  # (pivot column, unit-pivot row, its coordinates)
     basis, coords = [], []
     for i, v in enumerate(rows):
@@ -349,10 +368,10 @@ def _row_basis(rows, tables):
     return basis, [c + [0] * (k - len(c)) for c in coords]
 
 
-def _basis_coords(A, cands, rest, tables):
+def _basis_coords(A, cands, rest, field: Field):
     """The greedy basis among the candidate rows A[z][rest] (z in cands, in
     order) and a map from each candidate to its coordinates in that basis."""
-    picked, coords = _row_basis([[A[z][y] for y in rest] for z in cands], tables)
+    picked, coords = _row_basis([[A[z][y] for y in rest] for z in cands], field)
     return tuple(cands[i] for i in picked), dict(zip(cands, coords))
 
 
@@ -378,10 +397,11 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
         raise TermError("rank terms compile from sigma-symmetric graphs")
     if set(L.leaves.values()) != set(G.vertices):
         raise TermError("layout leaves do not match the graph's vertices")
-    tables = _field_tables(G.field)
-    scale = tables[2][G.field.inv(G.sigma.one)]
+    F = G.field
+    _require_tables(F)
+    scale = F.MUL[F.inv(G.sigma.one)]
     vpos = {v: i for i, v in enumerate(G.vertices)}
-    A = G.adj.tolist()
+    A = G.rows()
 
     def leaf(node):
         x = vpos[L.leaves[node]]
@@ -391,7 +411,7 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
         (t1, X1, vs1), (t2, X2, vs2) = left, right
         vs = vs1 | vs2
         rest = [y for y in range(len(A)) if y not in vs]
-        Xu, coords = _basis_coords(A, sorted(X1 + X2), rest, tables)
+        Xu, coords = _basis_coords(A, sorted(X1 + X2), rest, F)
         w1, w2, wu = max(1, len(X1)), max(1, len(X2)), max(1, len(Xu))
         m = _mat([[scale[A[a][b]] for b in X2] for a in X1], w1, w2)
         t = RankProd(m, _mat([coords[z] for z in X1], w1, wu),
@@ -407,10 +427,10 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
     the bi-cut-rank of the node's cut."""
     if set(L.leaves.values()) != set(G.vertices):
         raise TermError("layout leaves do not match the graph's vertices")
-    tables = _field_tables(G.field)
+    _require_tables(G.field)
     vpos = {v: i for i, v in enumerate(G.vertices)}
-    A = G.adj.tolist()
-    AT = G.adj.T.tolist()
+    A = G.rows()
+    AT = list(zip(*A))
 
     def leaf(node):
         x = vpos[L.leaves[node]]
@@ -423,8 +443,8 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
         vs = vs1 | vs2
         rest = [y for y in range(len(A)) if y not in vs]
         # outbound basis over rows A[z][rest], inbound over columns A[rest][z]
-        Xpu, cp = _basis_coords(A, sorted(Xp1 + Xp2), rest, tables)
-        Xmu, cm = _basis_coords(AT, sorted(Xm1 + Xm2), rest, tables)
+        Xpu, cp = _basis_coords(A, sorted(Xp1 + Xp2), rest, G.field)
+        Xmu, cm = _basis_coords(AT, sorted(Xm1 + Xm2), rest, G.field)
         kp, km = len(Xpu), len(Xmu)
         t = BiProd(_mat([[A[a][b] for b in Xm2] for a in Xp1], len(Xp1), len(Xm2)),
                    _mat([[AT[a][b] for b in Xp2] for a in Xm1], len(Xm1), len(Xp2)),

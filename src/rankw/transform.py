@@ -7,18 +7,19 @@ with row/column x and the diagonal untouched.  Pivot complementation at an
 edge xy applies the nine-case formula covering interior entries, the x/y
 rows and columns, and the two pivot entries.
 
-`local_complement` and `pivot_complement` apply one move to a graph.  The
-searches share one closure engine that never builds a graph per move.  A
-state is the row-major tuple of the n*n element codes of a matrix, and that
-tuple is also the key under which the state is deduplicated.  The moves and
-the one-vertex deletions map tuples to tuples through the field's tables as
-nested tuples (`matrix._field_tables`, built once per field).  The engine
-walks the closure breadth first: a tuple it has handled before is skipped
-unlabelled, and each new canonical form keeps the first state that reached
-it.  Orbits, minor queries and the obstruction search run on it, and
-generation grows its extension rows as tuples too.  A graph object (and its
-validation) is made only for a graph that is returned, or when the
-obstruction search computes a width it has not cached.
+A graph's matrix is the row-major tuple of its n*n element codes
+(`ColoredGraph.codes`), and the moves and the one-vertex deletions map such
+tuples to tuples through the field's tables.  `local_complement` and
+`pivot_complement` apply one move to a graph through the same kernels.  The
+searches share one closure engine that never builds a graph per move: a
+state is a code tuple, which is also the key under which the state is
+deduplicated.  The engine walks the closure breadth first: a tuple it has
+handled before is skipped unlabelled, and each new canonical form keeps the
+first state that reached it.  Orbits, minor queries and the obstruction
+search run on it, and generation grows its extension rows as tuples too.  A
+graph object (and its validation) is made only for a graph that is
+returned, or when the obstruction search computes a width it has not
+cached.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from dataclasses import dataclass
 from itertools import chain, product
 from math import isqrt
 
-import numpy as np
-
 from .cutrank import CutFunction
 from .fields import Field, FieldError, Sesquimorphism, sigma_compatible, \
     sigma_compatible_set
 from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
-    digraph_gf2
+    _components, digraph_gf2
 from .layouts import width_exact
-from .matrix import _field_tables, _require_tables
+from .matrix import _require_tables
 
 RELATIONS = ("sigma-vertex", "vertex", "pivot")
 
@@ -58,14 +57,7 @@ def local_complement(G: ColoredGraph, x, lam: int) -> ColoredGraph:
     _require_tables(F)
     if F._check(lam) == 0:
         raise FieldError("lambda must be nonzero")
-    i = G.index(x)
-    a = G.adj
-    MUL, ADD = F.MUL, F.ADD
-    inc = MUL[lam, MUL[a[:, i][:, None], a[i, :][None, :]]]
-    new = ADD[a, inc].astype(np.uint16)
-    new[i, :] = a[i, :]
-    new[:, i] = a[:, i]
-    np.fill_diagonal(new, 0)
+    [new] = _local_moves(G.codes, G.n, G.index(x), [F.MUL[lam]], F.ADD, F.MUL)
     sigma = getattr(G, "sigma", None)
     if sigma is not None and sigma_compatible(sigma, lam):
         return SigmaGraph(F, G.vertices, new, sigma)
@@ -79,28 +71,10 @@ def pivot_complement(G: SigmaGraph, x, y) -> SigmaGraph:
     F = G.field
     _require_tables(F)
     i, j = G.index(x), G.index(y)
-    a = G.adj
-    m_xy = int(a[i, j])
-    m_yx = int(a[j, i])
-    if m_xy == 0:
+    if G.codes[i * G.n + j] == 0:
         raise GraphError(f"pivot needs an edge: adj[{x!r}][{y!r}] = 0")
-    MUL, SUB = F.MUL, F.SUB
-    inv_xy = F.inv(m_xy)
-    inv_yx = F.inv(m_yx)
-    s1 = G.sigma.one
-    # interior: M[z][t] - M[z][x] M[y][t] / M[y][x] - M[z][y] M[x][t] / M[x][y]
-    term1 = MUL[inv_yx, MUL[a[:, i][:, None], a[j, :][None, :]]]
-    term2 = MUL[inv_xy, MUL[a[:, j][:, None], a[i, :][None, :]]]
-    new = SUB[SUB[a, term1], term2].astype(np.uint16)
-    # x/y rows and columns
-    new[i, :] = MUL[inv_yx, a[j, :]]
-    new[j, :] = MUL[F.mul(s1, inv_xy), a[i, :]]
-    new[:, i] = MUL[F.mul(s1, inv_xy), a[:, j]]
-    new[:, j] = MUL[inv_yx, a[:, i]]
-    new[i, j] = F.neg(inv_yx)
-    new[j, i] = F.neg(F.mul(F.mul(s1, s1), inv_xy))
-    np.fill_diagonal(new, 0)
-    return SigmaGraph(F, G.vertices, new, G.sigma)
+    return SigmaGraph(F, G.vertices, _pivot(G.codes, G.n, i, j, F, G.sigma.one),
+                      G.sigma)
 
 
 # -- the closure engine on packed states ----------------------------------------
@@ -108,10 +82,6 @@ def pivot_complement(G: SigmaGraph, x, y) -> SigmaGraph:
 # A state is (codes, sym): codes is the row-major tuple of the n*n element
 # codes, sym says whether the state is still sigma-symmetric (it turns false
 # for good after a move with a lambda that is not sigma-compatible).
-
-def _codes(G: ColoredGraph) -> tuple:
-    return tuple(G.adj.ravel().tolist())
-
 
 def _local_moves(s: tuple, n: int, x: int, lam_rows, ADD, MUL) -> list:
     """The lambda-local complementations of s at x, one per row MUL[lambda]
@@ -132,11 +102,12 @@ def _local_moves(s: tuple, n: int, x: int, lam_rows, ADD, MUL) -> list:
     return out
 
 
-def _pivot(s: tuple, n: int, i: int, j: int, tables, s1: int) -> tuple:
-    """Pivot complementation of s at the edge ij, as `pivot_complement`:
-    the interior update first, then the i/j rows and columns overwrite
-    whatever it wrote there."""
-    _, SUB, MUL, INV, NEG = tables
+def _pivot(s: tuple, n: int, i: int, j: int, F: Field, s1: int) -> tuple:
+    """Pivot complementation of s at the edge ij over F, sigma(1) = s1:
+    M'[z][t] = M[z][t] - M[z][x] M[y][t] / M[y][x] - M[z][y] M[x][t] / M[x][y]
+    inside, then the i/j rows and columns overwrite whatever it wrote
+    there."""
+    SUB, MUL, INV, NEG = F.SUB, F.MUL, F.INV, F.NEG
     inv_yx = INV[s[j * n + i]]
     inv_xy = INV[s[i * n + j]]
     m_yx = MUL[inv_yx]
@@ -185,11 +156,11 @@ def _successors(field: Field, relation: str, sigma):
     if relation == "pivot":
         if sigma is None:
             raise GraphError("pivot relation needs sigma-symmetric graphs")
-        tables = _field_tables(field)
+        _require_tables(field)
         s1 = sigma.one
 
         def pivot_moves(s, n, sym):
-            return [(_pivot(s, n, *divmod(k, n), tables, s1), True)
+            return [(_pivot(s, n, *divmod(k, n), field, s1), True)
                     for k, e in enumerate(s) if e]
         return pivot_moves
     if relation == "sigma-vertex":
@@ -200,7 +171,8 @@ def _successors(field: Field, relation: str, sigma):
         lams = list(field.units())
     else:
         raise ValueError(f"unknown relation {relation!r}")
-    ADD, _, MUL, _, _ = _field_tables(field)
+    _require_tables(field)
+    ADD, MUL = field.ADD, field.MUL
     lam_rows = [MUL[lam] for lam in lams]
     keeps = [sigma is not None and sigma_compatible(sigma, lam) for lam in lams]
 
@@ -275,7 +247,7 @@ def equivalence_orbit_graphs(G: ColoredGraph, relation: str,
         raise GraphError("orbit search limited to n <= 10")
     sigma = getattr(G, "sigma", None)
     successors = _successors(G.field, relation, sigma)
-    members = _orbit(G.field.q, (_codes(G), sigma is not None), G.canonical_form(),
+    members = _orbit(G.field.q, (G.codes, sigma is not None), G.canonical_form(),
                      successors, max_states)
     return [G] + [_graph(G.field, G.vertices, codes, sigma if sym else None, lab)
                   for (codes, sym), lab in members]
@@ -323,7 +295,7 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
         return out
 
     states = 1
-    for _, lab in _closure(G.field.q, (_codes(G), sigma is not None), start,
+    for _, lab in _closure(G.field.q, (G.codes, sigma is not None), start,
                            successors, max_states):
         states += 1
         if lab[0] == target:
@@ -359,18 +331,6 @@ def _generate(field: Field, sigma: Sesquimorphism, n: int):
         yield level
 
 
-def _connected(n: int, codes: tuple) -> bool:
-    """Is the underlying graph connected (an arc either way joins)?"""
-    reach, stack = {0}, [0]
-    while stack:
-        u = stack.pop()
-        for w in range(n):
-            if w not in reach and (codes[u * n + w] or codes[w * n + u]):
-                reach.add(w)
-                stack.append(w)
-    return n <= 1 or len(reach) == n
-
-
 def sigma_symmetric_graphs(field: Field, sigma: Sesquimorphism, n: int,
                            connected_only: bool = False) -> list[SigmaGraph]:
     """All sigma-symmetric graphs on n vertices up to isomorphism, grown by
@@ -380,7 +340,7 @@ def sigma_symmetric_graphs(field: Field, sigma: Sesquimorphism, n: int,
     *_, level = _generate(field, sigma, n)
     m = max(n, 1)
     return [_graph(field, range(m), codes, sigma, lab) for codes, lab in level
-            if not connected_only or _connected(m, codes)]
+            if not connected_only or len(_components(m, codes)) <= 1]
 
 
 # -- obstructions ---------------------------------------------------------------
@@ -444,7 +404,7 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
             continue
         for codes, lab in level:
             form = lab[0]
-            if not _connected(n, codes):
+            if len(_components(n, codes)) > 1:
                 continue
             minimal = verdicts.get(form)
             if minimal is None:
@@ -467,8 +427,7 @@ def const_graph(field: Field, sigma: Sesquimorphism, a: int) -> SigmaGraph:
     """The two-vertex graph with one edge colored a (and sigma(a) back)."""
     if field._check(a) == 0:
         raise FieldError("const graphs need a nonzero color")
-    adj = np.array([[0, a], [sigma(a), 0]], dtype=np.uint16)
-    return SigmaGraph(field, (0, 1), adj, sigma)
+    return SigmaGraph(field, (0, 1), (0, a, sigma(a), 0), sigma)
 
 
 def ec_cycle(m: int) -> ColoredGraph:

@@ -317,3 +317,50 @@ def test_python_m_rankw(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "width 2"
+
+
+NUMPY_FREE_RUN = r"""
+import contextlib, io, sys
+from rankw.cli import main
+
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, argv
+    return out.getvalue()
+
+cli("encode", "--from", "undirected", "--edges", "a-b,b-c,c-d,d-e,e-a", "--out", "c5.rg")
+cli("encode", "--from", "directed", "--arcs", "a>b,b>c,c>a", "--out", "d.rg")
+cli("encode", "--from", "oriented", "--arcs", "a>b,b>c", "--out", "o.rg")
+assert cli("width", "--input", "c5.rg").startswith("width 2")
+assert cli("width", "--input", "d.rg", "--param", "birank").startswith("width ")
+assert cli("width", "--input", "c5.rg", "--k", "1") == "width > 1\n"
+assert cli("cut", "--input", "c5.rg", "--set", "a,b") == "2\n"
+assert cli("cut", "--input", "c5.rg", "--set", "a,b", "--kind", "bicutrk") == "4\n"
+cli("transform", "--input", "o.rg", "--local", "b", "--lambda", "1")
+cli("transform", "--input", "c5.rg", "--pivot", "a,b")
+cli("term", "compile", "--input", "c5.rg", "--out", "r.term")
+cli("term", "compile", "--input", "d.rg", "--param", "birank", "--out", "b.term")
+assert cli("term", "eval", "--input", "r.term", "--field", "2", "1", "--sigma", "id")
+assert cli("term", "eval", "--input", "b.term", "--field", "2", "2")
+cli("obstructions", "--field", "2", "1", "--sigma", "id", "--relation",
+    "sigma-vertex", "--k", "1", "--max-n", "5", "--out", "obs")
+assert "numpy" not in sys.modules, "numpy loaded on the run path"
+# the lambda kind keeps its numpy rank kernel, loaded on first use
+assert cli("cut", "--input", "c5.rg", "--set", "a,b", "--kind", "lambda") == "5\n"
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_run_path_does_not_import_numpy(tmp_path):
+    """width, cut, transform, encode, term and obstructions run without
+    numpy; only `cut --kind lambda` (and selfcheck) load it."""
+    env = dict(os.environ)
+    src = str(Path(rankw.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -50,7 +50,7 @@ def test_field_axioms_exhaustive(p, k):
     F = field_make(p, k)
     q = F.q
     i = np.arange(q)
-    A, M = F.ADD.astype(np.int64), F.MUL.astype(np.int64)
+    A, M = (np.array(t, dtype=np.int64) for t in (F.ADD, F.MUL))
     assert np.array_equal(A, A.T) and np.array_equal(M, M.T)
     assert np.array_equal(
         A[A[i[:, None, None], i[None, :, None]], i[None, None, :]],
@@ -64,6 +64,63 @@ def test_field_axioms_exhaustive(p, k):
           M[i[:, None, None], i[None, None, :]]])
     assert all(F.mul(x, F.inv(x)) == 1 for x in range(1, q))
     assert all(F.add(x, F.neg(x)) == 0 for x in range(q))
+
+
+def _numpy_tables(F):
+    """Oracle: ADD, SUB, MUL, INV and NEG of F as numpy arrays, built by
+    vectorized digit arithmetic and discrete logarithms (the construction
+    the tables had before they were built in Python)."""
+    q, b, deg = F.q, F._digit_base, F._deg
+    codes = np.arange(q, dtype=np.int64)
+    digits = np.stack([(codes // b ** i) % b for i in range(deg)], axis=1)
+    weights = np.array([b ** i for i in range(deg)], dtype=np.int64)
+    if F.base is None:
+        dsum = (digits[:, None, :] + digits[None, :, :]) % F.p
+        dneg = (-digits) % F.p
+    else:
+        BA, _, _, _, BN = (np.array(t, dtype=np.int64) for t in _numpy_tables(F.base))
+        dsum = BA[digits[:, None, :], digits[None, :, :]]
+        dneg = BN[digits]
+    ADD, NEG = dsum @ weights, dneg @ weights
+    SUB = ADD[:, NEG]
+
+    def order(g):   # by polynomial multiplication, not by the tables under test
+        x, k = g, 1
+        while x != 1:
+            x, k = F._mul_poly(x, g), k + 1
+        return k
+
+    gen = next(g for g in range(1, q) if order(g) == q - 1)
+    exp = np.zeros(q - 1, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    x = 1
+    for i in range(q - 1):
+        exp[i] = x
+        log[x] = i
+        x = F._mul_poly(x, gen)
+    MUL = np.zeros((q, q), dtype=np.int64)
+    MUL[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+    INV = np.zeros(q, dtype=np.int64)
+    INV[1:] = exp[(-log[1:]) % (q - 1)]
+    return ADD, SUB, MUL, INV, NEG
+
+
+@pytest.mark.parametrize("F", [field_make(2, 1), field_make(3, 1), field_make(2, 2),
+                               field_make(5, 3), field_make(13, 2), field_make(3, 5),
+                               field_make(2, 8), field_make(3, 2), field_make(2, 4)]
+                         + [field_extend_quadratic(field_make(p, k)).ext
+                            for p, k in [(2, 2), (3, 2), (2, 4)]],
+                         ids=repr)
+def test_python_tables_match_numpy_oracle(F):
+    """The tables built in Python equal the numpy construction, as nested
+    tuples of ints (quadratic extensions of GF(4), GF(9) and GF(16) build
+    on their base field's tables, checked here too)."""
+    for name, oracle in zip(("ADD", "SUB", "MUL", "INV", "NEG"), _numpy_tables(F)):
+        table = getattr(F, name)
+        assert isinstance(table, tuple) and all(
+            type(x) is int for x in (table[-1] if name in ("ADD", "SUB", "MUL")
+                                     else table))
+        assert np.array_equal(np.array(table), oracle), name
 
 
 def test_canonical_modulus_is_minimal_irreducible():

@@ -54,6 +54,34 @@ def test_encode_oriented():
         encode_oriented([(0, 1), (1, 0)])
 
 
+def test_constructor_rejects_bad_codes():
+    """Codes are integers in 0..q-1: floats, strings and out-of-range
+    integers name the bad color, and a matrix of the wrong size names the
+    size.  numpy integers and arrays are integers."""
+    F2 = field_make(2, 1)
+    for adj, problem in [([[0, 1.7], [0.4, 0]], "color 1.7 is not an integer"),
+                         ([[0, "1"], ["1", 0]], "color '1' is not an integer"),
+                         ([0, 1.0, 1, 0], "color 1.0 is not an integer"),
+                         ([[0, -1], [1, 0]], "color -1 is not an element code"),
+                         ([[0, 70000], [1, 0]], "color 70000 is not an element code"),
+                         ([[0, 65537], [1, 0]], "color 65537 is not an element code"),
+                         ([[0, 2], [1, 0]], "color 2 is not an element code")]:
+        with pytest.raises(FieldError, match=problem):
+            ColoredGraph(F2, (0, 1), adj)
+    for adj in ([[0, 1, 0], [1, 0, 0]], [[0, 1], [1, 0], [0, 0]], [0, 1, 1],
+                np.zeros((3, 3), dtype=np.uint16)):
+        with pytest.raises(GraphError, match="adjacency"):
+            ColoredGraph(F2, (0, 1), adj)
+    with pytest.raises(GraphError, match="diagonal must be zero"):
+        ColoredGraph(F2, (0, 1), [1, 0, 0, 0])
+    rows = [[np.uint16(0), np.int64(1)], [np.int8(1), 0]]
+    for adj in (rows, np.array(rows, dtype=np.uint16), np.array([0, 1, 1, 0]),
+                (0, 1, 1, 0)):
+        G = ColoredGraph(F2, (0, 1), adj)
+        assert G.codes == (0, 1, 1, 0) and all(type(c) is int for c in G.codes)
+        assert G.adj.dtype == np.uint16 and G.adj.tolist() == [[0, 1], [1, 0]]
+
+
 def test_sigma_symmetry_checks():
     G = c5()
     assert is_sigma_symmetric(G, sigma_identity(field_make(2, 1)))

@@ -14,7 +14,7 @@ from rankw.graphs import (ColoredGraph, SigmaGraph, digraph_gf2,
                           encode_undirected, isomorphic)
 from rankw.layouts import (birankwidth, enumerate_layouts, layout_width,
                            parse_newick, rankwidth)
-from rankw.matrix import _field_tables, fmatmul, rank_of
+from rankw.matrix import fmatmul, np_tables, rank_of
 from rankw.selfcheck import random_colored_graph, random_sigma_graph
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
                          compiled_leaf_order, emit_term, eval_birank_term,
@@ -30,14 +30,21 @@ ZERO = Mat(1, 1, (0,))
 
 
 def mat(rows):
+    """The Mat of a numpy array or of code rows."""
     a = np.asarray(rows, dtype=np.uint16)
-    return Mat.from_array(a.reshape(a.shape if a.ndim == 2 else (1, -1)))
+    a = a.reshape(a.shape if a.ndim == 2 else (1, -1))
+    return Mat(*a.shape, tuple(a.ravel().tolist()))
+
+
+def npm(m):
+    """A Mat as a numpy array, for the numpy oracles."""
+    return np.array(m.data, dtype=np.uint16).reshape(m.rows, m.cols)
 
 
 def test_eval_const():
     r = eval_rank_term(RankConst((1,)), S2)
     assert r.graph.n == 1 and not r.graph.adj.any()
-    assert r.gamma.tolist() == [[1]]
+    assert r.gamma == ((1,),)
 
 
 def test_eval_k2_and_zero_product():
@@ -71,11 +78,11 @@ def test_eval_cross_block_identity():
         r = eval_rank_term(RankProd(M, N, P, t1, t2), s)
         gx, gy = np.array([t1.u], dtype=np.uint16), np.array([t2.u], dtype=np.uint16)
         from rankw.matrix import fmatmul
-        cross = fmatmul(fmatmul(gx, M.np(F), F), s.np_table[gy].T, F)
+        cross = fmatmul(fmatmul(gx, npm(M), F), s.np_table[gy].T, F)
         assert r.graph.adj[0, 1] == cross[0, 0]
         assert np.array_equal(
-            r.gamma,
-            np.concatenate([fmatmul(gx, N.np(F), F), fmatmul(gy, P.np(F), F)]))
+            np.asarray(r.gamma),
+            np.concatenate([fmatmul(gx, npm(N), F), fmatmul(gy, npm(P), F)]))
 
 
 def test_eval_commuted_form():
@@ -91,7 +98,7 @@ def test_eval_commuted_form():
         P = mat([[rng.randrange(F.q)] for _ in range(l)])
         K1 = eval_rank_term(RankProd(M, N, P, t1, t2), s).graph
         c = F.inv(F.mul(s.one, s.one))
-        Mp = Mat.from_array(F.MUL[c, s.np_table[M.np(F)].T])
+        Mp = mat(np_tables(F)[2][c, s.np_table[npm(M)].T])
         K2 = eval_rank_term(RankProd(Mp, P, N, t2, t1), s).graph
         assert isomorphic(K1, K2) is not None
 
@@ -105,6 +112,13 @@ def test_eval_dimension_errors():
         eval_rank_term(bad2, S2)
     with pytest.raises(TermError):
         eval_rank_term(RankConst((7,)), S2)  # 7 is no GF(2) code
+    # codes of 65536 and above too, for both term kinds
+    for bad_const in (RankConst((70000,)), RankConst((1, 65536))):
+        with pytest.raises(TermError, match="constant color is not an element code"):
+            eval_rank_term(bad_const, S2)
+    for bad_const in (BiConst((70000,), (1,)), BiConst((1,), (65536,)), BiConst((2,), ())):
+        with pytest.raises(TermError, match="constant color is not an element code"):
+            eval_birank_term(bad_const, F2)
     with pytest.raises(TermError):
         RankConst(())
 
@@ -131,13 +145,13 @@ def test_eval_birank_commuted():
         def rmat(r, c):
             data = np.array([rng.randrange(F.q) for _ in range(r * c)],
                             dtype=np.uint16).reshape(r, c)
-            return Mat.from_array(data)
+            return mat(data)
 
         M1, M2 = rmat(k1, l2), rmat(k2, l1)
         N1, N2, P1, P2 = rmat(k1, m1), rmat(k2, m2), rmat(l1, m1), rmat(l2, m2)
         K1 = eval_birank_term(BiProd(M1, M2, N1, N2, P1, P2, u1, u2), F).graph
-        M2T = Mat.from_array(M2.np(F).T.copy())
-        M1T = Mat.from_array(M1.np(F).T.copy())
+        M2T = mat(npm(M2).T)
+        M1T = mat(npm(M1).T)
         K2 = eval_birank_term(BiProd(M2T, M1T, P1, P2, N1, N2, u2, u1), F).graph
         assert isomorphic(K1, K2) is not None
 
@@ -156,10 +170,9 @@ def test_syntactic_layout_shapes():
 
 
 def test_vertex_basis_examples():
-    tables = _field_tables(F2)
-    assert _row_basis([[0, 0, 0], [0, 0, 0]], tables)[0] == []
-    assert _row_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]], tables)[0] == [0, 1, 2]
-    assert _row_basis([[1, 0], [1, 0], [0, 1]], tables)[0] == [0, 2]
+    assert _row_basis([[0, 0, 0], [0, 0, 0]], F2)[0] == []
+    assert _row_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]], F2)[0] == [0, 1, 2]
+    assert _row_basis([[1, 0], [1, 0], [0, 1]], F2)[0] == [0, 2]
 
 
 @st.composite
@@ -188,7 +201,7 @@ def _row_sets(draw):
 def test_row_basis_against_rank_of(case):
     F, cols, rows = case
     a = np.array(rows, dtype=np.uint16).reshape(len(rows), cols)
-    basis, coords = _row_basis(rows, _field_tables(F))
+    basis, coords = _row_basis(rows, F)
     # the basis is exactly the rows that raise the rank of their prefix
     assert basis == [i for i in range(len(rows))
                      if rank_of(a[:i + 1], F) > rank_of(a[:i], F)]
@@ -455,7 +468,7 @@ def test_soundness_factorizations():
             outside = [v for v in range(adj.shape[0]) if not lo <= v < hi]
             if outside:
                 assert rank_of(adj[np.ix_(inside, outside)], F) <= \
-                    rank_of(gamma, F)
+                    rank_of(np.asarray(gamma), F)
     for _ in range(15):
         F = rng.choice([F2, F3])
         G = random_colored_graph(rng, F, rng.randrange(2, 6))
@@ -467,9 +480,10 @@ def test_soundness_factorizations():
             inside = list(range(lo, hi))
             outside = [v for v in range(adj.shape[0]) if not lo <= v < hi]
             if outside:
-                assert rank_of(adj[np.ix_(inside, outside)], F) <= rank_of(gp, F)
+                assert rank_of(adj[np.ix_(inside, outside)], F) <= \
+                    rank_of(np.asarray(gp), F)
                 assert rank_of(adj[np.ix_(outside, inside)].T.copy(), F) <= \
-                    rank_of(gm, F)
+                    rank_of(np.asarray(gm), F)
 
 
 def test_term_file_roundtrip():

@@ -14,9 +14,9 @@ from rankw.fields import (FieldError, field_make, sigma_compatible_set,
 from rankw.graphs import (GraphError, SigmaGraph, _canonical_labelling,
                           encode_undirected, is_sigma_symmetric, isomorphic)
 from rankw.layouts import birankwidth, rankwidth
-from rankw.matrix import MatrixError, rank_of
+from rankw.matrix import MatrixError, np_tables, rank_of
 from rankw.selfcheck import random_colored_graph, random_sigma_graph
-from rankw.transform import (RELATIONS, _codes, _delete, _successors,
+from rankw.transform import (RELATIONS, _delete, _successors,
                              const_graph, ec_cycle,
                              equivalence_orbit, equivalence_orbit_graphs,
                              find_obstructions, is_minor, local_complement,
@@ -69,21 +69,56 @@ def test_order_above_256_raises_matrix_error():
             call()
 
 
-# -- the packed row moves of the closure engine against the graph moves ---------
+# -- the packed row moves of the closure engine against numpy oracles -----------
 
-def _graph_moves(G, relation):
-    """The relation's moves through the public single-move functions, in
-    the engine's order."""
+def _np_local_complement(G, i, lam):
+    """Oracle: the codes of the lambda-local complementation at index i,
+    M + lambda M[:, i] M[i, :] on whole numpy arrays, with row and column i
+    and the diagonal put back."""
+    ADD, _, MUL, _, _ = np_tables(G.field)
+    a = G.adj
+    new = ADD[a, MUL[lam, MUL[a[:, i][:, None], a[i, :][None, :]]]]
+    new[i, :] = a[i, :]
+    new[:, i] = a[:, i]
+    np.fill_diagonal(new, 0)
+    return tuple(new.ravel().tolist())
+
+
+def _np_pivot(G, i, j):
+    """Oracle: the codes of the pivot complementation at the edge ij, by the
+    nine-case formula on whole numpy arrays."""
+    F = G.field
+    _, SUB, MUL, _, _ = np_tables(F)
+    a = G.adj
+    inv_xy, inv_yx = F.inv(int(a[i, j])), F.inv(int(a[j, i]))
+    s1 = G.sigma.one
+    # interior: M[z][t] - M[z][x] M[y][t] / M[y][x] - M[z][y] M[x][t] / M[x][y]
+    term1 = MUL[inv_yx, MUL[a[:, i][:, None], a[j, :][None, :]]]
+    term2 = MUL[inv_xy, MUL[a[:, j][:, None], a[i, :][None, :]]]
+    new = SUB[SUB[a, term1], term2]
+    # x/y rows and columns
+    new[i, :] = MUL[inv_yx, a[j, :]]
+    new[j, :] = MUL[F.mul(s1, inv_xy), a[i, :]]
+    new[:, i] = MUL[F.mul(s1, inv_xy), a[:, j]]
+    new[:, j] = MUL[inv_yx, a[:, i]]
+    new[i, j] = F.neg(inv_yx)
+    new[j, i] = F.neg(F.mul(F.mul(s1, s1), inv_xy))
+    np.fill_diagonal(new, 0)
+    return tuple(new.ravel().tolist())
+
+
+def _oracle_moves(G, sigma, sym, relation):
+    """The relation's moves of G (sigma-symmetric when sym says so) as
+    (codes, stays sigma-symmetric) states, by the numpy oracles, in the
+    engine's order."""
+    n = G.n
     if relation == "pivot":
-        return [pivot_complement(G, u, v) for i, u in enumerate(G.vertices)
-                for j, v in enumerate(G.vertices) if G.adj[i, j]]
-    lams = (sigma_compatible_set(G.sigma) if relation == "sigma-vertex"
-            else list(G.field.units()))
-    return [local_complement(G, v, lam) for v in G.vertices for lam in lams]
-
-
-def _as_states(graphs):
-    return [(_codes(K), isinstance(K, SigmaGraph)) for K in graphs]
+        return [(_np_pivot(G, i, j), True) for i in range(n) for j in range(n)
+                if G.adj[i, j]]
+    keep = sigma_compatible_set(sigma)
+    lams = keep if relation == "sigma-vertex" else list(G.field.units())
+    return [(_np_local_complement(G, i, lam), sym and lam in keep)
+            for i in range(n) for lam in lams]
 
 
 @settings(derandomize=True, deadline=None)
@@ -93,23 +128,30 @@ def _as_states(graphs):
 def test_row_moves_match_graph_moves(case, relation, n, seed, density):
     F, s = case
     G = random_sigma_graph(random.Random(seed), F, s, n, density)
-    codes = _codes(G)
+    codes = G.codes
     assert _canonical_labelling(F.q, n, codes)[0] == G.canonical_form()
     moves = _successors(F, relation, s)
-    expected = _graph_moves(G, relation)
-    assert moves(codes, n, True) == _as_states(expected)
-    for K in expected:
-        assert _canonical_labelling(F.q, n, _codes(K))[0] == K.canonical_form()
+    expected = _oracle_moves(G, s, True, relation)
+    assert moves(codes, n, True) == expected
+    # the single-move functions agree with the oracle too
+    if relation == "pivot":
+        graphs = [pivot_complement(G, u, v) for i, u in enumerate(G.vertices)
+                  for j, v in enumerate(G.vertices) if G.adj[i, j]]
+    else:
+        lams = (sigma_compatible_set(s) if relation == "sigma-vertex"
+                else list(F.units()))
+        graphs = [local_complement(G, v, lam) for v in G.vertices for lam in lams]
+    assert [(K.codes, isinstance(K, SigmaGraph)) for K in graphs] == expected
+    for K in graphs:
+        assert _canonical_labelling(F.q, n, K.codes)[0] == K.canonical_form()
     if relation == "vertex":
         # a state that lost sigma-symmetry stays a plain graph
-        plain = G.drop_sigma()
-        assert moves(codes, n, False) == _as_states(_graph_moves(plain, relation))
-        for K in expected:
-            assert moves(_codes(K), n, isinstance(K, SigmaGraph)) == \
-                _as_states(_graph_moves(K, relation))
+        assert moves(codes, n, False) == _oracle_moves(G, s, False, relation)
+        for K, (_, sym) in zip(graphs, expected):
+            assert moves(K.codes, n, sym) == _oracle_moves(K, s, sym, relation)
     for d in range(n):
         H = G.induced_subgraph([v for v in G.vertices if v != G.vertices[d]])
-        assert _delete(codes, n, d) == _codes(H)
+        assert _delete(codes, n, d) == H.codes
 
 
 def test_local_complement_gf4_uniform_increment():
