@@ -9,13 +9,15 @@ three kinds are
     lambda(X)  = connectivity of {P_x : x in X} in the matroid on (I | M_G)
                  with P_x = {x, x'}; equals bicutrk(X) + 1.
 
-cutrk and bicutrk are evaluated on the rows of the graph's code tuple,
-made once per CutFunction on the first cut with both sides nonempty, so a
-cut copies no sub-matrix:
+Each is a rank of rows packed once per CutFunction on the first cut with
+both sides nonempty, so a cut copies no sub-matrix.  cutrk and bicutrk read
+the rows of the graph's code tuple; lambda is r(X u X') + r(Y u Y') - n + 1,
+r(S u S') the rank of the rows e_x and M[:, x] (x in S) among the 2n rows
+of (I | M)^T, since r(V u V') = n.  The field order picks the kernel:
 
-    GF(2)                each row is packed into an int (bit j = entry
-                         (i, j)); M[X][V\\X] is the rows R[i] & ~X for i in
-                         X, M[V\\X][X] the rows R[i] & X for i outside X, and
+    GF(2)                each row is packed into an int (bit j = entry j);
+                         M[X][V\\X] is the rows R[i] & ~X for i in X,
+                         M[V\\X][X] the rows R[i] & X for i outside X, and
                          a rank is the size of an XOR basis;
     other orders <= 256  rows are tuples of element codes, eliminated with
                          the field's SUB/MUL/INV tables;
@@ -23,11 +25,10 @@ cut copies no sub-matrix:
 
 Rows are found by walking the set bits of X.  cutrk eliminates the smaller
 side: M[V\\X][X] = sigma(M[X][V\\X])^T has the same rank, since sigma is
-sigma(1) times a field automorphism.  The field order picks the kernel.
-lambda stays on numpy `rank_of` on purpose (numpy loads on its first cut):
-`lambda == bicutrk + 1` then compares two different rank kernels (the tests
-and `rankw selfcheck` also compare both kernels with `rank_of`).  Masks are
-taken through `operator.index`, so numpy integers work without numpy.
+sigma(1) times a field automorphism.  No kind loads numpy; the tests and
+`rankw selfcheck` check cutrk and bicutrk against numpy `rank_of`, and
+lambda, a rank of other rows, against bicutrk + 1.  Masks are taken through
+`operator.index`, so numpy integers work without numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import index, itemgetter
 from typing import Iterable, Union
 
 from .graphs import ColoredGraph, GraphError, SigmaGraph
-from .matrix import _require_tables, rank_of
+from .matrix import _require_tables
 
 KINDS = ("cutrk", "bicutrk", "lambda")
 
@@ -88,7 +89,7 @@ class CutFunction:
     def _evaluate(self, mask: int) -> int:
         X, Y = mask, self._full ^ mask
         if self.kind == "lambda":
-            return self._matroid_lambda(_bits(X), _bits(Y))
+            return self._lambda(X, Y)
         if not mask:  # keys are min(X, V\X): only 0 has an empty side
             return 0
         if self._rows is None:
@@ -109,6 +110,9 @@ class CutFunction:
 
     def _pack(self):
         F, rows = self.graph.field, self.graph.rows()
+        if self.kind == "lambda":  # the 2n rows of (I | M)^T: e_x, then M[:, x]
+            n, columns = self._n, list(zip(*rows))
+            rows = [(0,) * x + (1,) + (0,) * (n - 1 - x) for x in range(n)] + columns
         if F.q == 2:
             self._rows = [sum(1 << j for j, e in enumerate(row) if e) for row in rows]
         else:
@@ -116,12 +120,19 @@ class CutFunction:
             self._tables = F.SUB, F.MUL, F.INV
             self._rows = rows
 
-    def _matroid_lambda(self, rows, cols) -> int:
-        """r(X u X') + r((V\\X) u (V\\X)') - r(V u V') + 1 on (I | M_G)."""
-        a = self.graph.adj
-        F = self.graph.field
-        n = self._n
-        return (_matroid_rank(a, rows, F) + _matroid_rank(a, cols, F) - n + 1)
+    def _lambda(self, X: int, Y: int) -> int:
+        """r(X u X') + r(Y u Y') - r(V u V') + 1, r(S u S') the rank of the
+        rows e_x and M[:, x] (x in S) of (I | M)^T, and r(V u V') = n."""
+        if not X:
+            return 1
+        if self._rows is None:
+            self._pack()
+        n, R, tables = self._n, self._rows, self._tables
+        if tables is None:
+            ranks = (_xor_rank(R, S | S << n, self._full) for S in (X, Y))
+        else:
+            ranks = (_list_rank(R, _bits(S | S << n), range(n), tables) for S in (X, Y))
+        return sum(ranks) - n + 1
 
 
 def _bits(mask: int) -> list[int]:
@@ -182,17 +193,6 @@ def _list_rank(A, rows, cols, tables) -> int:
         if rank == h:
             break
     return rank
-
-
-def _matroid_rank(a, X, field) -> int:
-    """Rank of the columns {e_x : x in X} u {M[:, x] : x in X} of (I | M),
-    for the numpy matrix a."""
-    import numpy as np
-    n = a.shape[0]
-    if not X:
-        return 0
-    cols = np.concatenate([np.eye(n, dtype=np.uint16)[:, X], a[:, X]], axis=1)
-    return rank_of(cols, field)
 
 
 def cutrk(G: SigmaGraph, X) -> int:

@@ -17,6 +17,7 @@ not use it, and it serves as the oracle of the tests and of `rankw selfcheck`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -24,6 +25,8 @@ from .cutrank import CutFunction
 from .graphs import ColoredGraph, SigmaGraph
 
 BNB_BOUND = 14
+# a separator, or a label stripped of the spaces around it
+_newick_tokens = re.compile(r"[(),;]|[^(),;\s](?:[^(),;]*[^(),;\s])?").findall
 
 
 class LayoutError(ValueError):
@@ -189,53 +192,65 @@ def build_layout(tree, labels: Sequence) -> Layout:
     return Layout(edges, dict(enumerate(labels)))
 
 
+def read_nested(tokens, leaf, node):
+    """Read a token stream of either file format on one explicit stack, without
+    recursion: "(" opens a group, its ")" replaces it by node(items, at), at[j]
+    the index of the token that starts items[j] and at[-1] that of the ")",
+    and any other token (an unmatched ")" too) is leaf(token).  Returns the
+    top-level items and the innermost open group's items (None if none)."""
+    stack, items, at = [], [], []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            stack.append((items, at, i))
+            items, at = [], []
+        elif tok == ")" and stack:
+            at.append(i)
+            x = node(items, at)
+            items, at, i = stack.pop()
+            items.append(x)
+            at.append(i)
+        else:
+            items.append(leaf(tok))
+            at.append(i)
+    return (stack[0][0], items) if stack else (items, None)
+
+
 def parse_newick(text: str) -> Layout:
     """Parse nested-parenthesis layouts, e.g. ((v1,v2),(v3,(v4,v5)));
     An optional `# width <k>` trailer (and # comments generally) is ignored;
     degree-2 interior nodes (including a binary root) are suppressed."""
-    text = " ".join(line.split("#", 1)[0] for line in text.splitlines()).strip()
-    if text.endswith(";"):
-        text = text[:-1]
-    pos = 0
+    text = " ".join(line.split("#", 1)[0] for line in text.splitlines())
     labels: list[str] = []
 
-    def parse():
-        """The group or leaf at pos: a tuple of members or a label index."""
-        nonlocal pos
-        if pos >= len(text):
-            raise LayoutError("unexpected end of layout text")
-        if text[pos] == "(":
-            pos += 1
-            members = []
-            while True:
-                members.append(parse())
-                if pos >= len(text):
-                    raise LayoutError("unbalanced parentheses")
-                if text[pos] == ",":
-                    pos += 1
-                    continue
-                if text[pos] == ")":
-                    pos += 1
-                    return tuple(members)
-                raise LayoutError(f"unexpected character {text[pos]!r}")
-        start = pos
-        while pos < len(text) and text[pos] not in "(),;":
-            pos += 1
-        label = text[start:pos].strip()
-        if not label:
-            raise LayoutError("empty leaf label")
-        labels.append(label)
+    def leaf(tok):  # a label's index; the separators , ; ) stay strings
+        if tok in ",;)":
+            return tok
+        labels.append(tok)
         return len(labels) - 1
 
-    try:
-        tree = parse()
-    except RecursionError:
-        raise LayoutError("nesting too deep") from None
-    while pos < len(text) and text[pos] in "; \t\n":
-        pos += 1
-    if pos != len(text):
-        raise LayoutError("trailing characters after layout")
-    return build_layout(tree, labels)
+    def members(items, _at):  # with a comma between each two
+        for j, x in enumerate(items):
+            if not j & 1 and x.__class__ is str:
+                raise LayoutError("empty leaf label")
+            if j & 1 and x != ",":
+                c = x if x.__class__ is str else labels[x][0] if x.__class__ is int else "("
+                raise LayoutError(f"unexpected character {c!r}")
+        if not len(items) & 1:  # empty, or ending in a comma
+            raise LayoutError("empty leaf label")
+        return tuple(items[::2])
+
+    tokens = _newick_tokens(text)
+    while tokens and tokens[-1] == ";":
+        tokens.pop()
+    items, unclosed = read_nested(tokens, leaf, members)
+    if unclosed is not None or not items:
+        after_member = unclosed and unclosed[-1].__class__ is not str
+        raise LayoutError("unbalanced parentheses" if after_member
+                          else "unexpected end of layout text")
+    if len(items) > 1 or items[0].__class__ is str:
+        raise LayoutError("empty leaf label" if items[0].__class__ is str
+                          else "trailing characters after layout")
+    return build_layout(items[0], labels)
 
 
 @dataclass

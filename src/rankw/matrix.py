@@ -8,8 +8,8 @@ none (MatrixError).
 The numpy oracles live here and import numpy inside the function: `rank_of`
 (Gaussian elimination, the reference the faster rank kernels are checked
 against), `fmatmul`, and `np_tables`, the field's tables as uint16 arrays
-for both.  Outside this module only `cutrank._matroid_rank`, the `adj` and
-`np_table` properties and `selfcheck` touch numpy.
+for both.  Outside this module only the `adj` and `np_table` properties and
+`selfcheck` touch numpy.
 """
 
 from __future__ import annotations

@@ -89,10 +89,6 @@ def _std_cases():
             (F3, sigma_negation(F3)), (F4, sigma_frobenius_conj(F4))]
 
 
-def _compatible_cases():
-    return [(F, s) for F, s in _std_cases() if sigma_compatible_set(s)]
-
-
 # -- the checks -----------------------------------------------------------------
 
 def check_field_axioms(rng) -> bool:

@@ -29,13 +29,14 @@ MatrixError.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from itertools import count, zip_longest
 from typing import Optional, Union
 
 from .fields import ORDER_BOUND, Field, Sesquimorphism, plain_int
 from .graphs import ColoredGraph, SigmaGraph
-from .layouts import Layout, build_layout, fold
+from .layouts import Layout, build_layout, fold, read_nested
 from .matrix import _require_tables
 
 
@@ -368,9 +369,13 @@ def _row_basis(rows, field: Field):
     return basis, [c + [0] * (k - len(c)) for c in coords]
 
 
-def _basis_coords(A, cands, rest, field: Field):
-    """The greedy basis among the candidate rows A[z][rest] (z in cands, in
-    order) and a map from each candidate to its coordinates in that basis."""
+def _basis_coords(A, cands, inside: int, field: Field):
+    """The greedy basis among the candidate rows A[z] (z in cands, in order)
+    on the columns outside the bitmask inside, and a map from each candidate
+    to its coordinates in that basis."""
+    if not cands:
+        return (), {}
+    rest = [y for y, b in enumerate(f"{inside:0{len(A)}b}"[::-1]) if b == "0"]
     picked, coords = _row_basis([[A[z][y] for y in rest] for z in cands], field)
     return tuple(cands[i] for i in picked), dict(zip(cands, coords))
 
@@ -405,13 +410,12 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
 
     def leaf(node):
         x = vpos[L.leaves[node]]
-        return RankConst((1,)), (x,) if any(A[x]) else (), {x}
+        return RankConst((1,)), (x,) if any(A[x]) else (), 1 << x
 
     def join(_, left, right):
         (t1, X1, vs1), (t2, X2, vs2) = left, right
         vs = vs1 | vs2
-        rest = [y for y in range(len(A)) if y not in vs]
-        Xu, coords = _basis_coords(A, sorted(X1 + X2), rest, F)
+        Xu, coords = _basis_coords(A, sorted(X1 + X2), vs, F)
         w1, w2, wu = max(1, len(X1)), max(1, len(X2)), max(1, len(Xu))
         m = _mat([[scale[A[a][b]] for b in X2] for a in X1], w1, w2)
         t = RankProd(m, _mat([coords[z] for z in X1], w1, wu),
@@ -436,15 +440,14 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
         x = vpos[L.leaves[node]]
         Xp = (x,) if any(A[x]) else ()
         Xm = (x,) if any(AT[x]) else ()
-        return BiConst((1,) * len(Xp), (1,) * len(Xm)), Xp, Xm, {x}
+        return BiConst((1,) * len(Xp), (1,) * len(Xm)), Xp, Xm, 1 << x
 
     def join(_, left, right):
         (t1, Xp1, Xm1, vs1), (t2, Xp2, Xm2, vs2) = left, right
         vs = vs1 | vs2
-        rest = [y for y in range(len(A)) if y not in vs]
-        # outbound basis over rows A[z][rest], inbound over columns A[rest][z]
-        Xpu, cp = _basis_coords(A, sorted(Xp1 + Xp2), rest, G.field)
-        Xmu, cm = _basis_coords(AT, sorted(Xm1 + Xm2), rest, G.field)
+        # outbound basis over the rows A[z], inbound over the columns A[.][z]
+        Xpu, cp = _basis_coords(A, sorted(Xp1 + Xp2), vs, G.field)
+        Xmu, cm = _basis_coords(AT, sorted(Xm1 + Xm2), vs, G.field)
         kp, km = len(Xpu), len(Xmu)
         t = BiProd(_mat([[A[a][b] for b in Xm2] for a in Xp1], len(Xp1), len(Xm2)),
                    _mat([[AT[a][b] for b in Xp2] for a in Xm1], len(Xm1), len(Xp2)),
@@ -465,31 +468,15 @@ def compiled_leaf_order(G: ColoredGraph, L: Layout) -> list:
 
 # -- term file format (s-expressions) ---------------------------------------------
 
+# a comment, or a parenthesis, a matrix literal (unclosed at the end) or a word
+_term_tokens = re.compile(r"#[^\n]*|([()]|\[[^\]]*\]?|[^\s()\[#]+)").findall
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == "[":
-            j = text.find("]", i)
-            if j < 0:
-                raise TermError(f"unclosed matrix literal at character {i}")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()[]#":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = [t for t in _term_tokens(text) if t]
+    if tokens and tokens[-1][0] == "[" and tokens[-1][-1] != "]":
+        raise TermError(f"unclosed matrix literal at character "
+                        f"{len(text) - len(tokens[-1])}")
     return tokens
 
 
@@ -507,66 +494,56 @@ def _mat_from_token(tok: str) -> Mat:
     return Mat(r, c, data)
 
 
+# head -> (matrix arguments, subterms, node type)
+_HEADS = {"biconst": (2, 0, BiConst), "prod": (3, 2, RankProd),
+          "biprod": (6, 2, BiProd)}
+
+
+def _term_node(items, at):
+    """The term of one group: a head word, then its arguments, the subterms
+    among them already read.  A subterm where a word belongs is named by its
+    "(", a missing argument by the group's ")", and at gives token numbers."""
+    words = [x if x.__class__ is str else "(" for x in items] + [")"]
+    head = words[0]
+    if head == "const":
+        codes = []
+        for tok in words[1:-1]:
+            try:
+                codes.append(plain_int(tok))
+            except ValueError:
+                raise TermError(f"constant color {tok!r} is not an integer") from None
+            if not 0 <= codes[-1] < ORDER_BOUND:
+                raise TermError(f"constant color {tok} is not an element code")
+        return RankConst(tuple(codes))
+    if head not in _HEADS:
+        raise TermError(f"unknown term head {head!r}")
+    k, subterms, kind = _HEADS[head]
+    mats = [_mat_from_token(tok) for tok in words[1:k + 1]]  # a short group fails at ")"
+    end = k + 1 + subterms
+    for j in range(k + 1, end):
+        if words[j] != "(":
+            raise TermError(f"expected '(' at token {at[j]}")
+    if len(items) > end:
+        raise TermError(f"expected ')' at token {at[end]}")
+    if kind is BiConst:
+        u, v = mats
+        if u.rows != 1 or v.rows != 1:
+            raise TermError("biconst vectors must be 1-row matrices")
+        return BiConst(u.data, v.data)
+    return kind(*mats, *items[k + 1:end])
+
+
 def parse_term(text: str):
     """Parse `(const ...)`, `(biconst U V)`, `(prod M N P t1 t2)`, and
-    `(biprod M1 M2 N1 N2 P1 P2 t1 t2)` s-expressions."""
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def expect(tok: str):
-        if pos[0] >= len(tokens) or tokens[pos[0]] != tok:
-            raise TermError(f"expected {tok!r} at token {pos[0]}")
-        pos[0] += 1
-
-    def next_token() -> str:
-        if pos[0] >= len(tokens):
-            raise TermError("unexpected end of term")
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def parse() :
-        expect("(")
-        head = next_token()
-        if head == "const":
-            codes = []
-            while (tok := next_token()) != ")":
-                try:
-                    codes.append(plain_int(tok))
-                except ValueError:
-                    raise TermError(f"constant color {tok!r} is not an "
-                                    f"integer") from None
-                if not 0 <= codes[-1] < ORDER_BOUND:
-                    raise TermError(f"constant color {tok} is not an element code")
-            return RankConst(tuple(codes))
-        if head == "biconst":
-            u = _mat_from_token(next_token())
-            v = _mat_from_token(next_token())
-            expect(")")
-            if u.rows != 1 or v.rows != 1:
-                raise TermError("biconst vectors must be 1-row matrices")
-            return BiConst(u.data, v.data)
-        if head == "prod":
-            m, n, p = (_mat_from_token(next_token()) for _ in range(3))
-            t1 = parse()
-            t2 = parse()
-            expect(")")
-            return RankProd(m, n, p, t1, t2)
-        if head == "biprod":
-            ms = [_mat_from_token(next_token()) for _ in range(6)]
-            t1 = parse()
-            t2 = parse()
-            expect(")")
-            return BiProd(*ms, t1, t2)
-        raise TermError(f"unknown term head {head!r}")
-
-    try:
-        t = parse()
-    except RecursionError:
-        raise TermError("nesting too deep") from None
-    if pos[0] != len(tokens):
+    `(biprod M1 M2 N1 N2 P1 P2 t1 t2)` s-expressions, nested to any depth."""
+    items, unclosed = read_nested(_tokenize(text), str, _term_node)
+    if unclosed is not None:
+        raise TermError("unexpected end of term")
+    if not items or items[0].__class__ is str:
+        raise TermError("expected '(' at token 0")
+    if len(items) > 1:
         raise TermError("trailing tokens after term")
-    return t
+    return items[0]
 
 
 def emit_term(t) -> str:

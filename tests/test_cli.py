@@ -13,7 +13,7 @@ import rankw
 from rankw.cli import main
 from rankw.graphs import parse_graph
 from rankw.layouts import parse_newick
-from rankw.terms import (TermError, eval_birank_term, eval_rank_term,
+from rankw.terms import (eval_birank_term, eval_rank_term,
                          parse_term, term_from_layout_birank,
                          term_from_layout_rank)
 
@@ -167,7 +167,7 @@ def test_term_compile_with_explicit_layout(tmp_path, capsys):
 def test_term_compile_deep_layout(tmp_path, capsys):
     """Two 600-leaf caterpillars joined at the root nest 601 deep as text
     but about 1,200 deep once rooted at the first vertex's leaf.  The layout
-    compiles; its term file is deeper than the term parser takes."""
+    compiles, and its term file reads back and evaluates."""
     def caterpillar(lo, hi):
         text = f"v{lo}"
         for i in range(lo + 1, hi):
@@ -183,13 +183,13 @@ def test_term_compile_deep_layout(tmp_path, capsys):
     code, out, err = run(capsys, "term", "compile", "--input", str(graph),
                          "--layout", str(layout), "--out", str(term))
     assert code == 0 and out == "" and err == ""
-    with pytest.raises(TermError, match="nesting too deep"):
-        parse_term(term.read_text())
     G = parse_graph(graph.read_text())
     L = parse_newick(layout.read_text())
-    for ev in (eval_rank_term(term_from_layout_rank(G, L), G.sigma),
+    t = term_from_layout_rank(G, L)
+    assert parse_term(term.read_text()) == t
+    for ev in (eval_rank_term(t, G.sigma),
                eval_birank_term(term_from_layout_birank(G, L), G.field)):
-        assert ev.graph.n == 1200 and not ev.graph.adj.any()
+        assert ev.graph.n == 1200 and not any(ev.graph.codes)
 
 
 def test_selfcheck_subcommand(capsys):
@@ -251,18 +251,30 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "term", "eval", "--input", str(term),
                          "--field", "2", "1", "--sigma", "id")
     assert code == 1 and out == "" and err.startswith("error: constant color")
-    # domain error: term and layout files nested too deep for the parsers
-    term.write_text("(prod [1 1; 1] [1 1; 1] [1 1; 1] " * 3000 + "(const 1) "
-                    + "(const 1))" * 3000)
+    # success: a term file 1,000 levels deep (zero cross matrices keep the
+    # evaluated graph edgeless); truncated, it is a domain error
+    deep = "(prod [1 1; 0] [1 1; 1] [1 1; 1] " * 1000 + "(const 1) "
+    term.write_text(deep + "(const 1))" * 1000)
     code, out, err = run(capsys, "term", "eval", "--input", str(term),
                          "--field", "2", "1", "--sigma", "id")
-    assert code == 1 and out == "" and err == "error: nesting too deep\n"
+    G = parse_graph(out)
+    assert code == 0 and err == "" and G.n == 1001 and not any(G.codes)
+    term.write_text(deep + "(const 1))" * 999)
+    code, out, err = run(capsys, "term", "eval", "--input", str(term),
+                         "--field", "2", "1", "--sigma", "id")
+    assert code == 1 and out == "" and err == "error: unexpected end of term\n"
     c5 = write_c5(tmp_path)
     layout = tmp_path / "deep.nwk"
-    layout.write_text("(" * 3000 + "v1" + ",x)" * 3000 + ";\n")
-    code, out, err = run(capsys, "term", "compile", "--input", str(c5),
-                         "--layout", str(layout))
-    assert code == 1 and out == "" and err == "error: nesting too deep\n"
+    # domain error: a layout 3,000 levels deep reads back, and its leaves
+    # are checked; truncated, it ends inside a group
+    for text, error in [("(" * 3000 + "v1" + ",x)" * 3000 + ";\n",
+                         "leaf labels must be distinct"),
+                        ("(" * 3000 + "v1" + ",x)" * 2999 + ",",
+                         "unexpected end of layout text")]:
+        layout.write_text(text)
+        code, out, err = run(capsys, "term", "compile", "--input", str(c5),
+                             "--layout", str(layout))
+        assert code == 1 and out == "" and err == f"error: {error}\n"
     # domain error: pivot at a non-edge
     code, _, err = run(capsys, "transform", "--input", str(c5),
                        "--pivot", "v1,v3")
@@ -270,12 +282,25 @@ def test_exit_codes(tmp_path, capsys):
     # domain error: unknown vertex in cut
     code, _, err = run(capsys, "cut", "--input", str(c5), "--set", "zz")
     assert code == 1
-    # success: a forced search on 1,000 vertices has no depth limit
+    # success: a forced search on 1,000 vertices has no depth limit, and its
+    # layout and term files, about 1,000 levels deep, read back
     edgeless = tmp_path / "edgeless.rg"
     edgeless.write_text("field 2 1\nsigma id\nvertices "
                         + " ".join(f"v{i}" for i in range(1000)) + "\n")
-    code, out, err = run(capsys, "width", "--input", str(edgeless), "--force")
+    code, out, err = run(capsys, "width", "--input", str(edgeless), "--force",
+                         "--emit-layout", str(layout))
     assert code == 0 and out.startswith("width 0\n") and err == ""
+    assert layout.read_text().count("(") == 999
+    code, out, err = run(capsys, "term", "compile", "--input", str(edgeless),
+                         "--layout", str(layout), "--out", str(term))
+    assert code == 0 and out == "" and err == ""
+    code, out, err = run(capsys, "term", "compile", "--input", str(edgeless),
+                         "--force", "--out", str(term))
+    assert code == 0 and out == "" and err == ""
+    code, out, err = run(capsys, "term", "eval", "--input", str(term),
+                         "--field", "2", "1", "--sigma", "id")
+    G = parse_graph(out)
+    assert code == 0 and err == "" and G.n == 1000 and not any(G.codes)
     # usage error: integer options take plain ASCII digits, as files do
     for argv in (["width", "--input", str(c5), "--k", "1_0"],
                  ["width", "--input", str(c5), "--k", "\u0662"],
@@ -346,17 +371,16 @@ assert cli("term", "eval", "--input", "r.term", "--field", "2", "1", "--sigma", 
 assert cli("term", "eval", "--input", "b.term", "--field", "2", "2")
 cli("obstructions", "--field", "2", "1", "--sigma", "id", "--relation",
     "sigma-vertex", "--k", "1", "--max-n", "5", "--out", "obs")
-assert "numpy" not in sys.modules, "numpy loaded on the run path"
-# the lambda kind keeps its numpy rank kernel, loaded on first use
 assert cli("cut", "--input", "c5.rg", "--set", "a,b", "--kind", "lambda") == "5\n"
-assert "numpy" in sys.modules
+assert cli("cut", "--input", "d.rg", "--set", "a", "--kind", "lambda") == "3\n"
+assert "numpy" not in sys.modules, "numpy loaded on the run path"
 print("ok")
 """
 
 
 def test_run_path_does_not_import_numpy(tmp_path):
-    """width, cut, transform, encode, term and obstructions run without
-    numpy; only `cut --kind lambda` (and selfcheck) load it."""
+    """width, cut (every kind), transform, encode, term and obstructions
+    run without numpy; selfcheck loads it."""
     env = dict(os.environ)
     src = str(Path(rankw.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

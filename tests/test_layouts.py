@@ -3,11 +3,12 @@
 import functools
 import random
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
@@ -15,8 +16,9 @@ from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import ColoredGraph, digraph_gf2, encode_undirected
 from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SizeBoundError,
-                           birankwidth, decide_width_at_most, enumerate_layouts,
-                           layout_width, parse_newick, rankwidth, width_exact)
+                           birankwidth, build_layout, decide_width_at_most,
+                           enumerate_layouts, fold, layout_width, parse_newick,
+                           rankwidth, width_exact)
 from rankw.selfcheck import (is_strongly_connected, random_colored_graph,
                              random_digraph_arcs, random_sigma_graph)
 from rankw.terms import compiled_leaf_order
@@ -321,10 +323,27 @@ def test_newick_roundtrip_and_parsing():
     assert with_trailer.n == 5 and len(with_trailer.edges) == 7
     # a hand-built degree-2 node is left out, as parse_newick suppresses it
     assert Layout([(0, 3), (3, 1)], {0: "a", 1: "b"}).to_newick() == "(a,b);"
-    with pytest.raises(LayoutError):
-        parse_newick("((a,b)")
-    with pytest.raises(LayoutError):
-        parse_newick("(a,a);")
+    # malformed text is a LayoutError naming the problem
+    for text, problem in [("((a,b)", "unbalanced parentheses"),
+                          ("(a,a);", "leaf labels must be distinct"),
+                          ("(a,,b)", "empty leaf label"),
+                          ("(,a)", "empty leaf label"),
+                          ("(a,)", "empty leaf label"),
+                          ("()", "empty leaf label"),
+                          (")", "empty leaf label"),
+                          ("(a,b)c", "trailing characters after layout"),
+                          ("(a,b));", "trailing characters after layout"),
+                          ("((a,b)c,d)", "unexpected character 'c'"),
+                          ("(a(b,c))", "unexpected character '\\('"),
+                          ("(a;b)", "unexpected character ';'"),
+                          ("(a,", "unexpected end of layout text"),
+                          (";", "unexpected end of layout text"),
+                          ("# width 0", "unexpected end of layout text")]:
+        with pytest.raises(LayoutError, match=problem):
+            parse_newick(text)
+    # spaces around labels and separators are dropped, spaces inside kept
+    spaced = parse_newick(" ( a b , ( c ,d ) ) ; ;\n")
+    assert sorted(spaced.vertices) == ["a b", "c", "d"]
 
 
 def test_layout_validation():
@@ -434,7 +453,7 @@ _LABELS = {"int": lambda i: i, "str": lambda i: f"v{i}", "tuple": lambda i: (i, 
 
 
 @settings(derandomize=True, deadline=None)
-@given(n=st.integers(1, 7), kind=st.sampled_from(sorted(_LABELS)), data=st.data())
+@given(n=st.integers(1, 8), kind=st.sampled_from(sorted(_LABELS)), data=st.data())
 def test_rooted_walks_on_enumerated_layouts(n, kind, data):
     shapes = _layouts(n)
     L = shapes[data.draw(st.integers(0, len(shapes) - 1))]
@@ -445,3 +464,48 @@ def test_rooted_walks_on_enumerated_layouts(n, kind, data):
     order = data.draw(st.permutations(L.vertices))
     got = compiled_leaf_order(encode_undirected([], vertices=order), L)
     assert len(got) == n and set(got) == set(order) and got[0] == order[0]
+
+
+def _split_masks(L):
+    """The splits of L as bitmasks over its vertices in str order: every
+    subtree of L rooted at the first vertex's leaf edge, read with `fold` so
+    that a deep layout costs one int per node."""
+    order = sorted(L.vertices, key=str)
+    index = {v: i for i, v in enumerate(order)}
+    splits = set()
+
+    def keep(mask):
+        splits.add(mask)
+        return mask
+
+    fold(L.rooted(order[0]), lambda x: keep(1 << index[L.leaves[x]]),
+         lambda _, a, b: keep(a | b))
+    return splits
+
+
+def _caterpillar(n, seed, mirrored):
+    """A caterpillar layout on n shuffled labels, nesting n - 1 deep on the
+    left or (mirrored) on the right."""
+    labels = [f"v{i}" for i in range(n)]
+    random.Random(seed).shuffle(labels)
+    tree = 0
+    for i in range(1, n):
+        tree = (i, tree) if mirrored else (tree, i)
+    return build_layout(tree, labels)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(n=st.integers(1, 3001), seed=st.integers(0, 2 ** 32 - 1),
+       mirrored=st.booleans())
+@example(n=1201, seed=0, mirrored=False)
+@example(n=3001, seed=1, mirrored=True)
+def test_newick_roundtrip_caterpillars(n, seed, mirrored):
+    """Layouts read back at any depth, and truncated ones are refused."""
+    L = _caterpillar(n, seed, mirrored)
+    text = L.to_newick()
+    assert max(accumulate((c == "(") - (c == ")") for c in text)) == n - 1
+    back = parse_newick(text + "\n# width 1\n")
+    assert back.n == n and _split_masks(back) == _split_masks(L)
+    if n > 1:
+        with pytest.raises(LayoutError, match="unexpected end of layout text"):
+            parse_newick(text[:text.index(",") + 1])

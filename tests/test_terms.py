@@ -20,7 +20,7 @@ from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
                          compiled_leaf_order, emit_term, eval_birank_term,
                          eval_rank_term, parse_term, syntactic_layout,
                          term_from_layout_birank, term_from_layout_rank,
-                         term_max_width, _row_basis)
+                         term_leaves, term_max_width, _row_basis)
 
 F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
 S2, S3N, S4 = sigma_identity(F2), sigma_negation(F3), sigma_frobenius_conj(F4)
@@ -498,26 +498,93 @@ def test_term_file_roundtrip():
     assert isinstance(t2, RankProd)
     tb2 = parse_term("(biconst [1 1; 1] [1 0;])")
     assert tb2 == BiConst((1,), ())
+    assert parse_term("# comment\n(const 1 # two\n 2)\n") == RankConst((1, 2))
     with pytest.raises(TermError):
         parse_term("(const 1) junk")
     with pytest.raises(TermError):
         parse_term("(product [1 1; 1])")
+    # deep well-formed input reads back; truncated deep input does not
+    deep = "(prod [1 1; 1] [1 1; 1] [1 1; 1] " * 3000 + "(const 1) "
+    assert term_leaves(parse_term(deep + "(const 1))" * 3000)) == 3001
+    M = "[1 1; 1]"
     # truncated and malformed input is a TermError naming the problem
-    for text, problem in [("(const 1", "unexpected end"),
+    for text, problem in [("(const 1", "unexpected end of term"),
+                          (deep, "unexpected end of term"),
                           # integers are plain ASCII digits
                           ("(const 1_0)", "not an integer"),
                           ("(const +1)", "not an integer"),
                           ("(const \u0661)", "not an integer"),
+                          ("(const 1])", "constant color '1]' is not an integer"),
                           ("(biconst [1 1; 1_0] [1 0;])", "bad matrix literal"),
                           ("(biconst [+1 1; 1] [1 0;])", "bad matrix literal"),
                           ("(biconst [1 1; \u0661] [1 0;])", "bad matrix literal"),
-                          ("(prod [1 1; 1] [1 1; 1] [1 1; 1] " * 3000
-                           + "(const 1)", "nesting too deep"),
-                          ("(prod [1 1; 1", "unclosed matrix literal"),
+                          ("(prod [1 1; 1", "unclosed matrix literal at character 6"),
                           ("(const x)", "not an integer"),
                           ("(const 1 -3)", "not an element code"),
                           ("(const 70000)", "not an element code"),
                           ("(biconst [1 1; -1] [1 0;])", "bad matrix literal"),
-                          ("(biconst [1 1; 1] [0 -1;])", "bad matrix literal")]:
+                          ("(biconst [1 1; 1] [0 -1;])", "bad matrix literal"),
+                          ("", "expected '\\(' at token 0"),
+                          ("const 1", "expected '\\(' at token 0"),
+                          ("(const 1))", "trailing tokens after term"),
+                          ("()", "unknown term head '\\)'"),
+                          ("((const 1))", "unknown term head '\\('"),
+                          # wrong arity of prod, biprod and biconst
+                          (f"(prod {M} {M} (const 1) (const 1))",
+                           "expected a matrix literal, got '\\('"),
+                          (f"(prod {M} {M} {M} (const 1))", "expected '\\(' at token 9"),
+                          (f"(prod {M} {M} {M} (const 1) x)",
+                           "expected '\\(' at token 9"),
+                          (f"(prod {M} {M} {M} (const 1) (const 1) (const 1))",
+                           "expected '\\)' at token 13"),
+                          (f"(biprod {M} {M} {M} {M} {M} (const 1) (const 1))",
+                           "expected a matrix literal, got '\\('"),
+                          (f"(biprod {M} {M} {M} {M} {M} {M} (const 1))",
+                           "expected '\\(' at token 12"),
+                          (f"(biprod {M} {M} {M} {M} {M} {M} (const 1) (const 1) x)",
+                           "expected '\\)' at token 16"),
+                          (f"(biconst {M})", "expected a matrix literal, got '\\)'"),
+                          (f"(biconst {M} {M} {M})", "expected '\\)' at token 4"),
+                          (f"(biconst [2 1; 1; 1] {M})", "1-row matrices")]:
         with pytest.raises(TermError, match=problem):
             parse_term(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=st.sampled_from([(F2, S2), (F3, sigma_identity(F3)), (F3, S3N), (F4, S4)]),
+       n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_term_file_roundtrip_compiled(case, n, seed, data):
+    """Compiled rank and bi-rank terms read back equal, on the width
+    witness and on any enumerated layout."""
+    F, sigma = case
+    rng = random.Random(seed)
+    G = random_sigma_graph(rng, F, sigma, n, rng.choice([0.3, 0.6]))
+    A = random_colored_graph(rng, F, n)
+    shapes = list(enumerate_layouts(n, G.vertices))
+    L = shapes[data.draw(st.integers(0, len(shapes) - 1))]
+    for t in (term_from_layout_rank(G, L), term_from_layout_rank(G, rankwidth(G).witness),
+              term_from_layout_birank(G, L), term_from_layout_birank(A, L)):
+        assert parse_term(emit_term(t)) == t
+
+
+def test_term_file_roundtrip_at_depth():
+    """Terms 1,200 levels deep (compiled from two 600-leaf caterpillars)
+    and 3,000 levels deep (built by hand) read back equal."""
+    def caterpillar(lo, hi):
+        text = f"v{lo}"
+        for i in range(lo + 1, hi):
+            text = f"({text},v{i})"
+        return text
+
+    L = parse_newick(f"({caterpillar(0, 600)},{caterpillar(600, 1200)});")
+    G = encode_undirected([(f"v{i}", f"v{i + 1}") for i in range(0, 1199, 7)],
+                          vertices=[f"v{i}" for i in range(1200)])
+    for t in (term_from_layout_rank(G, L), term_from_layout_birank(G, L)):
+        assert parse_term(emit_term(t)) == t
+    t, tb = RankConst((1,)), BiConst((1,), ())
+    for i in range(3000):
+        t = RankProd(ONE, ONE, ZERO, t, RankConst((i % 2,)))
+        tb = BiProd(Mat(1, 0, ()), Mat(0, 1, ()), ONE, Mat(0, 0, ()),
+                    Mat(1, 1, (i % 2,)), Mat(0, 0, ()), tb, BiConst((1,), ()))
+    for deep in (t, tb):
+        assert parse_term(emit_term(deep)) == deep
