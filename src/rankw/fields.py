@@ -2,13 +2,16 @@
 and sesqui-morphisms.
 
 Elements are integer codes: the element sum_i c_i * alpha^i (coefficients in
-GF(p), alpha the residue class of X) has code sum_i c_i * p^i.  Quadratic
-extensions of a non-prime base keep the tower structure, so their codes are
-base-q digit pairs (a0 + a1*alpha -> a0 + q*a1), which flattens to the same
-base-p convention.
+GF(p), alpha the residue class of X) has code sum_i c_i * p^i under the
+modulus `canonical_modulus(p, k)`: the monic irreducible of degree k with the
+least code, found by trial division, so that every code is reproducible.
+Quadratic extensions of a non-prime base keep the tower structure, so their
+codes are base-q digit pairs (a0 + a1*alpha -> a0 + q*a1), which flattens to
+the same base-p convention.
 
 Arithmetic uses precomputed tables for q <= 256: ADD, SUB and MUL as q x q
-nested tuples, NEG and INV as tuples, all built in Python.  Above that it
+nested tuples, NEG and INV as tuples, all built in Python.  ADD is a base-p
+digit sum for every field, towers included.  Above that bound arithmetic
 uses polynomial reduction, and fields of order > 2^16 are rejected.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter
 from typing import Optional
 
@@ -45,95 +48,38 @@ def is_prime(n: int) -> bool:
 
 # -- polynomials over GF(p), coefficient tuples low degree first ------------
 
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+def _monic(p, k):
+    """The monic polynomials of degree k over GF(p) in code order: the
+    coefficients below X^k, read as base-p digits, count up from 0."""
+    for digits in product(range(p), repeat=k):
+        yield digits[::-1] + (1,)
 
 
 def _pmod(a, m, p):
-    """a mod m with m monic."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        c = a[-1]
+    """a mod m with m monic, as a coefficient list of length deg(m)."""
+    a, d = list(a), len(m) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top]
         if c:
-            for i in range(dm):
-                a[len(a) - 1 - dm + i] = (a[len(a) - 1 - dm + i] - c * m[i]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        lead_inv = pow(b[-1], p - 2, p)
-        bm = tuple((ci * lead_inv) % p for ci in b)
-        a, b = b, _pmod(a, bm, p)
-    return a
-
-
-def _ppowmod_x(e, m, p):
-    """X^e mod m (m monic) by square and multiply."""
-    result = (1,)
-    base = _pmod((0, 1), m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(m, p):
-    """Monic m of degree k >= 1 has no irreducible factor of degree <= k//2
-    iff gcd(m, X^(p^d) - X) = 1 for d = 1..k//2, which for monic m means m
-    is irreducible."""
-    k = len(m) - 1
-    if k == 1:
-        return True
-    if m[0] == 0:  # divisible by X
-        return False
-    for d in range(1, k // 2 + 1):
-        xpd = _ppowmod_x(p ** d, m, p)
-        # X^(p^d) - X
-        g = _pgcd(_padd(xpd, tuple((-c) % p for c in (0, 1)), p), m, p)
-        if len(g) > 1:
-            return False
-    return True
+            for i, y in enumerate(m[:d], top - d):
+                if y:
+                    a[i] = (a[i] - c * y) % p
+    return a[:d]
 
 
 def canonical_modulus(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible degree-k polynomial over GF(p) minimal in the
-    base-p integer encoding of its coefficient vector (low degree first)."""
-    if k == 1:
+    base-p integer encoding of its coefficient vector (low degree first).
+    For k >= 2 a monic m is irreducible iff no monic irreducible of degree
+    1..k//2 divides it, so trial division tries every monic polynomial of
+    degree 1 and, above that, those with a nonzero constant term (X divides
+    the others, so none of them is irreducible)."""
+    if k == 1:  # X, without listing the p monic linear polynomials
         return (0, 1)
-    for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        m = tuple(coeffs) + (1,)
-        if _is_irreducible(m, p):
+    divisors = [f for d in range(1, k // 2 + 1) for f in _monic(p, d)
+                if f[0] or d == 1]
+    for m in _monic(p, k):
+        if all(any(_pmod(m, f, p)) for f in divisors):
             return m
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
 
@@ -272,23 +218,21 @@ class Field:
     # table construction -----------------------------------------------------
 
     def _build_tables(self):
-        """ADD grows one digit at a time: codes x + B*u and y + B*v (B a power
-        of the digit base, u and v the next digits) add to ADD[x][y] + B*s,
-        with s = u + v in GF(p) or in the base field, so each row is a
-        concatenation of shifted rows.  NEG and SUB follow from ADD; MUL and
-        INV come from the discrete logarithms of a generator."""
-        q, b = self.q, self._digit_base
-        if self.base is None:
-            digit = tuple(tuple((u + v) % b for v in range(b)) for u in range(b))
-        else:
-            digit = self.base.ADD
-        add, B = digit, b
+        """ADD grows one base-p digit at a time: codes x + B*u and y + B*v
+        (B a power of p, u and v the next digits) add to ADD[x][y] + B*s with
+        s = u + v in GF(p), so each row is a concatenation of shifted rows.
+        Every code, a tower's included, is a string of base-p digits that add
+        digit by digit.  NEG and SUB follow from ADD; MUL and INV come from
+        the discrete logarithms of a generator."""
+        q, p = self.q, self.p
+        digit = tuple(tuple((u + v) % p for v in range(p)) for u in range(p))
+        add, B = digit, p
         while B < q:
-            shifted = [[tuple(map((B * s).__add__, row)) for s in range(b)]
+            shifted = [[tuple(map((B * s).__add__, row)) for s in range(p)]
                        for row in add]
             add = tuple(tuple(chain.from_iterable(map(sh.__getitem__, digit[u])))
-                        for u in range(b) for sh in shifted)
-            B *= b
+                        for u in range(p) for sh in shifted)
+            B *= p
         self.ADD = add
         self.NEG = tuple(row.index(0) for row in add)
         self.SUB = tuple(map(itemgetter(*self.NEG), add))

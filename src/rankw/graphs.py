@@ -230,7 +230,7 @@ def is_sigma_symmetric(G: ColoredGraph, sigma: Sesquimorphism) -> bool:
 
 def _arc_indices(arcs, vertices):
     """The vertices (by default in order of first appearance) and the (i, j)
-    index pairs of the arcs; a loop raises."""
+    index pairs of the arcs; a loop or an endpoint outside vertices raises."""
     arcs = [tuple(e) for e in arcs]
     verts = tuple(dict.fromkeys(w for arc in arcs for w in arc)
                   if vertices is None else vertices)
@@ -239,7 +239,10 @@ def _arc_indices(arcs, vertices):
     for u, v in arcs:
         if u == v:
             raise GraphError(f"loop at {u!r}")
-        pairs.append((idx[u], idx[v]))
+        try:
+            pairs.append((idx[u], idx[v]))
+        except KeyError as exc:
+            raise GraphError(f"unknown vertex {exc.args[0]!r}") from None
     return verts, pairs
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from operator import is_
 from typing import Iterator, Optional, Sequence
 
 from .cutrank import CutFunction
@@ -115,21 +117,31 @@ class Layout:
         return [((u, v), frozenset(below[u]) if parent[u] == v
                  else everything - below[v]) for u, v in self.edges]
 
-    def rooted(self, vertex) -> Iterator[Optional[int]]:
+    def rooted(self, vertex) -> list[Optional[int]]:
         """The layout rooted by subdividing the edge at vertex's leaf, as a
         post-order stream: each leaf node in turn, and None wherever the two
         subtrees before it join (see `fold`).  The leaf of vertex comes
-        first and the root join last; degree-2 nodes join nothing."""
-        start = {v: x for x, v in self.leaves.items()}[vertex]
-        order = self._walk(start)
-        yield start
-        for x, _ in reversed(order[1:]):
-            if x in self.leaves:
-                yield x
-            elif len(self._adj[x]) == 3:
-                yield None
-        if len(order) > 1:
-            yield None
+        first and the root join last; degree-2 nodes join nothing.  The
+        stream is a depth-first walk from that leaf, reversed, so children
+        come in adjacency order; a layout is a tree, so the walk only skips
+        each node's parent (`_walk` keeps a seen set for `_validate`)."""
+        leaves, adj = self.leaves, self._adj
+        for start, v in leaves.items():
+            if v == vertex:
+                break
+        else:
+            raise LayoutError(f"{vertex!r} is not a leaf label of the layout")
+        walk, stack = [], [(start, None)]
+        while stack:
+            x, p = stack.pop()
+            if x in leaves:
+                walk.append(x)
+            elif len(adj[x]) == 3:
+                walk.append(None)
+            for w in adj[x]:
+                if w != p:
+                    stack.append((w, x))
+        return [start, *walk[:0:-1], None] if len(walk) > 1 else [start]
 
     def relabel_leaves(self, mapping: dict) -> "Layout":
         return Layout(self.edges, {node: mapping[lbl] for node, lbl in self.leaves.items()})
@@ -142,12 +154,11 @@ class Layout:
     def to_newick(self) -> str:
         """Nested groups rooted at the first-listed vertex's leaf edge."""
         first = next(iter(self.leaves.values()))
-        text = fold(self.rooted(first), lambda x: str(self.leaves[x]),
-                    lambda _, a, b: f"({a},{b})")
-        return text + ";"
+        return joined(fold(self.rooted(first), lambda x: str(self.leaves[x]),
+                           lambda _, a, b: ("(", a, ",", b, ")"))) + ";"
 
 
-def fold(stream, leaf, join, is_join=lambda x: x is None):
+def fold(stream, leaf, join, is_join=partial(is_, None)):
     """Evaluate a post-order stream bottom-up on one value stack, without
     recursion: a join item x replaces the last two values a, b by
     join(x, a, b), and any other item x pushes leaf(x).  The join items are
@@ -160,6 +171,21 @@ def fold(stream, leaf, join, is_join=lambda x: x is None):
         else:
             values.append(leaf(x))
     return values[0]
+
+
+def joined(text) -> str:
+    """The text of a tree of (prefix, left, sep, right, suffix) tuples over
+    strings, concatenated once and without recursion.  Writers fold to such
+    trees, so that no join copies the text below it."""
+    out, stack = [], [text]
+    while stack:
+        x = stack.pop()
+        while x.__class__ is tuple:
+            prefix, x, sep, right, suffix = x
+            out.append(prefix)
+            stack += suffix, right, sep
+        out.append(x)
+    return "".join(out)
 
 
 def build_layout(tree, labels: Sequence) -> Layout:

@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 from .fields import ORDER_BOUND, Field, Sesquimorphism, plain_int
 from .graphs import ColoredGraph, SigmaGraph
-from .layouts import Layout, build_layout, fold, read_nested
+from .layouts import Layout, build_layout, fold, joined, read_nested
 from .matrix import _require_tables
 
 
@@ -96,9 +96,10 @@ class _Product:
                 if isinstance(x, _Product) else x for x in _subterms(self)]
 
     def __repr__(self):
-        return _fold(self, repr, lambda x, a, b: f"{type(x).__qualname__}(" + "".join(
-            f"{f.name}={getattr(x, f.name)!r}, " for f in fields(x)[:-2])
-            + f"left={a}, right={b})")
+        return joined(_fold(self, repr, lambda x, a, b: (
+            f"{type(x).__qualname__}(" + "".join(
+                f"{f.name}={getattr(x, f.name)!r}, " for f in fields(x)[:-2])
+            + "left=", a, ", right=", b, ")")))
 
     def __eq__(self, other):
         return (self._nodes() == other._nodes() if other.__class__ is self.__class__
@@ -400,8 +401,7 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
     parent basis."""
     if not isinstance(G, SigmaGraph):
         raise TermError("rank terms compile from sigma-symmetric graphs")
-    if set(L.leaves.values()) != set(G.vertices):
-        raise TermError("layout leaves do not match the graph's vertices")
+    rooted = _rooted(G, L)
     F = G.field
     _require_tables(F)
     scale = F.MUL[F.inv(G.sigma.one)]
@@ -422,15 +422,14 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
                      _mat([coords[z] for z in X2], w2, wu), t1, t2)
         return t, Xu, vs
 
-    return fold(L.rooted(G.vertices[0]), leaf, join)[0]
+    return fold(rooted, leaf, join)[0]
 
 
 def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
     """Compile a layout of G into a bi-rank term; per node the outbound and
     inbound color widths are the exact vertex-basis sizes, so k1+k2 equals
     the bi-cut-rank of the node's cut."""
-    if set(L.leaves.values()) != set(G.vertices):
-        raise TermError("layout leaves do not match the graph's vertices")
+    rooted = _rooted(G, L)
     _require_tables(G.field)
     vpos = {v: i for i, v in enumerate(G.vertices)}
     A = G.rows()
@@ -457,13 +456,21 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
                    _mat([cm[z] for z in Xm2], len(Xm2), km), t1, t2)
         return t, Xpu, Xmu, vs
 
-    return fold(L.rooted(G.vertices[0]), leaf, join)[0]
+    return fold(rooted, leaf, join)[0]
 
 
 def compiled_leaf_order(G: ColoredGraph, L: Layout) -> list:
     """Graph vertices in the leaf order the compiler uses, matching
     evaluation vertex numbering."""
-    return [L.leaves[x] for x in L.rooted(G.vertices[0]) if x is not None]
+    return [L.leaves[x] for x in _rooted(G, L) if x is not None]
+
+
+def _rooted(G: ColoredGraph, L: Layout):
+    """L rooted at G's first vertex, the compilers' walk, once L's leaves
+    are G's vertices."""
+    if set(L.leaves.values()) != set(G.vertices):
+        raise TermError("layout leaves do not match the graph's vertices")
+    return L.rooted(G.vertices[0])
 
 
 # -- term file format (s-expressions) ---------------------------------------------
@@ -556,11 +563,11 @@ def emit_term(t) -> str:
             return f"(biconst {u} {v})"
         raise TermError(f"not a term: {t!r}")
 
-    def prod(t, left: str, right: str) -> str:
+    def prod(t, left, right) -> tuple:
         if isinstance(t, RankProd):
             head, mats = "prod", (t.m, t.n, t.p)
         else:
             head, mats = "biprod", (t.m1, t.m2, t.n1, t.n2, t.p1, t.p2)
-        return f"({head} {' '.join(x.literal() for x in mats)} {left} {right})"
+        return (f"({head} {' '.join(x.literal() for x in mats)} ", left, " ", right, ")")
 
-    return _fold(t, const, prod)
+    return joined(_fold(t, const, prod))

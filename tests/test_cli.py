@@ -323,6 +323,39 @@ def test_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_bad_inputs_are_domain_errors(tmp_path, capsys):
+    """Each bad input exits 1 with one error line naming what is wrong (the
+    encode case raised a bare KeyError); the table matches the CI step."""
+    c5 = write_c5(tmp_path)
+    (tmp_path / "gf257.rg").write_text("field 257 1\nvertices a b\nedge a b 1\n")
+    (tmp_path / "truncated.term").write_text(
+        "(prod [1 1; 0] [1 1; 1] [1 1; 1] (const 1) (const 1)")
+    (tmp_path / "stray.nwk").write_text("(v1,(v2,(v3,(v4,zz))));\n")
+    cases = [
+        (["encode", "--from", "directed", "--arcs", "a>b", "--vertices", "b"],
+         "unknown vertex 'a'"),
+        (["encode", "--from", "undirected", "--edges", "a-b", "--vertices", "a"],
+         "unknown vertex 'b'"),
+        (["cut", "--input", str(c5), "--set", "v1,zz"], "unknown vertex 'zz'"),
+        (["term", "eval", "--input", str(tmp_path / "truncated.term"),
+          "--field", "2", "1", "--sigma", "id"], "unexpected end of term"),
+        (["cut", "--input", str(tmp_path / "gf257.rg"), "--set", "a",
+          "--kind", "bicutrk"],
+         "matrices over GF(257) (order > 256) are unsupported"),
+        (["term", "compile", "--input", str(c5), "--layout",
+          str(tmp_path / "stray.nwk")], "layout leaf 'zz' is not a graph vertex"),
+    ]
+    for argv, error in cases:
+        assert run(capsys, *argv) == (1, "", f"error: {error}\n"), argv
+    env = dict(os.environ)
+    src = str(Path(rankw.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rankw", *cases[0][0]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: unknown vertex 'a'\n")
+
+
 def test_jobs_flag_removed(tmp_path):
     """--jobs was a no-op and is gone: passing it is a usage error."""
     path = write_c5(tmp_path)

@@ -123,10 +123,65 @@ def test_python_tables_match_numpy_oracle(F):
         assert np.array_equal(np.array(table), oracle), name
 
 
+# The canonical modulus of every GF(p^k) with k >= 2 and p^k <= 2^16, as the
+# code of its coefficients below X^k (coefficient i is base-p digit i), as
+# found by the Rabin-style gcd test that trial division replaced.
+MODULUS_CODES = {
+    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3, (2, 8): 27,
+    (2, 9): 3, (2, 10): 9, (2, 11): 5, (2, 12): 9, (2, 13): 27, (2, 14): 33,
+    (2, 15): 3, (2, 16): 43, (3, 2): 1, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5,
+    (3, 7): 11, (3, 8): 11, (3, 9): 64, (3, 10): 19, (5, 2): 2, (5, 3): 6,
+    (5, 4): 2, (5, 5): 21, (5, 6): 7, (7, 2): 1, (7, 3): 2, (7, 4): 8, (7, 5): 10,
+    (11, 2): 1, (11, 3): 15, (11, 4): 13, (13, 2): 2, (13, 3): 2, (13, 4): 2,
+    (17, 2): 3, (17, 3): 20, (19, 2): 1, (19, 3): 2, (23, 2): 1, (23, 3): 26,
+    (29, 2): 2, (29, 3): 33, (31, 2): 1, (31, 3): 3, (37, 2): 2, (37, 3): 2,
+    (41, 2): 3, (43, 2): 1, (47, 2): 1, (53, 2): 2, (59, 2): 1, (61, 2): 2,
+    (67, 2): 1, (71, 2): 1, (73, 2): 5, (79, 2): 1, (83, 2): 1, (89, 2): 3,
+    (97, 2): 5, (101, 2): 2, (103, 2): 1, (107, 2): 1, (109, 2): 2, (113, 2): 3,
+    (127, 2): 1, (131, 2): 1, (137, 2): 3, (139, 2): 1, (149, 2): 2, (151, 2): 1,
+    (157, 2): 2, (163, 2): 1, (167, 2): 1, (173, 2): 2, (179, 2): 1, (181, 2): 2,
+    (191, 2): 1, (193, 2): 5, (197, 2): 2, (199, 2): 1, (211, 2): 1, (223, 2): 1,
+    (227, 2): 1, (229, 2): 2, (233, 2): 3, (239, 2): 1, (241, 2): 7, (251, 2): 1,
+}
+
+
+def _monic_poly(p, d, code):
+    """The monic polynomial of degree d over GF(p) whose coefficients below
+    X^d have the given code, as a coefficient tuple low degree first."""
+    return tuple((code // p ** i) % p for i in range(d)) + (1,)
+
+
+def _monic_codes(p, d):
+    return [_monic_poly(p, d, c) for c in range(p ** d)]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
 def test_canonical_modulus_is_minimal_irreducible():
     # brute-force the minimal irreducible quadratic over GF(3): X^2 + 1
     assert canonical_modulus(3, 2) == (1, 0, 1)
     assert canonical_modulus(2, 3) == (1, 1, 0, 1)
+    assert len(MODULUS_CODES) == 93
+    for (p, k), code in MODULUS_CODES.items():
+        assert canonical_modulus(p, k) == _monic_poly(p, k, code), (p, k)
+    for p in (2, 257, 65521):   # degree 1 is X itself, found without a search
+        assert canonical_modulus(p, 1) == (0, 1)
+    # independent oracle for p^k <= 256: the reducible monic polynomials of
+    # degree k are the products of two monic polynomials of lower degree
+    for (p, k), code in MODULUS_CODES.items():
+        if p ** k > 256:
+            continue
+        reducible = {_times(a, b, p) for d in range(1, k // 2 + 1)
+                     for a in _monic_codes(p, d) for b in _monic_codes(p, k - d)}
+        monic = _monic_codes(p, k)
+        assert monic[code] not in reducible, (p, k)
+        assert all(m in reducible for m in monic[:code]), (p, k)
 
 
 def _extension_p_oracle(F):

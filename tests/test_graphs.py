@@ -54,6 +54,17 @@ def test_encode_oriented():
         encode_oriented([(0, 1), (1, 0)])
 
 
+@pytest.mark.parametrize("encode", [encode_undirected, encode_directed,
+                                    encode_oriented, digraph_gf2])
+def test_encodings_name_an_unknown_vertex(encode):
+    """An arc endpoint missing from the given vertices is a GraphError that
+    names it (it was a bare KeyError)."""
+    with pytest.raises(GraphError, match=r"^unknown vertex 1$"):
+        encode([(0, 1)], vertices=[0])
+    with pytest.raises(GraphError, match=r"^unknown vertex 'a'$"):
+        encode([("a", "b")], vertices=["b"])
+
+
 def test_constructor_rejects_bad_codes():
     """Codes are integers in 0..q-1: floats, strings and out-of-range
     integers name the bad color, and a matrix of the wrong size names the

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 import sys
 from itertools import accumulate
 from pathlib import Path
@@ -464,6 +465,17 @@ def test_rooted_walks_on_enumerated_layouts(n, kind, data):
     order = data.draw(st.permutations(L.vertices))
     got = compiled_leaf_order(encode_undirected([], vertices=order), L)
     assert len(got) == n and set(got) == set(order) and got[0] == order[0]
+
+
+def test_rooted_at_a_vertex_that_is_not_a_leaf():
+    """Rooting at a label the layout does not have is a LayoutError that
+    names it (it was a bare KeyError)."""
+    L = build_layout(((0, 1), 2), ["a", "b", "c"])
+    assert [L.leaves[x] for x in L.rooted("b") if x is not None] == ["b", "a", "c"]
+    for missing in ("z", 0, ("a",)):
+        with pytest.raises(LayoutError,
+                           match=rf"^{re.escape(repr(missing))} is not a leaf label"):
+            L.rooted(missing)
 
 
 def _split_masks(L):

@@ -1,6 +1,7 @@
 """Term evaluation, layout compilation, soundness, and the term file format."""
 
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import (ColoredGraph, SigmaGraph, digraph_gf2,
                           encode_undirected, isomorphic)
-from rankw.layouts import (birankwidth, enumerate_layouts, layout_width,
-                           parse_newick, rankwidth)
+from rankw.layouts import (birankwidth, build_layout, enumerate_layouts,
+                           layout_width, parse_newick, rankwidth)
 from rankw.matrix import fmatmul, np_tables, rank_of
 from rankw.selfcheck import random_colored_graph, random_sigma_graph
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
@@ -588,3 +589,44 @@ def test_term_file_roundtrip_at_depth():
                     Mat(1, 1, (i % 2,)), Mat(0, 0, ()), tb, BiConst((1,), ()))
     for deep in (t, tb):
         assert parse_term(emit_term(deep)) == deep
+
+
+def test_writers_are_linear_at_depth():
+    """Rank and bi-rank chains 20,000 levels deep print and read back equal,
+    and so does a caterpillar layout of that depth: the writers join their
+    text once, so no level copies the text below it."""
+    depth = 20_000
+    t, tb = RankConst((1,)), BiConst((1,), ())
+    for i in range(depth):
+        t = RankProd(ONE, ONE, ZERO, t, RankConst((i % 2,)))
+        tb = BiProd(Mat(1, 0, ()), Mat(0, 1, ()), ONE, Mat(0, 0, ()),
+                    Mat(1, 1, (i % 2,)), Mat(0, 0, ()), tb, BiConst((1,), ()))
+    for deep, name in ((t, "RankProd"), (tb, "BiProd")):
+        text = emit_term(deep)
+        assert text.count("(const ") + text.count("(biconst ") == depth + 1
+        assert parse_term(text) == deep
+        shown = repr(deep)
+        assert shown.startswith(f"{name}(") and shown.count(f"{name}(") == depth
+        assert shown.endswith(f"right={deep.right!r})")
+    tree = 0
+    for i in range(1, depth + 1):
+        tree = (tree, i)
+    L = build_layout(tree, [f"v{i}" for i in range(depth + 1)])
+    text = L.to_newick()
+    assert max(accumulate((c == "(") - (c == ")") for c in text)) == depth
+    assert parse_newick(text).to_newick() == text
+
+
+def test_compiled_leaf_order_checks_the_leaves():
+    """A layout whose leaves are not the graph's vertices is refused with
+    the compilers' message (it was a KeyError, or a silent answer)."""
+    G = encode_undirected([("a", "b"), ("b", "c")])
+    msg = "layout leaves do not match the graph's vertices"
+    for labels in (["a", "b", "z"], ["z", "b", "c"], ["a", "b"]):
+        L = build_layout(tuple(range(len(labels))), labels)
+        for compile_ in (compiled_leaf_order, term_from_layout_rank,
+                         term_from_layout_birank):
+            with pytest.raises(TermError, match=f"^{msg}$"):
+                compile_(G, L)
+    L = build_layout((0, (1, 2)), ["b", "a", "c"])
+    assert compiled_leaf_order(G, L) == ["a", "b", "c"]
