@@ -1,6 +1,6 @@
-"""The `rankw` command line: width, cut, transform, encode, term,
-obstructions, and selfcheck subcommands over the text formats declared by the
-library (graph files, Newick layouts, s-expression terms).
+"""The `rankw` command line: width, cut, transform, encode, term and
+obstructions subcommands over the text formats declared by the library (graph
+files, Newick layouts, s-expression terms).
 
 Exit codes: 0 success, 1 domain error (message names the violated
 precondition), 2 usage error.
@@ -241,27 +241,11 @@ def cmd_obstructions(args) -> int:
     return 0
 
 
-def cmd_selfcheck(args) -> int:
-    from .selfcheck import run_selfcheck  # the battery loads only when run
-    results = run_selfcheck(seed=args.seed)
-    ok_all = all(ok for _, ok in results)
-    if args.json:
-        print(json.dumps({"checks": [{"name": n, "pass": ok} for n, ok in results],
-                          "ok": ok_all}, sort_keys=True))
-    else:
-        for name, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        print(f"{'all checks passed' if ok_all else 'FAILURES present'}")
-    return 0 if ok_all else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rankw",
         description="Rank-width and bi-rank-width of edge-colored graphs "
                     "over finite fields")
-    ap.add_argument("--seed", type=plain_int, default=0,
-                    help="PRNG seed for randomized suites (default 0)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_json(p):
@@ -339,10 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--out", required=True)
     add_json(po)
     po.set_defaults(fn=cmd_obstructions)
-
-    ps = sub.add_parser("selfcheck", help="run the full property battery")
-    add_json(ps)
-    ps.set_defaults(fn=cmd_selfcheck)
 
     return ap
 

@@ -25,9 +25,9 @@ of (I | M)^T, since r(V u V') = n.  The field order picks the kernel:
 
 Rows are found by walking the set bits of X.  cutrk eliminates the smaller
 side: M[V\\X][X] = sigma(M[X][V\\X])^T has the same rank, since sigma is
-sigma(1) times a field automorphism.  No kind loads numpy; the tests and
-`rankw selfcheck` check cutrk and bicutrk against numpy `rank_of`, and
-lambda, a rank of other rows, against bicutrk + 1.  Masks are taken through
+sigma(1) times a field automorphism.  No kind loads numpy; the tests check
+cutrk and bicutrk against the numpy `rank_of` of their oracles, and lambda,
+a rank of other rows, against bicutrk + 1.  Masks are taken through
 `operator.index`, so numpy integers work without numpy.
 """
 

@@ -46,6 +46,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _field_order(p: int, k: int) -> int:
+    """p^k, once k >= 1, the order bound and the primality of p hold.  The
+    bound is checked on p and k before p^k is formed or p is factored, so a
+    huge p or k fails at once (2^17 already exceeds it)."""
+    if k < 1:
+        raise FieldError("extension degree must be >= 1")
+    if p > ORDER_BOUND or k > 16 or p ** k > ORDER_BOUND:
+        raise FieldError(f"field order {p}^{k} exceeds the bound {ORDER_BOUND}")
+    if not is_prime(p):
+        raise FieldError(f"characteristic {p} is not prime")
+    return p ** k
+
+
 # -- polynomials over GF(p), coefficient tuples low degree first ------------
 
 def _monic(p, k):
@@ -99,13 +112,7 @@ class Field:
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...],
                  base: Optional["Field"] = None):
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
-        if k < 1:
-            raise FieldError("extension degree must be >= 1")
-        q = p ** k
-        if q > ORDER_BOUND:
-            raise FieldError(f"field order {q} exceeds the bound {ORDER_BOUND}")
+        q = _field_order(p, k)
         self.p = p
         self.k = k
         self.q = q
@@ -299,12 +306,7 @@ class Field:
 @lru_cache(maxsize=None)
 def field_make(p: int, k: int) -> Field:
     """GF(p^k) with the canonical minimal irreducible modulus."""
-    if not is_prime(p):
-        raise FieldError(f"characteristic {p} is not prime")
-    if k < 1:
-        raise FieldError("extension degree must be >= 1")
-    if p ** k > ORDER_BOUND:
-        raise FieldError(f"field order {p ** k} exceeds the bound {ORDER_BOUND}")
+    _field_order(p, k)
     return Field(p, k, canonical_modulus(p, k))
 
 

@@ -12,7 +12,7 @@ each subset's verdict across the bounds, which deepen from the singleton
 floor until a tree fits.  Graphs above BNB_BOUND vertices need force=True.
 
 `enumerate_layouts` lists all (2n-5)!! cubic leaf-tree shapes; the search does
-not use it, and it serves as the oracle of the tests and of `rankw selfcheck`.
+not use it, and it serves as the oracle of the tests.
 """
 
 from __future__ import annotations

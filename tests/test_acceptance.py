@@ -19,9 +19,9 @@ from rankw.fields import (field_extend_quadratic, field_make, sesqui_check,
 from rankw.graphs import (encode_undirected, digraph_gf2, isomorphic,
                           SigmaGraph, tilde)
 from rankw.layouts import birankwidth, layout_width, rankwidth
-from rankw.selfcheck import (is_strongly_connected, random_colored_graph,
-                             random_digraph_arcs, random_sigma_graph,
-                             random_strongly_connected_arcs)
+from oracles import (is_strongly_connected, random_colored_graph,
+                     random_digraph_arcs, random_sigma_graph,
+                     random_strongly_connected_arcs)
 from rankw.terms import (compiled_leaf_order, eval_birank_term, eval_rank_term,
                          syntactic_layout, term_from_layout_birank,
                          term_from_layout_rank, term_max_width)

@@ -12,9 +12,10 @@ from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import (ColoredGraph, GraphError, digraph_gf2,
                           encode_undirected, tilde)
-from rankw.matrix import MatrixError, rank_of
-from rankw.selfcheck import (cut_block_ranks, random_colored_graph,
-                             random_sigma_graph)
+from rankw.matrix import MatrixError
+
+from oracles import (cut_block_ranks, random_colored_graph, random_sigma_graph,
+                     rank_of)
 
 
 def test_cutrk_examples():

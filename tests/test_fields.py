@@ -39,6 +39,15 @@ def test_constructor_errors():
         field_make(2, 17)
     with pytest.raises(FieldError):
         field_make(257, 2)
+    # huge characteristics and degrees fail on the order bound at once: no
+    # trial division of p, no p^k formed or printed
+    for p, k in [(1000000000000000003, 1), (2, 1000000000), (3, 10000000),
+                 (2, 100000000)]:
+        t0 = time.perf_counter()
+        with pytest.raises(FieldError, match=rf"^field order {p}\^{k} exceeds "
+                                             r"the bound 65536$"):
+            field_make(p, k)
+        assert time.perf_counter() - t0 < 1.0, (p, k)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),

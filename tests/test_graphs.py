@@ -16,7 +16,8 @@ from rankw.graphs import (ColoredGraph, GraphError, SigmaGraph, digraph_gf2,
                           emit_dot, emit_graph, encode_directed,
                           encode_oriented, encode_undirected,
                           is_sigma_symmetric, isomorphic, parse_graph, tilde)
-from rankw.selfcheck import random_colored_graph, random_sigma_graph
+
+from oracles import random_colored_graph, random_sigma_graph
 
 
 def c5():

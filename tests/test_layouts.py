@@ -20,9 +20,10 @@ from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SizeBoundError,
                            birankwidth, build_layout, decide_width_at_most,
                            enumerate_layouts, fold, layout_width, parse_newick,
                            rankwidth, width_exact)
-from rankw.selfcheck import (is_strongly_connected, random_colored_graph,
-                             random_digraph_arcs, random_sigma_graph)
 from rankw.terms import compiled_leaf_order
+
+from oracles import (is_strongly_connected, random_colored_graph,
+                     random_digraph_arcs, random_sigma_graph)
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(_BENCH) not in sys.path:
@@ -237,6 +238,23 @@ def _colored_graphs(draw):
 @given(G=_colored_graphs())
 def test_bicutrk_search_matches_enumeration(G):
     _assert_search_matches_enumeration(G, "bicutrk")
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=st.sampled_from(_SIGMA_CASES), n=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matroid_width_is_bi_width_plus_one(case, n, seed):
+    """The lambda-width of a random sigma-symmetric graph and of a random
+    GF(2) digraph is its bi-rank-width + 1; on the sigma-symmetric graph
+    the bi-rank-width is twice the rank-width."""
+    F, sigma = case
+    rng = random.Random(seed)
+    G = random_sigma_graph(rng, F, sigma, n)
+    D = digraph_gf2(random_digraph_arcs(rng, n), vertices=range(n))
+    wr = rankwidth(G).width
+    assert birankwidth(G).width == 2 * wr
+    for H, wb in ((G, 2 * wr), (D, birankwidth(D).width)):
+        assert width_exact(H, CutFunction(H, "lambda")).width == wb + 1
 
 
 def test_strongly_connected_bicut_floor():

@@ -15,13 +15,14 @@ from rankw.graphs import (ColoredGraph, SigmaGraph, digraph_gf2,
                           encode_undirected, isomorphic)
 from rankw.layouts import (birankwidth, build_layout, enumerate_layouts,
                            layout_width, parse_newick, rankwidth)
-from rankw.matrix import fmatmul, np_tables, rank_of
-from rankw.selfcheck import random_colored_graph, random_sigma_graph
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
                          compiled_leaf_order, emit_term, eval_birank_term,
                          eval_rank_term, parse_term, syntactic_layout,
                          term_from_layout_birank, term_from_layout_rank,
                          term_leaves, term_max_width, _row_basis)
+
+from oracles import (fmatmul, np_tables, random_colored_graph,
+                     random_sigma_graph, rank_of)
 
 F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
 S2, S3N, S4 = sigma_identity(F2), sigma_negation(F3), sigma_frobenius_conj(F4)
@@ -78,7 +79,6 @@ def test_eval_cross_block_identity():
         P = mat([[rng.randrange(F.q) for _ in range(m)] for _ in range(l)])
         r = eval_rank_term(RankProd(M, N, P, t1, t2), s)
         gx, gy = np.array([t1.u], dtype=np.uint16), np.array([t2.u], dtype=np.uint16)
-        from rankw.matrix import fmatmul
         cross = fmatmul(fmatmul(gx, npm(M), F), s.np_table[gy].T, F)
         assert r.graph.adj[0, 1] == cross[0, 0]
         assert np.array_equal(

@@ -14,14 +14,16 @@ from rankw.fields import (FieldError, field_make, sigma_compatible_set,
 from rankw.graphs import (GraphError, SigmaGraph, _canonical_labelling,
                           encode_undirected, is_sigma_symmetric, isomorphic)
 from rankw.layouts import birankwidth, rankwidth
-from rankw.matrix import MatrixError, np_tables, rank_of
-from rankw.selfcheck import random_colored_graph, random_sigma_graph
+from rankw.matrix import MatrixError
 from rankw.transform import (RELATIONS, _delete, _successors,
                              const_graph, ec_cycle,
                              equivalence_orbit, equivalence_orbit_graphs,
                              find_obstructions, is_minor, local_complement,
                              obstruction_size_bound, pivot_complement,
                              sigma_symmetric_graphs)
+
+from oracles import (np_tables, random_colored_graph, random_sigma_graph,
+                     rank_of)
 
 F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
 S2, S3N, S3I = sigma_identity(F2), sigma_negation(F3), sigma_identity(F3)
