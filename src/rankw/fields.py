@@ -18,7 +18,7 @@ uses polynomial reduction, and fields of order > 2^16 are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, product
 from operator import itemgetter
 from typing import Optional
@@ -342,11 +342,55 @@ class Sesquimorphism:
         return f"Sesquimorphism({self.field!r}, {label})"
 
 
+def _digit_sum(p: int, x: int, y: int) -> int:
+    """x + y for element codes of a field of characteristic p > 2: the sum
+    of their base-p digits, digit by digit."""
+    out, B = 0, 1
+    while x or y:
+        x, a = divmod(x, p)
+        y, b = divmod(y, p)
+        out += (a + b) % p * B
+        B *= p
+    return out
+
+
+def _linear_table(field: Field, images) -> list[int]:
+    """The table of the GF(p)-linear map that sends the element of code p^i
+    to images[i].  A code is the sum of its base-p digits d_i times the
+    element p^i (codes add digit by digit, towers included), so its image is
+    the sum of d_i * images[i]; the table grows one digit at a time."""
+    p = field.p
+    add = int.__xor__ if p == 2 else partial(_digit_sum, p)
+    table = [0]
+    for v in images:
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(add(multiples[-1], v))
+        table = [add(x, m) for m in multiples for x in table]
+    return table
+
+
+def frobenius_table(field: Field, j: int) -> list[int]:
+    """The table of x -> x^(p^j), which is GF(p)-linear: from the images of
+    the k monomials, without a power per element."""
+    p = field.p
+    return _linear_table(field, [field.pow(p ** i, p ** j) for i in range(field.k)])
+
+
+def negation_table(field: Field) -> list[int]:
+    """The table of x -> -x: each base-p digit d becomes -d mod p."""
+    p, table = field.p, [0]
+    for i in range(field.k):
+        B = p ** i
+        table = [(-d % p) * B + x for d in range(p) for x in table]
+    return table
+
+
 def sesqui_check(field: Field, table) -> bool:
     """True iff the table is an involution and x -> sigma(x)/sigma(1) is a
     field automorphism.  The automorphisms of GF(p^k) are the k Frobenius
-    powers x -> x^(p^i), so the normalization is compared with each, the
-    identity first (the Frobenius table is built only if that fails)."""
+    powers x -> x^(p^j), identity first.  They and division by sigma(1) are
+    GF(p)-linear, so each table comes from the images of the k monomials."""
     table = tuple(int(t) for t in table)
     q = field.q
     if len(table) != q or any(not 0 <= t < q for t in table):
@@ -360,17 +404,21 @@ def sesqui_check(field: Field, table) -> bool:
         norm = list(table)
     else:
         s1_inv = field.inv(s1)
-        norm = [field.mul(t, s1_inv) for t in table]
+        scale = _linear_table(field, [field.mul(field.p ** i, s1_inv)
+                                      for i in range(field.k)])
+        norm = [scale[t] for t in table]
     if len(set(norm)) != q or norm[0] != 0 or norm[1] != 1:
         return False
-    power = list(range(q))
-    if power == norm:
+    if norm == list(range(q)):
         return True
-    frob = [field.pow(a, field.p) for a in range(q)]
+    # at most one x -> x^(p^j), 0 < j < k, agrees with norm on the k
+    # monomials, and norm is that map iff it equals its table
+    monomials = [field.p ** i for i in range(field.k)]
+    images = monomials
     for _ in range(field.k - 1):
-        power = [frob[a] for a in power]
-        if power == norm:
-            return True
+        images = [field.pow(v, field.p) for v in images]
+        if all(norm[m] == v for m, v in zip(monomials, images)):
+            return norm == _linear_table(field, images)
     return False
 
 
@@ -386,15 +434,14 @@ def sigma_identity(field: Field) -> Sesquimorphism:
 
 
 def sigma_negation(field: Field) -> Sesquimorphism:
-    return _make_sigma(field, [field.neg(a) for a in range(field.q)], "neg")
+    return _make_sigma(field, negation_table(field), "neg")
 
 
 def sigma_frobenius_conj(field: Field) -> Sesquimorphism:
     """x -> x^sqrt(q), the conjugation of a quadratic extension (sigma4 on GF(4))."""
     if field.k % 2 != 0:
         raise FieldError("frob-inv needs a field of square order")
-    q0 = field.p ** (field.k // 2)
-    return _make_sigma(field, [field.pow(a, q0) for a in range(field.q)], "frob-inv")
+    return _make_sigma(field, frobenius_table(field, field.k // 2), "frob-inv")
 
 
 def plain_int(tok: str) -> int:

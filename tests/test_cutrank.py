@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction, bicutrk, cutrk, matroid_lambda
-from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
-                          sigma_negation)
+from rankw.fields import (field_extend_quadratic, field_make,
+                          sigma_frobenius_conj, sigma_identity, sigma_negation)
 from rankw.graphs import (ColoredGraph, GraphError, digraph_gf2,
                           encode_undirected, tilde)
 from rankw.matrix import MatrixError
@@ -152,9 +152,15 @@ def _assert_cuts_match_oracle(G, kinds):
         assert fl(X) == out + back + 1, X
 
 
+# one field per kernel: GF(2) XOR, GF(3) planes, GF(2^k) planes (GF(4), GF(8)
+# and the tower GF(16) over GF(4)), and the _list_rank fallback (GF(5), GF(9))
 _F2, _F3, _F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
+_F5, _F8, _F9 = field_make(5, 1), field_make(2, 3), field_make(3, 2)
+_F16 = field_extend_quadratic(_F4).ext
 _SIGMA_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_identity(_F3)),
-                (_F3, sigma_negation(_F3)), (_F4, sigma_frobenius_conj(_F4))]
+                (_F3, sigma_negation(_F3)), (_F4, sigma_frobenius_conj(_F4)),
+                (_F8, sigma_identity(_F8)), (_F9, sigma_frobenius_conj(_F9)),
+                (_F5, sigma_negation(_F5))]
 
 
 @settings(derandomize=True, deadline=None)
@@ -168,7 +174,7 @@ def test_sigma_cut_kernels_match_rank_of(case, n, seed, density):
 
 @st.composite
 def _colored_graphs(draw):
-    F = draw(st.sampled_from([_F2, _F3, _F4]))
+    F = draw(st.sampled_from([_F2, _F3, _F4, _F8, _F9, _F16]))
     n = draw(st.integers(1, 8))
     entries = draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
     a = np.array(entries, dtype=np.uint16).reshape(n, n)
