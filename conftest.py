@@ -1,8 +1,10 @@
 """A time limit per test and per test module import: a node still running
 after TEST_TIME_LIMIT seconds fails with its own id in the message, so that
 a loop that never ends fails one test (or one module's collection) instead
-of stalling the suite.  The limit is above every subprocess `timeout=` in
-the tests (at most 300 s); the slowest test takes a few seconds."""
+of stalling the suite.  At the repository root it covers every test that
+pytest collects here, `tests/` and `bench/` alike.  The limit is above every
+subprocess `timeout=` in the tests (at most 300 s); the slowest test takes a
+few seconds."""
 
 import signal
 from contextlib import contextmanager

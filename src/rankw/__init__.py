@@ -46,7 +46,6 @@ from .layouts import (
     WidthResult,
     birankwidth,
     decide_width_at_most,
-    enumerate_layouts,
     layout_width,
     parse_newick,
     rankwidth,

@@ -2,6 +2,10 @@
 obstructions subcommands over the text formats declared by the library (graph
 files, Newick layouts, s-expression terms).
 
+Each `cmd_*` returns its plain text and its JSON document; `main` writes the
+text to --out, if given, and prints the document with --json, else the text
+unless --out took it.  Side files are written by the command that makes them.
+
 Exit codes: 0 success, 1 domain error (message names the violated
 precondition), 2 usage error.
 """
@@ -40,20 +44,6 @@ def _write(path, text: str):
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _output(args, text: str, doc: dict, graph=None) -> int:
-    """Write text to --out and the graph's DOT to --emit-dot; print doc as
-    JSON with --json, else the text unless --out took it."""
-    if args.out:
-        _write(args.out, text)
-    if graph is not None and args.emit_dot:
-        _write(args.emit_dot, emit_dot(graph))
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    elif not args.out:
-        sys.stdout.write(text)
-    return 0
-
-
 def _load_graph(path: str) -> ColoredGraph:
     return parse_graph(_read(path))
 
@@ -70,80 +60,65 @@ def _cut_function(G: ColoredGraph, param: str) -> CutFunction:
 
 def _load_layout(path: str, G: ColoredGraph) -> Layout:
     L = parse_newick(_read(path))
-    labels = {str(v): v for v in G.vertices}
-    try:
-        return L.relabel_leaves({lbl: labels[str(lbl)] for lbl in L.leaves.values()})
-    except KeyError as exc:
-        raise LayoutError(f"layout leaf {exc.args[0]!r} is not a graph vertex") \
-            from None
+    for leaf in L.leaves.values():
+        try:
+            G.index(leaf)
+        except GraphError:
+            raise LayoutError(f"layout leaf {leaf!r} is not a graph vertex") \
+                from None
+    return L
 
 
-def _emit_result_json(res) -> dict:
-    return {
-        "width": res.width,
-        "witness": res.witness.to_newick(),
-        "cuts": [
-            {"side": sorted(str(v) for v in res.cut_sides[e]),
-             "value": res.cut_values[e]}
-            for e in sorted(res.cut_values)
-        ],
-    }
+def _graph_output(args, G: ColoredGraph) -> tuple[str, dict]:
+    """The graph file text and its JSON document; writes --emit-dot."""
+    text = emit_graph(G)
+    if args.emit_dot:
+        _write(args.emit_dot, emit_dot(G))
+    return text, {"graph": text}
 
 
-def cmd_width(args) -> int:
+def cmd_width(args) -> tuple[str, dict]:
     G = _load_graph(args.input)
     f = _cut_function(G, args.param)
     if args.k is not None:
         L = decide_width_at_most(G, f, args.k, force=args.force)
-        if args.json:
-            payload = {"at_most": args.k,
-                       "witness": None if L is None else L.to_newick()}
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            if L is None:
-                print(f"width > {args.k}")
-            else:
-                print(f"width <= {args.k}")
-                print(L.to_newick())
-        if L is not None and args.emit_layout:
-            _write(args.emit_layout, L.to_newick() + "\n")
-        return 0
+        newick = None if L is None else L.to_newick()
+        doc = {"at_most": args.k, "witness": newick}
+        if newick is None:
+            return f"width > {args.k}\n", doc
+        if args.emit_layout:
+            _write(args.emit_layout, newick + "\n")
+        return f"width <= {args.k}\n{newick}\n", doc
     res = width_exact(G, f, force=args.force)
-    if args.json:
-        print(json.dumps(_emit_result_json(res), sort_keys=True))
-    else:
-        print(f"width {res.width}")
-        print(res.witness.to_newick())
+    newick = res.witness.to_newick()
     if args.emit_layout:
-        _write(args.emit_layout,
-               res.witness.to_newick() + f"\n# width {res.width}\n")
-    return 0
+        _write(args.emit_layout, f"{newick}\n# width {res.width}\n")
+    doc = {
+        "width": res.width,
+        "witness": newick,
+        "cuts": [
+            {"side": sorted(res.cut_sides[e]), "value": res.cut_values[e]}
+            for e in sorted(res.cut_values)
+        ],
+    }
+    return f"width {res.width}\n{newick}\n", doc
 
 
-def cmd_cut(args) -> int:
+def cmd_cut(args) -> tuple[str, dict]:
     G = _load_graph(args.input)
     X = [v for v in args.set.split(",") if v]
-    labels = {str(v): v for v in G.vertices}
-    try:
-        X = [labels[x] for x in X]
-    except KeyError as exc:
-        raise GraphError(f"unknown vertex {exc.args[0]!r}") from None
+    for v in X:  # an unknown name is reported before a kind the graph lacks
+        G.index(v)
     value = CutFunction(G, args.kind)(X)
-    if args.json:
-        print(json.dumps({"kind": args.kind, "set": sorted(map(str, X)),
-                          "value": value}, sort_keys=True))
-    else:
-        print(value)
-    return 0
+    return f"{value}\n", {"kind": args.kind, "set": sorted(X), "value": value}
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> tuple[str, dict]:
     G = _load_graph(args.input)
-    labels = {str(v): v for v in G.vertices}
     if args.local is not None:
         if args.lam is None:
             raise GraphError("--local needs --lambda <code>")
-        H = local_complement(G, labels.get(args.local, args.local), args.lam)
+        H = local_complement(G, args.local, args.lam)
     else:
         try:
             x, y = args.pivot.split(",")
@@ -152,9 +127,8 @@ def cmd_transform(args) -> int:
         if not isinstance(G, SigmaGraph):
             raise GraphError("pivot complementation needs a sigma-symmetric "
                              "graph (declare sigma in the file)")
-        H = pivot_complement(G, labels.get(x, x), labels.get(y, y))
-    text = emit_graph(H)
-    return _output(args, text, {"graph": text}, H)
+        H = pivot_complement(G, x, y)
+    return _graph_output(args, H)
 
 
 def _parse_pairs(text: str, sep: str) -> list[tuple[str, str]]:
@@ -170,7 +144,7 @@ def _parse_pairs(text: str, sep: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> tuple[str, dict]:
     if args.source == "undirected":
         if not args.edges:
             raise GraphError("--from undirected needs --edges \"u-v,...\"")
@@ -183,11 +157,10 @@ def cmd_encode(args) -> int:
         verts = args.vertices.split(",") if args.vertices else None
         G = (encode_directed if args.source == "directed" else encode_oriented)(
             pairs, vertices=verts)
-    text = emit_graph(G)
-    return _output(args, text, {"graph": text}, G)
+    return _graph_output(args, G)
 
 
-def cmd_term_eval(args) -> int:
+def cmd_term_eval(args) -> tuple[str, dict]:
     t = parse_term(_read(args.input))
     p, k = args.field
     field = field_make(p, k)
@@ -199,10 +172,10 @@ def cmd_term_eval(args) -> int:
     else:
         G = eval_birank_term(t, field).graph
     text = emit_graph(G)
-    return _output(args, text, {"graph": text})
+    return text, {"graph": text}
 
 
-def cmd_term_compile(args) -> int:
+def cmd_term_compile(args) -> tuple[str, dict]:
     G = _load_graph(args.input)
     if args.layout:
         L = _load_layout(args.layout, G)
@@ -215,15 +188,15 @@ def cmd_term_compile(args) -> int:
     else:
         t = term_from_layout_birank(G, L)
     text = emit_term(t)
-    return _output(args, text + "\n", {"term": text})
+    return text + "\n", {"term": text}
 
 
-def cmd_obstructions(args) -> int:
+def cmd_obstructions(args) -> tuple[str, dict]:
     p, k = args.field
     field = field_make(p, k)
     sigma = parse_sigma(field, args.sigma)
     obs = find_obstructions(field, sigma, args.relation, args.k, args.max_n)
-    outdir = Path(args.out)
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     index_lines = []
     names = []
@@ -234,11 +207,8 @@ def cmd_obstructions(args) -> int:
         index_lines.append(f"{name} n={o.graph.n} canonical={digest}")
         names.append(name)
     _write(outdir / "index.txt", "\n".join(index_lines) + ("\n" if index_lines else ""))
-    if args.json:
-        print(json.dumps({"count": len(obs), "files": names}, sort_keys=True))
-    else:
-        print(f"{len(obs)} obstruction(s) written to {outdir}")
-    return 0
+    return (f"{len(obs)} obstruction(s) written to {outdir}\n",
+            {"count": len(obs), "files": names})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--relation", choices=RELATIONS, required=True)
     po.add_argument("--k", type=plain_int, required=True)
     po.add_argument("--max-n", type=plain_int, required=True)
-    po.add_argument("--out", required=True)
+    po.add_argument("--out", dest="outdir", metavar="OUT", required=True)
     add_json(po)
     po.set_defaults(fn=cmd_obstructions)
 
@@ -330,10 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        text, doc = args.fn(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = getattr(args, "out", None)  # transform, encode and term have --out
+    if out:
+        _write(out, text)
+    if args.json:
+        print(json.dumps(doc, sort_keys=True))
+    elif not out:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ uses polynomial reduction, and fields of order > 2^16 are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, product
 from operator import itemgetter
 from typing import Optional
@@ -342,31 +342,33 @@ class Sesquimorphism:
         return f"Sesquimorphism({self.field!r}, {label})"
 
 
-def _digit_sum(p: int, x: int, y: int) -> int:
-    """x + y for element codes of a field of characteristic p > 2: the sum
-    of their base-p digits, digit by digit."""
-    out, B = 0, 1
-    while x or y:
-        x, a = divmod(x, p)
-        y, b = divmod(y, p)
-        out += (a + b) % p * B
-        B *= p
-    return out
-
-
 def _linear_table(field: Field, images) -> list[int]:
     """The table of the GF(p)-linear map that sends the element of code p^i
     to images[i].  A code is the sum of its base-p digits d_i times the
     element p^i (codes add digit by digit, towers included), so its image is
-    the sum of d_i * images[i]; the table grows one digit at a time."""
-    p = field.p
-    add = int.__xor__ if p == 2 else partial(_digit_sum, p)
-    table = [0]
-    for v in images:
-        multiples = [0]
-        for _ in range(p - 1):
-            multiples.append(add(multiples[-1], v))
-        table = [add(x, m) for m in multiples for x in table]
+    the sum of d_i * images[i].  The table grows one input digit at a time,
+    as p shifted copies of itself: XOR shifts for p = 2, and for p > 2 one
+    column per output digit, added with its place value at the end."""
+    p, k = field.p, field.k
+    if p == 2:
+        table = [0]
+        for v in images:
+            table += [x ^ v for x in table]
+        return table
+    shift = [[(e + c) % p for e in range(p)] for c in range(p)]
+    table = [0] * field.q
+    for j in range(k):
+        B = p ** j
+        col = [0]
+        for v in images:
+            c = v // B % p
+            if c:
+                col = [s[e] for s in [shift[d * c % p] for d in range(p)]
+                       for e in col]
+            else:
+                col *= p
+        placed = [e * B for e in range(p)]
+        table = [x + placed[e] for x, e in zip(table, col)]
     return table
 
 
@@ -379,11 +381,8 @@ def frobenius_table(field: Field, j: int) -> list[int]:
 
 def negation_table(field: Field) -> list[int]:
     """The table of x -> -x: each base-p digit d becomes -d mod p."""
-    p, table = field.p, [0]
-    for i in range(field.k):
-        B = p ** i
-        table = [(-d % p) * B + x for d in range(p) for x in table]
-    return table
+    p = field.p
+    return _linear_table(field, [(p - 1) * p ** i for i in range(field.k)])
 
 
 def sesqui_check(field: Field, table) -> bool:

@@ -10,9 +10,6 @@ its surroundings.  The search runs on one explicit stack, reads cut values
 straight from the CutFunction's memo (which `layout_width` reuses) and keeps
 each subset's verdict across the bounds, which deepen from the singleton
 floor until a tree fits.  Graphs above BNB_BOUND vertices need force=True.
-
-`enumerate_layouts` lists all (2n-5)!! cubic leaf-tree shapes; the search does
-not use it, and it serves as the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from operator import is_
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cutrank import CutFunction
 from .graphs import ColoredGraph, SigmaGraph
@@ -306,34 +303,6 @@ def layout_width(G: ColoredGraph, f: CutFunction, L: Layout) -> WidthResult:
         if v > width:
             width = v
     return WidthResult(width, L, cut_values, cut_sides)
-
-
-# -- exhaustive enumeration of leaf-tree shapes --------------------------------
-
-def enumerate_layouts(n: int, labels: Optional[Sequence] = None) -> Iterator[Layout]:
-    """All cubic leaf-tree shapes on n labeled leaves, each exactly once,
-    built by inserting leaves in label order onto every existing edge.
-    Count is (2n-5)!! for n >= 3 and 1 for n in {1, 2}."""
-    if n < 1:
-        raise LayoutError("a layout needs at least one leaf")
-    labels = tuple(labels) if labels is not None else tuple(range(n))
-    if len(labels) != n:
-        raise LayoutError("label count must equal n")
-    if n == 1:
-        yield Layout([], {0: labels[0]})
-        return
-    # leaves are nodes 0..n-1, internal nodes n..2n-3
-    def grow(edges: list[tuple[int, int]], next_leaf: int, next_internal: int):
-        if next_leaf == n:
-            yield Layout(edges, {i: labels[i] for i in range(n)})
-            return
-        for k in range(len(edges)):
-            u, v = edges[k]
-            w = next_internal
-            new_edges = edges[:k] + edges[k + 1:] + [(u, w), (w, v), (w, next_leaf)]
-            yield from grow(new_edges, next_leaf + 1, next_internal + 1)
-
-    yield from grow([(0, 1)], 2, n)
 
 
 def _singleton_floor(f: CutFunction, n: int) -> int:

@@ -1,10 +1,10 @@
-"""Table arithmetic for matrices over a finite field.
+"""`MatrixError` and the table check, nothing else.
 
-Entries are element codes; all arithmetic goes through the field's lookup
-tables (`Field.ADD`, `SUB`, `MUL`, `INV` and `NEG`, nested tuples that the
-kernels on Python code rows read directly), and fields of order > 256 have
-none (MatrixError).  The numpy oracles that the kernels are checked against
-live in the tests.
+The kernels on Python code rows (in `cutrank`, `transform` and `terms`) do
+their arithmetic through the field's lookup tables (`Field.ADD`, `SUB`,
+`MUL`, `INV` and `NEG`, nested tuples).  Fields of order > 256 have none,
+and `_require_tables` raises MatrixError for them.  The numpy oracles that
+the kernels are checked against live in the tests.
 """
 
 from __future__ import annotations

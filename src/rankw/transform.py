@@ -272,9 +272,12 @@ class MinorSearchResult:
 def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
              max_states: int = 200_000) -> MinorSearchResult:
     """Does some graph reachable from G by moves and vertex deletions contain
-    an induced subgraph isomorphic to H?  Explores the closure under both
-    operations breadth-first with canonical-form deduplication; a negative
-    with complete=False only means the budget ran out."""
+    an induced subgraph isomorphic to H?  A move and the deletion of another
+    vertex commute, so every such minor is an induced subgraph of a member of
+    G's orbit: the search applies moves to graphs of G's size only and
+    deletions down to H's size, breadth-first with canonical-form
+    deduplication; a negative with complete=False only means the budget ran
+    out."""
     if G.field != H.field:
         raise GraphError("graphs live over different fields")
     if H.n > G.n or G.n > 10:
@@ -289,7 +292,7 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
     moves = _successors(G.field, relation, sigma)
 
     def successors(s, n, sym):
-        out = moves(s, n, sym)
+        out = moves(s, n, sym) if n == G.n else []
         if n > H.n:
             out += [(_delete(s, n, d), sym) for d in range(n)]
         return out

@@ -1,5 +1,6 @@
-"""Test-only helpers shared by the suite: the random instance builders and the
-numpy oracles that the kernels of `rankw` are checked against.
+"""Test-only helpers shared by the suite: the random instance builders, the
+layout enumeration that the width search is checked against, and the numpy
+oracles that the kernels of `rankw` are checked against.
 
 `rank_of` is Gaussian elimination over the field's tables, and `fmatmul` the
 matrix product; `np_tables` holds the tables as uint16 arrays for both, and
@@ -11,11 +12,13 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from rankw.fields import Field
 from rankw.graphs import ColoredGraph, SigmaGraph
+from rankw.layouts import Layout, LayoutError
 from rankw.matrix import MatrixError, _require_tables
 
 
@@ -73,6 +76,34 @@ def random_strongly_connected_arcs(rng: random.Random, n: int) -> list:
         arcs = random_digraph_arcs(rng, n, density=0.4)
         if is_strongly_connected(n, arcs):
             return arcs
+
+
+# -- exhaustive enumeration of leaf-tree shapes --------------------------------
+
+def enumerate_layouts(n: int, labels: Optional[Sequence] = None) -> Iterator[Layout]:
+    """All cubic leaf-tree shapes on n labeled leaves, each exactly once,
+    built by inserting leaves in label order onto every existing edge.
+    Count is (2n-5)!! for n >= 3 and 1 for n in {1, 2}."""
+    if n < 1:
+        raise LayoutError("a layout needs at least one leaf")
+    labels = tuple(labels) if labels is not None else tuple(range(n))
+    if len(labels) != n:
+        raise LayoutError("label count must equal n")
+    if n == 1:
+        yield Layout([], {0: labels[0]})
+        return
+    # leaves are nodes 0..n-1, internal nodes n..2n-3
+    def grow(edges: list[tuple[int, int]], next_leaf: int, next_internal: int):
+        if next_leaf == n:
+            yield Layout(edges, {i: labels[i] for i in range(n)})
+            return
+        for k in range(len(edges)):
+            u, v = edges[k]
+            w = next_internal
+            new_edges = edges[:k] + edges[k + 1:] + [(u, w), (w, v), (w, next_leaf)]
+            yield from grow(new_edges, next_leaf + 1, next_internal + 1)
+
+    yield from grow([(0, 1)], 2, n)
 
 
 # -- the numpy oracles ----------------------------------------------------------

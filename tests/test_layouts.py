@@ -18,12 +18,13 @@ from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
 from rankw.graphs import ColoredGraph, digraph_gf2, encode_undirected
 from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SizeBoundError,
                            birankwidth, build_layout, decide_width_at_most,
-                           enumerate_layouts, fold, layout_width, parse_newick,
-                           rankwidth, width_exact)
+                           fold, layout_width, parse_newick, rankwidth,
+                           width_exact)
 from rankw.terms import compiled_leaf_order
 
-from oracles import (is_strongly_connected, random_colored_graph,
-                     random_digraph_arcs, random_sigma_graph)
+from oracles import (enumerate_layouts, is_strongly_connected,
+                     random_colored_graph, random_digraph_arcs,
+                     random_sigma_graph)
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
 if str(_BENCH) not in sys.path:

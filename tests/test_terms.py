@@ -13,16 +13,16 @@ from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import (ColoredGraph, SigmaGraph, digraph_gf2,
                           encode_undirected, isomorphic)
-from rankw.layouts import (birankwidth, build_layout, enumerate_layouts,
-                           layout_width, parse_newick, rankwidth)
+from rankw.layouts import (birankwidth, build_layout, layout_width,
+                           parse_newick, rankwidth)
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
                          compiled_leaf_order, emit_term, eval_birank_term,
                          eval_rank_term, parse_term, syntactic_layout,
                          term_from_layout_birank, term_from_layout_rank,
                          term_leaves, term_max_width, _row_basis)
 
-from oracles import (fmatmul, np_tables, random_colored_graph,
-                     random_sigma_graph, rank_of)
+from oracles import (enumerate_layouts, fmatmul, np_tables,
+                     random_colored_graph, random_sigma_graph, rank_of)
 
 F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
 S2, S3N, S4 = sigma_identity(F2), sigma_negation(F3), sigma_frobenius_conj(F4)

@@ -2,6 +2,7 @@
 rank identities."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -377,6 +378,38 @@ def test_is_minor_budget():
     target = encode_undirected([(0, 1), (2, 3)], vertices=range(4))
     r = is_minor(target, C6, "sigma-vertex", max_states=3)
     assert not r.complete or r.found
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=st.sampled_from([(F2, S2), (F3, S3N), (F4, S4)]),
+       relation=st.sampled_from(["sigma-vertex", "pivot"]), n=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), planted=st.booleans())
+def test_is_minor_matches_orbit_subgraph_oracle(case, relation, n, seed, planted):
+    """H is a minor of G exactly when some induced subgraph of some member of
+    G's orbit is isomorphic to H.  A planted H is an induced subgraph of G
+    after a few random moves, so that both answers occur."""
+    F, s = case
+    rng = random.Random(seed)
+    G = random_sigma_graph(rng, F, s, n, density=0.6)
+    m = rng.randint(1, n)
+    if planted:
+        K = G
+        lams = sigma_compatible_set(s)
+        for _ in range(rng.randrange(4)):
+            edges = [(u, v) for u in K.vertices for v in K.vertices if K.color(u, v)]
+            if relation == "pivot" and edges:
+                K = pivot_complement(K, *rng.choice(edges))
+            elif relation == "sigma-vertex" and lams:
+                K = local_complement(K, rng.choice(K.vertices), rng.choice(lams))
+        H = K.induced_subgraph(rng.sample(K.vertices, m))
+    else:
+        H = random_sigma_graph(rng, F, s, m, density=0.6)
+    expected = any(isomorphic(K.induced_subgraph(X), H) is not None
+                   for K in equivalence_orbit_graphs(G, relation)
+                   for X in combinations(K.vertices, m))
+    res = is_minor(H, G, relation)
+    assert res.complete
+    assert res.found == expected
 
 
 def test_minor_width_monotonicity():
