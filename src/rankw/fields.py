@@ -348,22 +348,24 @@ def _linear_table(field: Field, images) -> list[int]:
     element p^i (codes add digit by digit, towers included), so its image is
     the sum of d_i * images[i].  The table grows one input digit at a time,
     as p shifted copies of itself: XOR shifts for p = 2, and for p > 2 one
-    column per output digit, added with its place value at the end."""
+    column per output digit, added with its place value at the end.  A
+    column of p^i entries shifts by reading rotations of 0..p-1, slices of
+    one list of 2p entries, so the table costs O(k q) even for large p."""
     p, k = field.p, field.k
     if p == 2:
         table = [0]
         for v in images:
             table += [x ^ v for x in table]
         return table
-    shift = [[(e + c) % p for e in range(p)] for c in range(p)]
+    ext = list(range(p)) * 2
     table = [0] * field.q
     for j in range(k):
         B = p ** j
-        col = [0]
-        for v in images:
+        col = [d * (images[0] // B) % p for d in range(p)]
+        for v in images[1:]:
             c = v // B % p
             if c:
-                col = [s[e] for s in [shift[d * c % p] for d in range(p)]
+                col = [r[e] for r in [ext[d * c % p:] for d in range(p)]
                        for e in col]
             else:
                 col *= p

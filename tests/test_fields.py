@@ -12,6 +12,7 @@ from rankw.fields import (FieldError, canonical_modulus,
                           negation_table, parse_sigma, sesqui_check,
                           sigma_compatible, sigma_compatible_set,
                           sigma_frobenius_conj, sigma_identity, sigma_negation)
+from rankw.graphs import parse_graph
 
 
 def test_prime_field_examples():
@@ -341,6 +342,22 @@ def test_sesqui_check_large_field_is_fast():
         t0 = time.perf_counter()
         build(F)
         assert time.perf_counter() - t0 < 0.3, build.__name__
+
+
+def test_sesqui_check_large_prime_field_is_fast():
+    """On GF(65521), sigma(1) = -1 sends the check through the
+    normalization table.  A p x p table of column shifts would hold 4.3e9
+    entries here; the shifts are slices of one list of 2p entries."""
+    F = field_make(65521, 1)
+    t0 = time.perf_counter()
+    sigma = sigma_negation(F)
+    assert time.perf_counter() - t0 < 0.3
+    assert sigma.one == 65520 and sigma(2) == 65519
+    t0 = time.perf_counter()
+    G = parse_graph("field 65521 1\nsigma neg\nvertices a b\n"
+                    "edge a b 2\nedge b a 65519\n")
+    assert time.perf_counter() - t0 < 0.3
+    assert G.sigma.table == sigma.table
 
 
 @pytest.mark.parametrize("p,k", [(2, 12), (3, 5)])
