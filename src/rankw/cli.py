@@ -7,7 +7,7 @@ text to --out, if given, and prints the document with --json, else the text
 unless --out took it.  Side files are written by the command that makes them.
 
 Exit codes: 0 success, 1 domain error (message names the violated
-precondition), 2 usage error.
+precondition) or a file that cannot be read or written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -299,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)  # transform, encode and term have --out
     try:
         text, doc = args.fn(args)
-    except DOMAIN_ERRORS as exc:
+        if out:
+            _write(out, text)
+    except DOMAIN_ERRORS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = getattr(args, "out", None)  # transform, encode and term have --out
-    if out:
-        _write(out, text)
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     elif not out:

@@ -15,8 +15,11 @@ cell, sorted (pair code, cell of w)), never by label.  The search
 individualizes each vertex of the first non-singleton cell in turn; a leaf's
 certificate is the matrix in leaf order, and the form is (n, q, least
 certificate).  Equal leaves give automorphisms, and a vertex in the orbit of
-a tried one, under those fixing the node's path, is skipped.  `isomorphic`
-compares forms and pairs up the two canonical orders.
+a tried one, under those fixing the node's path, is skipped.  The
+automorphisms found are returned with the form; the closure engine and
+generation in `transform` use them to skip moves and extensions that give
+isomorphic graphs.  `isomorphic` compares forms and pairs up the two
+canonical orders.
 """
 
 from __future__ import annotations
@@ -169,7 +172,8 @@ class ColoredGraph:
         return self._labelling()[0]
 
     def _labelling(self):
-        """(canonical form, canonical vertex-index order), computed once."""
+        """(canonical form, canonical vertex-index order, automorphisms),
+        computed once."""
         if self._canon is None:
             self._canon = _canonical_labelling(self.field.q, self.n, self.codes)
         return self._canon
@@ -317,9 +321,13 @@ def _canonical_labelling(q: int, n: int, codes: tuple):
     row-major tuple of its n*n element codes, by individualization-refinement
     with automorphism pruning.
 
-    Returns ``((n, q, cert), order)``: ``cert`` is the least leaf
-    certificate (the matrix permuted by a leaf order, flattened row by row)
-    and ``order`` lists the vertex indices in that leaf's order.
+    Returns ``((n, q, cert), order, autos)``: ``cert`` is the least leaf
+    certificate (the matrix permuted by a leaf order, flattened row by row),
+    ``order`` lists the vertex indices in that leaf's order, and ``autos``
+    lists the automorphisms found on the way, each a list g with
+    M[g[u]][g[v]] = M[u][v].  They may generate only a subgroup of the full
+    automorphism group (none are listed for an asymmetric graph); pruning by
+    any subgroup is sound.
     """
     rows = [codes[i * n:i * n + n] for i in range(n)]
     # nbrs[v]: (pair code * n, w) for each w joined to v in either direction;
@@ -374,7 +382,8 @@ def _canonical_labelling(q: int, n: int, codes: tuple):
             tried.append(v)
 
     search([0] * n, min(n, 1), [])
-    return (n, q, best[0]), best[1]
+    del search  # search refers to itself: free it now, not at the next gc
+    return (n, q, best[0]), best[1], autos
 
 
 def _orbit(start, gens) -> set:
@@ -402,8 +411,8 @@ def isomorphic(G: ColoredGraph, H: ColoredGraph) -> Optional[dict]:
         raise GraphError("graphs live over different fields")
     if G.n != H.n:
         return None
-    form_g, order_g = G._labelling()
-    form_h, order_h = H._labelling()
+    form_g, order_g, _ = G._labelling()
+    form_h, order_h, _ = H._labelling()
     if form_g != form_h:
         return None
     return {G.vertices[u]: H.vertices[w] for u, w in zip(order_g, order_h)}

@@ -20,6 +20,16 @@ search run on it, and generation grows its extension rows as tuples too.  A
 graph object (and its validation) is made only for a graph that is
 returned, or when the obstruction search computes a width it has not
 cached.
+
+Both searches use the automorphisms that canonical labelling finds (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Moves at
+vertices (or edges, or extension columns) in one orbit of a graph's
+automorphisms give isomorphic graphs, so the engine makes one local move or
+deletion per vertex orbit and one pivot per orbit of ordered edges, and
+generation labels one extension column per orbit, each time the first in
+the search order.  What is skipped would have been dropped as a repeat of
+that first member, so the levels, the representatives and their order are
+those of the unpruned search.
 """
 
 from __future__ import annotations
@@ -148,20 +158,51 @@ def _delete(s: tuple, n: int, d: int) -> tuple:
                                      for b in range(0, n * n, n) if b != d * n))
 
 
+def _firsts(items, gens, image):
+    """The items, in their order, that come first in their orbit under the
+    group that the permutations in gens generate; image(item, g) is the image
+    of an item under g, and every orbit lies inside items."""
+    if not gens:
+        yield from items
+        return
+    done = set()
+    for x in items:
+        if x in done:
+            continue
+        yield x
+        done.add(x)
+        stack = [x]
+        while stack:
+            u = stack.pop()
+            for g in gens:
+                w = image(u, g)
+                if w not in done:
+                    done.add(w)
+                    stack.append(w)
+
+
+def _vertex_image(v: int, g) -> int:
+    return g[v]
+
+
 def _successors(field: Field, relation: str, sigma):
-    """The relation's moves on packed states: a function from (codes, n, sym)
-    to the list of successor states, in the order of vertex index, then
+    """The relation's moves on packed states: a function from (codes, n, sym,
+    gens) to the list of successor states, in the order of vertex index, then
     lambda code (local moves) or edge (i, j) in row-major order (pivots).
-    sigma is the start graph's sesqui-morphism, or None."""
+    gens are automorphisms of the state; only the first vertex (local moves)
+    or edge (pivots) of each of their orbits is moved at.  sigma is the start
+    graph's sesqui-morphism, or None."""
     if relation == "pivot":
         if sigma is None:
             raise GraphError("pivot relation needs sigma-symmetric graphs")
         _require_tables(field)
         s1 = sigma.one
 
-        def pivot_moves(s, n, sym):
+        def pivot_moves(s, n, sym, gens):
+            edges = [k for k, e in enumerate(s) if e]
             return [(_pivot(s, n, *divmod(k, n), field, s1), True)
-                    for k, e in enumerate(s) if e]
+                    for k in _firsts(edges, gens,
+                                     lambda k, g: g[k // n] * n + g[k % n])]
         return pivot_moves
     if relation == "sigma-vertex":
         if sigma is None:
@@ -176,29 +217,32 @@ def _successors(field: Field, relation: str, sigma):
     lam_rows = [MUL[lam] for lam in lams]
     keeps = [sigma is not None and sigma_compatible(sigma, lam) for lam in lams]
 
-    def local_moves(s, n, sym):
+    def local_moves(s, n, sym, gens):
         out = []
-        for x in range(n):
+        for x in _firsts(range(n), gens, _vertex_image):
             out += zip(_local_moves(s, n, x, lam_rows, ADD, MUL),
                        [sym and keep for keep in keeps])
         return out
     return local_moves
 
 
-def _closure(q: int, start, start_form, successors, max_states: int):
-    """Breadth-first closure from the state start, whose canonical form is
-    start_form.  Yields (state, labelling) for each state of a new canonical
+def _closure(q: int, start, start_lab, successors, max_states: int):
+    """Breadth-first closure from the state start, whose labelling is
+    start_lab.  Yields (state, labelling) for each state of a new canonical
     form, in first-reached order; codes handled before are skipped without
-    labelling.  A state that is the max_states-th or later (start = 1) is
-    not expanded, and the search then ends with its level."""
-    seen = {start_form}
+    labelling.  Each state keeps the automorphisms of its labelling for its
+    expansion, so successors(codes, n, sym, gens) makes one move per orbit:
+    the others give forms that the first has put in seen.  A state that is
+    the max_states-th or later (start = 1) is not expanded, and the search
+    then ends with its level."""
+    seen = {start_lab[0]}
     handled = {start[0]}
-    frontier = [start]
+    frontier = [(start, start_lab[2])]
     truncated = False
     while frontier and not truncated:
         nxt = []
-        for s, sym in frontier:
-            for state in successors(s, isqrt(len(s)), sym):
+        for (s, sym), gens in frontier:
+            for state in successors(s, isqrt(len(s)), sym, gens):
                 codes = state[0]
                 if codes in handled:
                     continue
@@ -209,17 +253,17 @@ def _closure(q: int, start, start_form, successors, max_states: int):
                 seen.add(lab[0])
                 yield state, lab
                 if len(seen) < max_states:
-                    nxt.append(state)
+                    nxt.append((state, lab[2]))
                 else:
                     truncated = True
         frontier = nxt
 
 
-def _orbit(q: int, start, start_form, successors, max_states: int) -> list:
+def _orbit(q: int, start, start_lab, successors, max_states: int) -> list:
     """The (state, labelling) pairs of the orbit members other than start;
     SearchBudgetError when the orbit has more than max_states forms."""
     members = []
-    for member in _closure(q, start, start_form, successors, max_states + 1):
+    for member in _closure(q, start, start_lab, successors, max_states + 1):
         if len(members) + 1 >= max_states:
             raise SearchBudgetError(f"orbit exceeded {max_states} states")
         members.append(member)
@@ -247,7 +291,7 @@ def equivalence_orbit_graphs(G: ColoredGraph, relation: str,
         raise GraphError("orbit search limited to n <= 10")
     sigma = getattr(G, "sigma", None)
     successors = _successors(G.field, relation, sigma)
-    members = _orbit(G.field.q, (G.codes, sigma is not None), G.canonical_form(),
+    members = _orbit(G.field.q, (G.codes, sigma is not None), G._labelling(),
                      successors, max_states)
     return [G] + [_graph(G.field, G.vertices, codes, sigma if sym else None, lab)
                   for (codes, sym), lab in members]
@@ -269,6 +313,21 @@ class MinorSearchResult:
         return self.found
 
 
+def _minor_successors(field: Field, relation: str, sigma, top: int, bottom: int):
+    """The successors of `is_minor`'s search: the relation's moves on states
+    of top vertices, then the deletions of one vertex per orbit of gens on
+    states of more than bottom vertices."""
+    moves = _successors(field, relation, sigma)
+
+    def successors(s, n, sym, gens):
+        out = moves(s, n, sym, gens) if n == top else []
+        if n > bottom:
+            out += [(_delete(s, n, d), sym)
+                    for d in _firsts(range(n), gens, _vertex_image)]
+        return out
+    return successors
+
+
 def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
              max_states: int = 200_000) -> MinorSearchResult:
     """Does some graph reachable from G by moves and vertex deletions contain
@@ -285,20 +344,13 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
             raise GraphError("minor search limited to n <= 10")
         return MinorSearchResult(False, True, 0)
     target = H.canonical_form()
-    start = G.canonical_form()
-    if G.n == H.n and start == target:
+    start_lab = G._labelling()
+    if G.n == H.n and start_lab[0] == target:
         return MinorSearchResult(True, True, 1)
     sigma = getattr(G, "sigma", None)
-    moves = _successors(G.field, relation, sigma)
-
-    def successors(s, n, sym):
-        out = moves(s, n, sym) if n == G.n else []
-        if n > H.n:
-            out += [(_delete(s, n, d), sym) for d in range(n)]
-        return out
-
+    successors = _minor_successors(G.field, relation, sigma, G.n, H.n)
     states = 1
-    for _, lab in _closure(G.field.q, (G.codes, sigma is not None), start,
+    for _, lab in _closure(G.field.q, (G.codes, sigma is not None), start_lab,
                            successors, max_states):
         states += 1
         if lab[0] == target:
@@ -312,18 +364,22 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
 def _generate(field: Field, sigma: Sesquimorphism, n: int):
     """Yield the levels m = 1..n of the vertex-extension search: each is a
     list of (codes, labelling), one per isomorphism class, in first-reached
-    order.  Level m extends each graph of level m-1 by a last vertex, once
-    per last column c (entry 0 varying fastest), with sigma(c) as last row."""
+    order.  Level m extends each graph of level m-1 by a last vertex, with a
+    last column c (entry 0 varying fastest) and sigma(c) as last row.  For
+    an automorphism g of the base, the extensions by c and by c o g (entry i
+    is c[g[i]]) are isomorphic, so only the first column of each orbit of
+    the base's automorphisms is labelled."""
     q = field.q
     sig = sigma.table
     level = [((0,), _canonical_labelling(q, 1, (0,)))]
     yield level
     for m in range(2, n + 1):
         nxt: dict = {}
-        for base, _ in level:
+        for base, (_, _, autos) in level:
             rows = [base[i:i + m - 1] for i in range(0, (m - 1) ** 2, m - 1)]
-            for digits in product(range(q), repeat=m - 1):
-                col = digits[::-1]
+            cols = (digits[::-1] for digits in product(range(q), repeat=m - 1))
+            for col in _firsts(cols, autos,
+                               lambda c, g: tuple(map(c.__getitem__, g))):
                 codes = tuple(chain.from_iterable(
                     [r + (e,) for r, e in zip(rows, col)]
                     + [[sig[e] for e in col], (0,)]))
@@ -415,7 +471,7 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
                 # cheap pre-filter: the candidate's own single-vertex deletions
                 if width_of(codes, n) <= k or minor_too_wide(codes, n):
                     continue
-                members = _orbit(q, (codes, True), form, successors, orbit_budget)
+                members = _orbit(q, (codes, True), lab, successors, orbit_budget)
                 minimal = not any(minor_too_wide(c, n) for (c, _), _ in members)
                 verdicts[form] = minimal
                 for _, member_lab in members:

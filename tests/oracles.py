@@ -1,6 +1,7 @@
 """Test-only helpers shared by the suite: the random instance builders, the
-layout enumeration that the width search is checked against, and the numpy
-oracles that the kernels of `rankw` are checked against.
+layout enumeration that the width search is checked against, the numpy
+oracles that the kernels of `rankw` are checked against, and the closure
+engine and generator of `rankw.transform` without automorphism pruning.
 
 `rank_of` is Gaussian elimination over the field's tables, and `fmatmul` the
 matrix product; `np_tables` holds the tables as uint16 arrays for both, and
@@ -12,14 +13,17 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import chain, product
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from rankw.fields import Field
-from rankw.graphs import ColoredGraph, SigmaGraph
+from rankw.graphs import ColoredGraph, SigmaGraph, _canonical_labelling
 from rankw.layouts import Layout, LayoutError
 from rankw.matrix import MatrixError, _require_tables
+from rankw.transform import SearchBudgetError, _minor_successors, _successors
 
 
 # -- shared random instance builders -------------------------------------------
@@ -170,3 +174,85 @@ def cut_block_ranks(G: ColoredGraph, X: int) -> tuple[int, int]:
         return 0, 0
     return (rank_of(G.adj[np.ix_(rows, cols)], G.field),
             rank_of(G.adj[np.ix_(cols, rows)], G.field))
+
+
+# -- the unpruned generator and closure engine -----------------------------------
+
+def generate_levels(field: Field, sigma, n: int) -> Iterator[list]:
+    """The levels m = 1..n of `transform._generate` as lists of code tuples,
+    by labelling every extension column of every base graph."""
+    q, sig = field.q, sigma.table
+    level = [(0,)]
+    yield level
+    for m in range(2, n + 1):
+        nxt: dict = {}
+        for base in level:
+            rows = [base[i:i + m - 1] for i in range(0, (m - 1) ** 2, m - 1)]
+            for digits in product(range(q), repeat=m - 1):
+                col = digits[::-1]
+                codes = tuple(chain.from_iterable(
+                    [r + (e,) for r, e in zip(rows, col)]
+                    + [[sig[e] for e in col], (0,)]))
+                nxt.setdefault(_canonical_labelling(q, m, codes)[0], codes)
+        level = list(nxt.values())
+        yield level
+
+
+def closure(q: int, start, successors, max_states: int) -> Iterator[tuple]:
+    """`transform._closure` with every move made: yields (state, form) for
+    each state of a new canonical form, in first-reached order;
+    successors(codes, n, sym) lists a state's successors."""
+    seen = {_canonical_labelling(q, isqrt(len(start[0])), start[0])[0]}
+    handled = {start[0]}
+    frontier = [start]
+    truncated = False
+    while frontier and not truncated:
+        nxt = []
+        for s, sym in frontier:
+            for state in successors(s, isqrt(len(s)), sym):
+                codes = state[0]
+                if codes in handled:
+                    continue
+                handled.add(codes)
+                form = _canonical_labelling(q, isqrt(len(codes)), codes)[0]
+                if form in seen:
+                    continue
+                seen.add(form)
+                yield state, form
+                if len(seen) < max_states:
+                    nxt.append(state)
+                else:
+                    truncated = True
+        frontier = nxt
+
+
+def orbit_states(G: ColoredGraph, relation: str, max_states: int = 200_000) -> list:
+    """The (codes, stays sigma-symmetric) states of
+    `equivalence_orbit_graphs(G, relation, max_states)`, in order."""
+    sigma = getattr(G, "sigma", None)
+    moves = _successors(G.field, relation, sigma)
+    members = [(G.codes, sigma is not None)]
+    for state, _ in closure(G.field.q, members[0],
+                            lambda s, n, sym: moves(s, n, sym, ()), max_states + 1):
+        if len(members) >= max_states:
+            raise SearchBudgetError(f"orbit exceeded {max_states} states")
+        members.append(state)
+    return members
+
+
+def minor_search(H: ColoredGraph, G: ColoredGraph, relation: str,
+                 max_states: int = 200_000) -> tuple:
+    """(found, complete, states) of `is_minor(H, G, relation, max_states)`
+    for H.n <= G.n <= 10."""
+    target = H.canonical_form()
+    if G.n == H.n and G.canonical_form() == target:
+        return True, True, 1
+    sigma = getattr(G, "sigma", None)
+    successors = _minor_successors(G.field, relation, sigma, G.n, H.n)
+    states = 1
+    for _, form in closure(G.field.q, (G.codes, sigma is not None),
+                           lambda s, n, sym: successors(s, n, sym, ()), max_states):
+        states += 1
+        if form == target:
+            return True, True, states
+    return False, states == 1 or states < max_states, states

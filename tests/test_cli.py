@@ -356,6 +356,26 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
         1, "", "error: unknown vertex 'a'\n")
 
 
+def test_file_errors_are_domain_errors(tmp_path, capsys):
+    """A file that cannot be read or written, or an output directory that
+    cannot be made, exits 1 with one error line and prints nothing else."""
+    (tmp_path / "plain").write_text("")
+    cases = [
+        (["width", "--input", str(tmp_path / "missing.rg")], "missing.rg"),
+        (["encode", "--from", "undirected", "--edges", "a-b", "--out",
+          str(tmp_path / "nodir" / "x.rg")], "x.rg"),
+        (["obstructions", "--field", "2", "1", "--sigma", "id", "--relation",
+          "pivot", "--k", "0", "--max-n", "2", "--out",
+          str(tmp_path / "plain" / "obs")], "obs"),
+    ]
+    for argv, name in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert name in err, err
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_jobs_flag_removed(tmp_path):
     """--jobs was a no-op and is gone: passing it is a usage error."""
     path = write_c5(tmp_path)

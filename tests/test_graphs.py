@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
 from rankw.fields import (FieldError, field_extend_quadratic, field_make,
-                          sigma_frobenius_conj, sigma_identity)
-from rankw.graphs import (ColoredGraph, GraphError, SigmaGraph, digraph_gf2,
+                          sigma_frobenius_conj, sigma_identity, sigma_negation)
+from rankw.graphs import (ColoredGraph, GraphError, SigmaGraph,
+                          _canonical_labelling, digraph_gf2,
                           emit_dot, emit_graph, encode_directed,
                           encode_oriented, encode_undirected,
                           is_sigma_symmetric, isomorphic, parse_graph, tilde)
@@ -360,6 +361,61 @@ def test_canonical_form_matches_brute_force(case):
     assert sorted(m) == list(G.vertices) and sorted(m.values()) == list(H.vertices)
     assert all(G.color(u, v) == H.color(m[u], m[v])
                for u in G.vertices for v in G.vertices)
+
+
+@st.composite
+def _symmetric_sigma_graphs(draw):
+    """A sigma-graph on n <= 8 vertices over GF(2), GF(3) with negation or
+    GF(4) with conjugation: one block, or copies of one block joined by a
+    sigma-fixed color, with the vertices shuffled."""
+    F, s = draw(st.sampled_from([(field_make(2, 1), sigma_identity(field_make(2, 1))),
+                                 (field_make(3, 1), sigma_negation(field_make(3, 1))),
+                                 (field_make(2, 2), sigma_frobenius_conj(field_make(2, 2)))]))
+    k, copies = draw(st.sampled_from([(8, 1), (5, 1), (1, 8), (2, 2), (2, 3),
+                                      (2, 4), (3, 2), (4, 2)]))
+    n = k * copies
+    block = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            block[i][j] = draw(st.integers(0, F.q - 1))
+            block[j][i] = s(block[i][j])
+    join = draw(st.sampled_from([c for c in range(F.q) if s(c) == c]))
+    a = [[join if i // k != j // k else block[i % k][j % k] for j in range(n)]
+         for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return SigmaGraph(F, range(n), [[a[u][w] for w in perm] for u in perm], s)
+
+
+@settings(derandomize=True, deadline=None)
+@given(G=_symmetric_sigma_graphs(), perm=st.randoms())
+def test_canonical_labelling_automorphisms(G, perm):
+    """Each automorphism that the labelling returns maps the matrix to
+    itself; the canonical order reads the form, and a permuted copy gets the
+    same form."""
+    n, q, codes = G.n, G.field.q, G.codes
+    form, order, autos = _canonical_labelling(q, n, codes)
+    assert sorted(order) == list(range(n))
+    assert form == (n, q, tuple(codes[u * n + w] for u in order for w in order))
+    for g in autos:
+        assert sorted(g) == list(range(n))
+        assert all(codes[g[u] * n + g[v]] == codes[u * n + v]
+                   for u in range(n) for v in range(n))
+    P = G.permuted(perm.sample(range(n), n))
+    assert _canonical_labelling(q, n, P.codes)[0] == form
+
+
+def test_canonical_labelling_automorphisms_of_c5():
+    """On C5 the automorphisms found generate its dihedral group."""
+    _, _, autos = _canonical_labelling(2, 5, c5().codes)
+    group, stack = {tuple(range(5))}, [tuple(range(5))]
+    while stack:
+        h = stack.pop()
+        for g in autos:
+            gh = tuple(g[v] for v in h)
+            if gh not in group:
+                group.add(gh)
+                stack.append(gh)
+    assert len(group) == 10
 
 
 def test_canonical_size_bound():

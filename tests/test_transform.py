@@ -13,16 +13,19 @@ from rankw.cutrank import CutFunction
 from rankw.fields import (FieldError, field_make, sigma_compatible_set,
                           sigma_frobenius_conj, sigma_identity, sigma_negation)
 from rankw.graphs import (GraphError, SigmaGraph, _canonical_labelling,
-                          encode_undirected, is_sigma_symmetric, isomorphic)
+                          encode_directed, encode_oriented, encode_undirected,
+                          is_sigma_symmetric, isomorphic)
 from rankw.layouts import birankwidth, rankwidth
 from rankw.matrix import MatrixError
-from rankw.transform import (RELATIONS, _delete, _successors,
+from rankw.transform import (RELATIONS, SearchBudgetError, _closure, _delete,
+                             _generate, _minor_successors, _successors,
                              const_graph, ec_cycle,
                              equivalence_orbit, equivalence_orbit_graphs,
                              find_obstructions, is_minor, local_complement,
                              obstruction_size_bound, pivot_complement,
                              sigma_symmetric_graphs)
 
+import oracles
 from oracles import (np_tables, random_colored_graph, random_sigma_graph,
                      rank_of)
 
@@ -135,7 +138,8 @@ def test_row_moves_match_graph_moves(case, relation, n, seed, density):
     assert _canonical_labelling(F.q, n, codes)[0] == G.canonical_form()
     moves = _successors(F, relation, s)
     expected = _oracle_moves(G, s, True, relation)
-    assert moves(codes, n, True) == expected
+    # with no automorphisms given, every move is made
+    assert moves(codes, n, True, ()) == expected
     # the single-move functions agree with the oracle too
     if relation == "pivot":
         graphs = [pivot_complement(G, u, v) for i, u in enumerate(G.vertices)
@@ -149,9 +153,9 @@ def test_row_moves_match_graph_moves(case, relation, n, seed, density):
         assert _canonical_labelling(F.q, n, K.codes)[0] == K.canonical_form()
     if relation == "vertex":
         # a state that lost sigma-symmetry stays a plain graph
-        assert moves(codes, n, False) == _oracle_moves(G, s, False, relation)
+        assert moves(codes, n, False, ()) == _oracle_moves(G, s, False, relation)
         for K, (_, sym) in zip(graphs, expected):
-            assert moves(K.codes, n, sym) == _oracle_moves(K, s, sym, relation)
+            assert moves(K.codes, n, sym, ()) == _oracle_moves(K, s, sym, relation)
     for d in range(n):
         H = G.induced_subgraph([v for v in G.vertices if v != G.vertices[d]])
         assert _delete(codes, n, d) == H.codes
@@ -465,6 +469,112 @@ def test_generation_counts_gf2():
         assert len(sigma_symmetric_graphs(F2, S2, n)) == expect
     conn = sigma_symmetric_graphs(F2, S2, 4, connected_only=True)
     assert len(conn) == 6  # connected graphs on 4 vertices
+
+
+@pytest.mark.parametrize("F, s, n", [(F2, S2, 6), (F3, S3N, 5), (F4, S4, 4)],
+                         ids=["gf2", "gf3-neg", "gf4-conj"])
+def test_generation_matches_unpruned_oracle(F, s, n):
+    """Labelling one extension column per orbit of the base's automorphisms
+    keeps every level, its representatives and their order."""
+    assert [[codes for codes, _ in level] for level in _generate(F, s, n)] == \
+        list(oracles.generate_levels(F, s, n))
+
+
+def _copies_graph(rng, F, s, m, copies):
+    """`copies` disjoint copies of one random sigma-graph on m vertices, with
+    the vertices shuffled: a graph with automorphisms for copies > 1."""
+    B = random_sigma_graph(rng, F, s, m, rng.choice([0.4, 0.7]))
+    n = m * copies
+    perm = rng.sample(range(n), n)
+    a = [[0] * n for _ in range(n)]
+    for c in range(copies):
+        for i in range(m):
+            for j in range(m):
+                a[perm[c * m + i]][perm[c * m + j]] = B.codes[i * m + j]
+    return SigmaGraph(F, range(n), a, s)
+
+
+def _or_budget(search):
+    try:
+        return search()
+    except SearchBudgetError:
+        return "budget"
+
+
+def _assert_closures_match_oracles(G, relation, H, budget):
+    """The orbit of G, and the searches for H in G, with and without a state
+    budget, are those of the unpruned oracles: members and their order,
+    every `is_minor` result, and each state of the search behind it."""
+    F, s = G.field, G.sigma
+    assert [(K.codes, isinstance(K, SigmaGraph))
+            for K in equivalence_orbit_graphs(G, relation)] == \
+        oracles.orbit_states(G, relation)
+    assert _or_budget(lambda: [K.codes for K in equivalence_orbit_graphs(
+        G, relation, budget)]) == \
+        _or_budget(lambda: [c for c, _ in oracles.orbit_states(G, relation, budget)])
+    for max_states in (200_000, budget):
+        r = is_minor(H, G, relation, max_states)
+        assert (r.found, r.complete, r.states) == \
+            oracles.minor_search(H, G, relation, max_states)
+    # the whole search behind is_minor, past the point where H is found
+    succ = _minor_successors(F, relation, s, G.n, H.n)
+    start = (G.codes, True)
+    assert [state for state, _ in _closure(F.q, start, G._labelling(), succ,
+                                           200_000)] == \
+        [state for state, _ in oracles.closure(
+            F.q, start, lambda c, k, sym: succ(c, k, sym, ()), 200_000)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=st.sampled_from([(F2, S2), (F3, S3N), (F4, S4)]),
+       relation=st.sampled_from(RELATIONS), n=st.integers(1, 8),
+       copies=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       planted=st.booleans(), budget=st.integers(2, 40))
+def test_pruned_closure_matches_unpruned_oracle(case, relation, n, copies,
+                                                 seed, planted, budget):
+    """One move or deletion per automorphism orbit changes no result of the
+    closure searches, on random graphs made of equal components."""
+    F, s = case
+    rng = random.Random(seed)
+    top = 4 if relation == "vertex" and F.q > 2 else 8 if F.q == 2 else 6
+    G = _copies_graph(rng, F, s, max(1, min(n, top) // copies), copies)
+    m = rng.randint(1, G.n)
+    if planted:
+        orbit = equivalence_orbit_graphs(G, relation)
+        K = orbit[rng.randrange(len(orbit))]
+        H = K.induced_subgraph(rng.sample(K.vertices, m))
+    else:
+        H = random_sigma_graph(rng, F, s, m, 0.6)
+    _assert_closures_match_oracles(G, relation, H, budget)
+
+
+def _cycle(n, offset=0):
+    return [(offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+SYMMETRIC = {
+    "gf2-c5": encode_undirected(_cycle(5)),
+    "gf2-c6": encode_undirected(_cycle(6)),
+    "gf2-2c4": encode_undirected(_cycle(4) + _cycle(4, 4)),
+    "gf2-star": encode_undirected([(0, i) for i in range(1, 6)]),
+    "gf3-c4": encode_oriented(_cycle(4)),
+    "gf3-c5": encode_oriented(_cycle(5)),
+    "gf4-c4": encode_directed(_cycle(4)),
+    "gf4-c5": encode_directed(_cycle(5)),
+}
+
+
+# vertex orbits over GF(3) and GF(4) grow too fast above n = 4
+@pytest.mark.parametrize("name, relation", [
+    (name, relation) for name, G in SYMMETRIC.items() for relation in RELATIONS
+    if relation != "vertex" or G.field.q == 2 or G.n <= 4])
+def test_pruned_closure_matches_unpruned_oracle_on_cycles(name, relation):
+    """The same on cycles, two disjoint cycles and a star, whose automorphism
+    groups are large."""
+    G = SYMMETRIC[name]
+    for H in (G.induced_subgraph(G.vertices[:G.n - 2]),
+              G.induced_subgraph(G.vertices[1:3])):
+        _assert_closures_match_oracles(G, relation, H, 6)
 
 
 def test_ec_cycles():
