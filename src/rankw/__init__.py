@@ -42,6 +42,7 @@ from .graphs import (
 from .layouts import (
     Layout,
     LayoutError,
+    SearchStats,
     SizeBoundError,
     WidthResult,
     birankwidth,

@@ -4,7 +4,9 @@ files, Newick layouts, s-expression terms).
 
 Each `cmd_*` returns its plain text and its JSON document; `main` writes the
 text to --out, if given, and prints the document with --json, else the text
-unless --out took it.  Side files are written by the command that makes them.
+unless --out took it; `width --stats` also prints the search's counters on
+stderr.  Side files are written by the command that makes them.  The parser
+is built once per process, so that repeated calls of `main` parse only.
 
 Exit codes: 0 success, 1 domain error (message names the violated
 precondition) or a file that cannot be read or written, 2 usage error.
@@ -13,9 +15,11 @@ precondition) or a file that cannot be read or written, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .cutrank import CutFunction
@@ -23,8 +27,8 @@ from .fields import FieldError, field_make, parse_sigma, plain_int
 from .graphs import (ColoredGraph, GraphError, SigmaGraph, emit_dot,
                      emit_graph, encode_directed, encode_oriented,
                      encode_undirected, parse_graph)
-from .layouts import (Layout, LayoutError, decide_width_at_most, parse_newick,
-                      width_exact)
+from .layouts import (BNB_BOUND, Layout, LayoutError, SearchStats,
+                      decide_width_at_most, parse_newick, width_exact)
 from .matrix import MatrixError
 from .terms import (RankConst, RankProd, TermError, emit_term,
                     eval_birank_term, eval_rank_term, parse_term,
@@ -81,9 +85,10 @@ def cmd_width(args) -> tuple[str, dict]:
     G = _load_graph(args.input)
     f = _cut_function(G, args.param)
     if args.k is not None:
-        L = decide_width_at_most(G, f, args.k, force=args.force)
+        stats = SearchStats()
+        L = decide_width_at_most(G, f, args.k, force=args.force, stats=stats)
         newick = None if L is None else L.to_newick()
-        doc = {"at_most": args.k, "witness": newick}
+        doc = {"at_most": args.k, "witness": newick, "stats": asdict(stats)}
         if newick is None:
             return f"width > {args.k}\n", doc
         if args.emit_layout:
@@ -100,6 +105,7 @@ def cmd_width(args) -> tuple[str, dict]:
             {"side": sorted(res.cut_sides[e]), "value": res.cut_values[e]}
             for e in sorted(res.cut_values)
         ],
+        "stats": asdict(res.stats),
     }
     return f"width {res.width}\n{newick}\n", doc
 
@@ -211,6 +217,7 @@ def cmd_obstructions(args) -> tuple[str, dict]:
             {"count": len(obs), "files": names})
 
 
+@functools.cache  # one parser per process: building it costs 30x parsing
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rankw",
@@ -229,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="decide width <= k instead of computing the optimum")
     pw.add_argument("--emit-layout", default=None)
     pw.add_argument("--force", action="store_true",
-                    help="search beyond the n=14 exact-search bound")
+                    help=f"search beyond the n={BNB_BOUND} exact-search bound")
+    pw.add_argument("--stats", action="store_true",
+                    help="print the search's counters on stderr")
     add_json(pw)
     pw.set_defaults(fn=cmd_width)
 
@@ -307,6 +316,11 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if getattr(args, "stats", False):  # width has --stats
+        stats = doc["stats"]
+        print(f"stats: cut_evaluations {stats['cut_evaluations']}", file=sys.stderr)
+        for k, c in stats["subsets_searched"].items():
+            print(f"stats: subsets_searched k={k} {c}", file=sys.stderr)
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     elif not out:

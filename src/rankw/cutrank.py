@@ -1,8 +1,8 @@
 """Cut-rank and bi-cut-rank of vertex bipartitions, plus the connectivity
 function of the partitioned linear matroid on (I | M_G), evaluated cut-wise.
 
-A CutFunction memoizes values by bitmask over the graph's vertex order; the
-three kinds are
+A CutFunction keeps its values in a cut table indexed by bitmask over the
+graph's vertex order (see `CutFunction`); the three kinds are
 
     cutrk(X)   = rk M[X][V\\X]                       (sigma-symmetric only)
     bicutrk(X) = rk M[X][V\\X] + rk M[V\\X][X]
@@ -57,8 +57,31 @@ from .matrix import _require_tables
 KINDS = ("cutrk", "bicutrk", "lambda")
 
 
+FLAT_N = 24  # the largest n whose cut table is a flat bytearray
+UNSET = 255  # the table entry of a cut not evaluated yet
+
+
+class _SparseTable(dict):
+    """The cut table of a graph above FLAT_N vertices: a dict of the cuts
+    evaluated so far, read like the flat bytearray."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask):
+        return UNSET
+
+
 class CutFunction:
-    """Memoized symmetric cut function of a fixed graph."""
+    """Memoized symmetric cut function of a fixed graph.
+
+    ``memo`` is the cut table: ``memo[X]`` is the value of the cut X, or
+    UNSET (255) if X is not evaluated yet.  Each evaluation stores its value
+    under both X and V\\X, so a lookup needs no normalisation.  Up to
+    FLAT_N = 24 vertices the table is a bytearray over all 2^n masks (at most
+    16 MB); above, a dict whose missing keys read as UNSET.  Values fit in a
+    byte up to 254 vertices; a genuine 255, on a graph above that, is simply
+    evaluated again on each lookup.
+    """
 
     __slots__ = ("graph", "kind", "memo", "_n", "_full", "_idx", "_rows", "_rank")
 
@@ -69,9 +92,10 @@ class CutFunction:
             raise GraphError("cutrk is defined only for sigma-symmetric graphs")
         self.graph = graph
         self.kind = kind
-        self.memo: dict[int, int] = {}
         self._n = graph.n
         self._full = (1 << graph.n) - 1
+        self.memo = (bytearray((UNSET,)) * (self._full + 1) if graph.n <= FLAT_N
+                     else _SparseTable())
         self._idx = graph._index
         # made by _pack on the first cut with both sides nonempty, so that a
         # field without tables (order > 256) fails only there
@@ -94,21 +118,30 @@ class CutFunction:
             mask = self.mask_of(X)
         if not 0 <= mask <= self._full:
             raise GraphError("subset mask out of range")
-        key = min(mask, self._full ^ mask)  # f is symmetric
-        v = self.memo.get(key)
-        if v is None:
-            v = self._evaluate(key)
-            self.memo[key] = v
+        v = self.memo[mask]
+        return self._fill(mask) if v == UNSET else v
+
+    def _fill(self, mask: int) -> int:
+        """Evaluate the cut mask and store its value under mask and V\\mask."""
+        v = self.memo[mask] = self.memo[self._full ^ mask] = self._evaluate(mask)
         return v
+
+    def evaluations(self) -> int:
+        """The number of cuts {X, V\\X} evaluated so far: the table's entries
+        other than UNSET (every entry of a dict table), halved."""
+        memo = self.memo
+        if memo.__class__ is bytearray:
+            return (len(memo) - memo.count(UNSET)) // 2
+        return len(memo) // 2
 
     def _evaluate(self, mask: int) -> int:
         X, Y = mask, self._full ^ mask
-        if self.kind == "lambda":
-            return self._lambda(X, Y)
-        if not mask:  # keys are min(X, V\X): only 0 has an empty side
-            return 0
+        if not X or not Y:
+            return int(self.kind == "lambda")
         if self._rows is None:
             self._pack()
+        if self.kind == "lambda":
+            return self._lambda(X, Y)
         R, rank = self._rows, self._rank
         if self.kind == "cutrk" and Y.bit_count() < X.bit_count():
             X, Y = Y, X  # M[Y][X] = sigma(M[X][Y])^T has the same rank
@@ -141,10 +174,6 @@ class CutFunction:
     def _lambda(self, X: int, Y: int) -> int:
         """r(X u X') + r(Y u Y') - r(V u V') + 1, r(S u S') the rank of the
         rows e_x and M[:, x] (x in S) of (I | M)^T, and r(V u V') = n."""
-        if not X:
-            return 1
-        if self._rows is None:
-            self._pack()
         n, R, rank = self._n, self._rows, self._rank
         return rank(R, X | X << n, self._full) + rank(R, Y | Y << n, self._full) - n + 1
 

@@ -6,21 +6,23 @@ Exact computation is one bounded search over recursive canonical splits, an
 O*(2^n) subset search in the manner of S. Oum, "Computing rank-width exactly"
 (IPL 2009): rooting at the first vertex's leaf edge makes every subtree's leaf
 set a committed cut, so a subset is feasible under a bound independently of
-its surroundings.  The search runs on one explicit stack, reads cut values
-straight from the CutFunction's memo (which `layout_width` reuses) and keeps
-each subset's verdict across the bounds, which deepen from the singleton
-floor until a tree fits.  Graphs above BNB_BOUND vertices need force=True.
+its surroundings.  The search runs on one explicit stack and reads cut
+values straight from the CutFunction's cut table, which holds each value
+under X and V\\X alike and which `layout_width` reuses; it keeps each
+subset's verdict across the bounds, which deepen from the singleton floor
+until a tree fits.  Graphs above BNB_BOUND vertices need force=True.  A
+SearchStats object reports what a search did.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from operator import is_
 from typing import Optional, Sequence
 
-from .cutrank import CutFunction
+from .cutrank import UNSET, CutFunction
 from .graphs import ColoredGraph, SigmaGraph
 
 BNB_BOUND = 14
@@ -277,11 +279,22 @@ def parse_newick(text: str) -> Layout:
 
 
 @dataclass
+class SearchStats:
+    """Counters of a width search, plain ints: the cuts it evaluated (read
+    from the cut table when it ends, so cuts evaluated before, by another
+    search on the same CutFunction, are not counted again) and, for each
+    bound k, the subsets it searched (one per frame, not per split)."""
+    cut_evaluations: int = 0
+    subsets_searched: dict[int, int] = field(default_factory=dict)
+
+
+@dataclass
 class WidthResult:
     width: int
     witness: Layout
     cut_values: dict[tuple[int, int], int]
     cut_sides: dict[tuple[int, int], frozenset]
+    stats: Optional[SearchStats] = None  # set by width_exact
 
     def __repr__(self):
         return f"WidthResult(width={self.width}, n={self.witness.n})"
@@ -312,36 +325,37 @@ def _singleton_floor(f: CutFunction, n: int) -> int:
 
 # -- bounded search over recursive canonical splits ----------------------------
 
-def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict):
+def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
+                   stats: SearchStats):
     """A rooted split tree (nested index pairs; the leaf index 0 when n = 1)
     whose every cut is <= k, or None.  seen, shared over increasing bounds,
     keeps verdicts by mask: a tree (valid at every larger bound) or the
     largest bound found infeasible.  A frame (mask, others, sub, left) tries
     the splits (mask ^ sub, sub), sub a nonempty subset of mask less its
     lowest bit, in decreasing order: it asks for the tree of mask ^ sub,
-    then of sub; a None moves it on."""
+    then of sub; a None moves it on.  The frames started are counted in
+    stats.subsets_searched[k]."""
+    stats.subsets_searched[k] = 0
     if _singleton_floor(f, G.n) > k:
         return None
     if G.n <= 2:
         return 0 if G.n == 1 else (0, 1)
-    memo, full, evaluate = f.memo, f._full, f._evaluate
-    stack, mask = [], full ^ 1  # f(rest) = f({v0}) <= floor <= k already
+    memo, fill = f.memo, f._fill
+    stack, mask = [], f._full ^ 1  # f(rest) = f({v0}) <= floor <= k already
     others, sub, left, t = mask & (mask - 1), 0, None, None
+    frames = 1
     while True:
         if t is None:  # the next split whose cuts, read from f.memo, are <= k
             sub = (sub - 1) & others  # from 0, the first split
             while sub:
                 x = mask ^ sub
-                if x > full ^ x:
-                    x ^= full
-                v = memo.get(x)
-                if v is None:
-                    v = memo[x] = evaluate(x)
+                v = memo[x]
+                if v == UNSET:
+                    v = fill(x)
                 if v <= k:
-                    x = sub if sub < full ^ sub else full ^ sub
-                    v = memo.get(x)
-                    if v is None:
-                        v = memo[x] = evaluate(x)
+                    v = memo[sub]
+                    if v == UNSET:
+                        v = fill(sub)
                     if v <= k:
                         break
                 sub = (sub - 1) & others
@@ -355,6 +369,7 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict):
             child = 0
         if not child:  # the frame is done: hand t to the frame below
             if not stack:
+                stats.subsets_searched[k] = frames
                 return None if t is None else (0, t)
             mask, others, sub, left = stack.pop()
         elif child & (child - 1) == 0:
@@ -365,6 +380,7 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict):
                 if t < k:  # not known infeasible at k: a frame of its own
                     stack.append((mask, others, sub, left))
                     mask, others, sub, left = child, child & (child - 1), 0, None
+                    frames += 1
                 t = None
 
 
@@ -377,21 +393,31 @@ def _check_size(n: int, force: bool) -> None:
 
 
 def width_exact(G: ColoredGraph, f: CutFunction, *, force: bool = False) -> WidthResult:
-    """Minimal f-width over all layouts with a witness layout.  The bound
-    deepens from the singleton floor; it needs no ceiling, since every split
-    is feasible once it reaches the largest cut value."""
+    """Minimal f-width over all layouts with a witness layout and the
+    search's counters.  The bound deepens from the singleton floor; it needs
+    no ceiling, since every split is feasible once it reaches the largest
+    cut value."""
     _check_size(G.n, force)
+    stats, before = SearchStats(), f.evaluations()
     k, seen = _singleton_floor(f, G.n), {}
-    while (t := _feasible_tree(G, f, k, seen)) is None:
+    while (t := _feasible_tree(G, f, k, seen, stats)) is None:
         k += 1
-    return layout_width(G, f, build_layout(t, G.vertices))
+    res = layout_width(G, f, build_layout(t, G.vertices))
+    stats.cut_evaluations = f.evaluations() - before
+    res.stats = stats
+    return res
 
 
 def decide_width_at_most(G: ColoredGraph, f: CutFunction, k: int, *,
-                         force: bool = False) -> Optional[Layout]:
-    """A witness layout of f-width <= k, or None."""
+                         force: bool = False,
+                         stats: Optional[SearchStats] = None) -> Optional[Layout]:
+    """A witness layout of f-width <= k, or None.  A SearchStats passed as
+    stats receives the search's counters."""
     _check_size(G.n, force)
-    t = _feasible_tree(G, f, k, {})
+    stats = SearchStats() if stats is None else stats
+    before = f.evaluations()
+    t = _feasible_tree(G, f, k, {}, stats)
+    stats.cut_evaluations += f.evaluations() - before
     return None if t is None else build_layout(t, G.vertices)
 
 

@@ -2,6 +2,8 @@
 determinism."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -61,10 +63,26 @@ def test_width_c5(tmp_path, capsys):
                        "rank", "--json")
     payload = json.loads(out)
     assert payload["width"] == 2
-    assert set(payload) == {"width", "witness", "cuts"}
+    assert set(payload) == {"width", "witness", "cuts", "stats"}
     assert all(set(c) == {"side", "value"} for c in payload["cuts"])
     L = parse_newick(payload["witness"])
     assert sorted(L.leaves.values()) == [f"v{i}" for i in range(1, 6)]
+    # the search's counters: the JSON's stats key, and stderr with --stats
+    stats = payload["stats"]
+    assert set(stats) == {"cut_evaluations", "subsets_searched"}
+    searched = stats["subsets_searched"]
+    assert 0 < stats["cut_evaluations"] <= 16 and list(searched) == ["1", "2"]
+    lines = [f"stats: cut_evaluations {stats['cut_evaluations']}"] + [
+        f"stats: subsets_searched k={k} {searched[k]}" for k in ("1", "2")]
+    assert run(capsys, "width", "--input", str(path), "--json", "--stats") == \
+        (0, out, "\n".join(lines) + "\n")
+    code, text, err = run(capsys, "width", "--input", str(path), "--stats")
+    assert code == 0 and text.startswith("width 2\n") and err.splitlines() == lines
+    code, out, err = run(capsys, "width", "--input", str(path), "--k", "1",
+                         "--json", "--stats")
+    payload = json.loads(out)
+    assert payload["witness"] is None and list(payload["stats"]["subsets_searched"]) == ["1"]
+    assert err.splitlines()[1].startswith("stats: subsets_searched k=1 ")
 
 
 def test_width_decision_and_layout_file(tmp_path, capsys):
@@ -395,6 +413,41 @@ def test_python_m_rankw(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "width 2"
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, monkeypatch):
+    """main builds its parser once per process: each command, called twice
+    in a row in one process, gives the stdout, stderr and exit code of a
+    fresh `python -m rankw`, help and usage errors after a success too."""
+    write_c5(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width
+    env = dict(os.environ)
+    src = str(Path(rankw.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cases = [["width", "--input", "c5.rg", "--json", "--stats"],
+             ["width", "--input", "c5.rg", "--k", "1"],
+             ["term", "compile", "--input", "c5.rg"],
+             ["--help"],
+             ["width", "--help"],
+             ["width", "--input", "c5.rg", "--k", "1_0"],
+             ["cut", "--input", "missing.rg", "--set", "a"]]
+
+    def in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "rankw", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        fresh = proc.returncode, proc.stdout, proc.stderr
+        assert in_process(argv) == fresh == in_process(argv), argv
+    assert [in_process(argv)[0] for argv in cases] == [0, 0, 0, 0, 0, 2, 1]
 
 
 NUMPY_FREE_RUN = r"""

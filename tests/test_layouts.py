@@ -12,14 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankw.cutrank import CutFunction
+from rankw.cutrank import CutFunction, _SparseTable
 from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import ColoredGraph, digraph_gf2, encode_undirected
-from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SizeBoundError,
-                           birankwidth, build_layout, decide_width_at_most,
-                           fold, layout_width, parse_newick, rankwidth,
-                           width_exact)
+from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SearchStats,
+                           SizeBoundError, birankwidth, build_layout,
+                           decide_width_at_most, fold, layout_width,
+                           parse_newick, rankwidth, width_exact)
 from rankw.terms import compiled_leaf_order
 
 from oracles import (enumerate_layouts, is_strongly_connected,
@@ -407,19 +407,67 @@ def test_tiny_graphs():
         assert layout_width(G, f, decide_width_at_most(G, f, w)).width == w
 
 
-def test_memo_keys_are_the_smaller_side():
-    """The search reads and fills f.memo under min(X, V\\X) only, so at
-    most 2^(n-1) cuts are ever evaluated."""
+def test_search_counters():
+    """The counters of a search repeat exactly for the same input, count at
+    most 2^(n-1) cut evaluations, one subset search per bound from the
+    singleton floor up, and a second search on the same CutFunction
+    evaluates no cut again."""
     rng = random.Random(6)
     for kind in ("cutrk", "bicutrk", "lambda"):
         for n in (4, 7, 9):
             G = random_sigma_graph(rng, _F4, sigma_frobenius_conj(_F4), n)
             f = CutFunction(G, kind)
-            width_exact(G, f)
-            decide_width_at_most(G, f, 1)
-            full = (1 << n) - 1
-            assert f.memo and all(x == min(x, full ^ x) for x in f.memo)
-            assert len(f.memo) <= 1 << (n - 1)
+            res = width_exact(G, f)
+            s = res.stats
+            assert 0 < s.cut_evaluations == f.evaluations() <= 1 << (n - 1)
+            floor = max(f(1 << i) for i in range(n))
+            assert list(s.subsets_searched) == list(range(floor, res.width + 1))
+            assert all(c > 0 for c in s.subsets_searched.values())
+            assert width_exact(G, CutFunction(G, kind)).stats == s
+            again = width_exact(G, f)
+            assert again.stats.cut_evaluations == 0
+            assert again.stats.subsets_searched == s.subsets_searched
+            for k in (res.width - 1, res.width):
+                stats, fresh = SearchStats(), CutFunction(G, kind)
+                decide_width_at_most(G, fresh, k, stats=stats)
+                assert 0 < stats.cut_evaluations == fresh.evaluations() <= 1 << (n - 1)
+                assert list(stats.subsets_searched) == [k]
+                decide_width_at_most(G, fresh, k, stats=stats)
+                assert stats.cut_evaluations == fresh.evaluations()
+            assert decide_width_at_most(G, fresh, 0, stats=stats) is None
+            assert stats.subsets_searched[0] == 0  # below the floor: no search
+
+
+_CONTAINER_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_negation(_F3)),
+                    (_F4, sigma_frobenius_conj(_F4))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=st.sampled_from(_CONTAINER_CASES), n=st.integers(1, 10),
+       kind=st.sampled_from(["cutrk", "bicutrk", "lambda"]),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]))
+def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
+    """The dict cut table of graphs above FLAT_N vertices, put in place of
+    the flat bytearray, gives the same width, tree, Newick, cut values and
+    counters, and answers both sides of the decision alike."""
+    F, sigma = case
+    G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
+    flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
+    sparse.memo = _SparseTable()
+    a, b = width_exact(G, flat), width_exact(G, sparse)
+    assert a.width == b.width and a.witness.edges == b.witness.edges
+    assert a.witness.to_newick() == b.witness.to_newick()
+    assert a.cut_values == b.cut_values and a.stats == b.stats
+    assert flat.evaluations() == sparse.evaluations() == len(sparse.memo) // 2
+    for k in (a.width - 1, a.width):
+        flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
+        sparse.memo = _SparseTable()
+        s1, s2 = SearchStats(), SearchStats()
+        L1 = decide_width_at_most(G, flat, k, stats=s1)
+        L2 = decide_width_at_most(G, sparse, k, stats=s2)
+        assert s1 == s2
+        assert (L1 is None) == (L2 is None) == (k < a.width)
+        assert L1 is None or L1.to_newick() == L2.to_newick()
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
