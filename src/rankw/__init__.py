@@ -73,6 +73,7 @@ from .terms import (
 from .transform import (
     MinorSearchResult,
     Obstruction,
+    ObstructionStats,
     SearchBudgetError,
     const_graph,
     ec_cycle,

@@ -4,9 +4,11 @@ files, Newick layouts, s-expression terms).
 
 Each `cmd_*` returns its plain text and its JSON document; `main` writes the
 text to --out, if given, and prints the document with --json, else the text
-unless --out took it; `width --stats` also prints the search's counters on
-stderr.  Side files are written by the command that makes them.  The parser
-is built once per process, so that repeated calls of `main` parse only.
+unless --out took it.  The `stats` entry of a document is the search's
+counters object; `width` and `obstructions` print it as JSON with --json
+and as `stats:` lines on stderr with --stats.  Side files are written by
+the command that makes them.  The parser is built once per process, so that
+repeated calls of `main` parse only.
 
 Exit codes: 0 success, 1 domain error (message names the violated
 precondition) or a file that cannot be read or written, 2 usage error.
@@ -33,8 +35,8 @@ from .matrix import MatrixError
 from .terms import (RankConst, RankProd, TermError, emit_term,
                     eval_birank_term, eval_rank_term, parse_term,
                     term_from_layout_birank, term_from_layout_rank)
-from .transform import (RELATIONS, SearchBudgetError, find_obstructions,
-                        local_complement, pivot_complement)
+from .transform import (RELATIONS, ObstructionStats, SearchBudgetError,
+                        find_obstructions, local_complement, pivot_complement)
 
 DOMAIN_ERRORS = (FieldError, GraphError, MatrixError, LayoutError, TermError,
                  SearchBudgetError, ValueError)
@@ -88,7 +90,7 @@ def cmd_width(args) -> tuple[str, dict]:
         stats = SearchStats()
         L = decide_width_at_most(G, f, args.k, force=args.force, stats=stats)
         newick = None if L is None else L.to_newick()
-        doc = {"at_most": args.k, "witness": newick, "stats": asdict(stats)}
+        doc = {"at_most": args.k, "witness": newick, "stats": stats}
         if newick is None:
             return f"width > {args.k}\n", doc
         if args.emit_layout:
@@ -98,15 +100,10 @@ def cmd_width(args) -> tuple[str, dict]:
     newick = res.witness.to_newick()
     if args.emit_layout:
         _write(args.emit_layout, f"{newick}\n# width {res.width}\n")
-    doc = {
-        "width": res.width,
-        "witness": newick,
-        "cuts": [
-            {"side": sorted(res.cut_sides[e]), "value": res.cut_values[e]}
-            for e in sorted(res.cut_values)
-        ],
-        "stats": asdict(res.stats),
-    }
+    doc = {"width": res.width, "witness": newick, "stats": res.stats}
+    if args.json:  # sorting every cut side is a cost the text output skips
+        doc["cuts"] = [{"side": sorted(res.cut_sides[e]), "value": res.cut_values[e]}
+                       for e in sorted(res.cut_values)]
     return f"width {res.width}\n{newick}\n", doc
 
 
@@ -201,7 +198,9 @@ def cmd_obstructions(args) -> tuple[str, dict]:
     p, k = args.field
     field = field_make(p, k)
     sigma = parse_sigma(field, args.sigma)
-    obs = find_obstructions(field, sigma, args.relation, args.k, args.max_n)
+    stats = ObstructionStats()
+    obs = find_obstructions(field, sigma, args.relation, args.k, args.max_n,
+                            stats=stats)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     index_lines = []
@@ -214,7 +213,21 @@ def cmd_obstructions(args) -> tuple[str, dict]:
         names.append(name)
     _write(outdir / "index.txt", "\n".join(index_lines) + ("\n" if index_lines else ""))
     return (f"{len(obs)} obstruction(s) written to {outdir}\n",
-            {"count": len(obs), "files": names})
+            {"count": len(obs), "files": names, "stats": stats})
+
+
+def _stats_lines(stats) -> list[str]:
+    """One `stats:` line per counter of a search's stats object, and one per
+    level of a counter kept per level (a dict), the level named by the
+    object's `per`."""
+    lines = []
+    for name, value in asdict(stats).items():
+        if isinstance(value, dict):
+            lines += [f"stats: {name} {stats.per}={key} {count}"
+                      for key, count in value.items()]
+        else:
+            lines.append(f"stats: {name} {value}")
+    return lines
 
 
 @functools.cache  # one parser per process: building it costs 30x parsing
@@ -229,6 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of plain text")
 
+    def add_stats(p):
+        p.add_argument("--stats", action="store_true",
+                       help="print the search's counters on stderr")
+
     pw = sub.add_parser("width", help="exact rank-/bi-rank-width")
     pw.add_argument("--input", required=True)
     pw.add_argument("--param", choices=("rank", "birank"), default="rank")
@@ -237,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--emit-layout", default=None)
     pw.add_argument("--force", action="store_true",
                     help=f"search beyond the n={BNB_BOUND} exact-search bound")
-    pw.add_argument("--stats", action="store_true",
-                    help="print the search's counters on stderr")
+    add_stats(pw)
     add_json(pw)
     pw.set_defaults(fn=cmd_width)
 
@@ -300,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--k", type=plain_int, required=True)
     po.add_argument("--max-n", type=plain_int, required=True)
     po.add_argument("--out", dest="outdir", metavar="OUT", required=True)
+    add_stats(po)
     add_json(po)
     po.set_defaults(fn=cmd_obstructions)
 
@@ -316,13 +333,11 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "stats", False):  # width has --stats
-        stats = doc["stats"]
-        print(f"stats: cut_evaluations {stats['cut_evaluations']}", file=sys.stderr)
-        for k, c in stats["subsets_searched"].items():
-            print(f"stats: subsets_searched k={k} {c}", file=sys.stderr)
+    if getattr(args, "stats", False):  # width and obstructions have --stats
+        for line in _stats_lines(doc["stats"]):
+            print(line, file=sys.stderr)
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps(doc, sort_keys=True, default=asdict))
     elif not out:
         sys.stdout.write(text)
     return 0

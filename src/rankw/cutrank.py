@@ -57,13 +57,14 @@ from .matrix import _require_tables
 KINDS = ("cutrk", "bicutrk", "lambda")
 
 
-FLAT_N = 24  # the largest n whose cut table is a flat bytearray
+FLAT_N = 24  # the largest n whose cut table becomes a flat bytearray in a search
 UNSET = 255  # the table entry of a cut not evaluated yet
 
 
 class _SparseTable(dict):
-    """The cut table of a graph above FLAT_N vertices: a dict of the cuts
-    evaluated so far, read like the flat bytearray."""
+    """The cut table before a width search, and of a graph above FLAT_N
+    vertices: a dict of the cuts evaluated so far, read like the flat
+    bytearray."""
 
     __slots__ = ()
 
@@ -76,11 +77,13 @@ class CutFunction:
 
     ``memo`` is the cut table: ``memo[X]`` is the value of the cut X, or
     UNSET (255) if X is not evaluated yet.  Each evaluation stores its value
-    under both X and V\\X, so a lookup needs no normalisation.  Up to
-    FLAT_N = 24 vertices the table is a bytearray over all 2^n masks (at most
-    16 MB); above, a dict whose missing keys read as UNSET.  Values fit in a
-    byte up to 254 vertices; a genuine 255, on a graph above that, is simply
-    evaluated again on each lookup.
+    under both X and V\\X, so a lookup needs no normalisation.  The table
+    starts as a dict whose missing keys read as UNSET, so that a few cuts
+    cost a few entries; `search_table` turns it into a bytearray over all
+    2^n masks (at most 16 MB) when a width search starts on a graph of at
+    most FLAT_N = 24 vertices.  Values fit in a byte up to 254 vertices; a
+    genuine 255, on a graph above that, is simply evaluated again on each
+    lookup.
     """
 
     __slots__ = ("graph", "kind", "memo", "_n", "_full", "_idx", "_rows", "_rank")
@@ -94,8 +97,7 @@ class CutFunction:
         self.kind = kind
         self._n = graph.n
         self._full = (1 << graph.n) - 1
-        self.memo = (bytearray((UNSET,)) * (self._full + 1) if graph.n <= FLAT_N
-                     else _SparseTable())
+        self.memo = _SparseTable()
         self._idx = graph._index
         # made by _pack on the first cut with both sides nonempty, so that a
         # field without tables (order > 256) fails only there
@@ -120,6 +122,18 @@ class CutFunction:
             raise GraphError("subset mask out of range")
         v = self.memo[mask]
         return self._fill(mask) if v == UNSET else v
+
+    def search_table(self):
+        """The cut table for a width search, which may read most of the 2^n
+        masks: up to FLAT_N vertices, the dict table is first copied into a
+        flat bytearray, which then replaces it."""
+        memo = self.memo
+        if memo.__class__ is not bytearray and self._n <= FLAT_N:
+            flat = bytearray((UNSET,)) * (self._full + 1)
+            for mask, v in memo.items():
+                flat[mask] = v
+            self.memo = memo = flat
+        return memo
 
     def _fill(self, mask: int) -> int:
         """Evaluate the cut mask and store its value under mask and V\\mask."""

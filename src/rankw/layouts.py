@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import is_
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .cutrank import UNSET, CutFunction
 from .graphs import ColoredGraph, SigmaGraph
@@ -283,7 +283,9 @@ class SearchStats:
     """Counters of a width search, plain ints: the cuts it evaluated (read
     from the cut table when it ends, so cuts evaluated before, by another
     search on the same CutFunction, are not counted again) and, for each
-    bound k, the subsets it searched (one per frame, not per split)."""
+    bound k, the subsets it searched (one per frame, not per split).  `per`
+    names the key in the CLI's `stats:` lines."""
+    per: ClassVar[str] = "k"
     cut_evaluations: int = 0
     subsets_searched: dict[int, int] = field(default_factory=dict)
 
@@ -340,7 +342,7 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
         return None
     if G.n <= 2:
         return 0 if G.n == 1 else (0, 1)
-    memo, fill = f.memo, f._fill
+    memo, fill = f.search_table(), f._fill
     stack, mask = [], f._full ^ 1  # f(rest) = f({v0}) <= floor <= k already
     others, sub, left, t = mask & (mask - 1), 0, None, None
     frames = 1

@@ -16,10 +16,15 @@ state is a code tuple, which is also the key under which the state is
 deduplicated.  The engine walks the closure breadth first: a tuple it has
 handled before is skipped unlabelled, and each new canonical form keeps the
 first state that reached it.  Orbits, minor queries and the obstruction
-search run on it, and generation grows its extension rows as tuples too.  A
-graph object (and its validation) is made only for a graph that is
-returned, or when the obstruction search computes a width it has not
-cached.
+search run on it.
+
+Generation and the obstruction search share one extension step, which adds
+a last vertex to each graph of a level below.  Generation extends every
+graph; the obstruction search extends only the class of connected graphs of
+width <= k, which every obstruction extends too, tests the width of a new
+graph only when no orbit search has settled it, and looks the deletions of
+a graph up in the class's forms.  A graph object (and its validation) is
+made only for a graph that is returned or whose width is tested.
 
 Both searches use the automorphisms that canonical labelling finds (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Moves at
@@ -34,16 +39,18 @@ those of the unpruned search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from itertools import chain, product
 from math import isqrt
+from typing import ClassVar, Optional
 
 from .cutrank import CutFunction
 from .fields import Field, FieldError, Sesquimorphism, sigma_compatible, \
     sigma_compatible_set
 from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
     _components, digraph_gf2
-from .layouts import width_exact
+from .layouts import decide_width_at_most
 from .matrix import _require_tables
 
 RELATIONS = ("sigma-vertex", "vertex", "pivot")
@@ -361,31 +368,37 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
 
 # -- isomorph-free generation of sigma-symmetric graphs ------------------------
 
+def _extend(field: Field, sigma: Sesquimorphism, bases, m: int):
+    """Yield the code tuples of the extensions by a last vertex of the bases,
+    (codes, labelling) pairs on m - 1 vertices, base by base: the base's
+    matrix with a last column c (entry 0 varying fastest) and sigma(c) as
+    last row.  The first extension of each base is by the zero column.  For an
+    automorphism g of the base, the extensions by c and by c o g (entry i is
+    c[g[i]]) are isomorphic, so only the first column of each orbit of the
+    base's automorphisms is made."""
+    q, sig = field.q, sigma.table
+    for base, (_, _, autos) in bases:
+        rows = [base[i:i + m - 1] for i in range(0, (m - 1) ** 2, m - 1)]
+        cols = (digits[::-1] for digits in product(range(q), repeat=m - 1))
+        for col in _firsts(cols, autos, lambda c, g: tuple(map(c.__getitem__, g))):
+            yield tuple(chain.from_iterable(
+                [r + (e,) for r, e in zip(rows, col)]
+                + [[sig[e] for e in col], (0,)]))
+
+
 def _generate(field: Field, sigma: Sesquimorphism, n: int):
     """Yield the levels m = 1..n of the vertex-extension search: each is a
     list of (codes, labelling), one per isomorphism class, in first-reached
-    order.  Level m extends each graph of level m-1 by a last vertex, with a
-    last column c (entry 0 varying fastest) and sigma(c) as last row.  For
-    an automorphism g of the base, the extensions by c and by c o g (entry i
-    is c[g[i]]) are isomorphic, so only the first column of each orbit of
-    the base's automorphisms is labelled."""
+    order; level m labels the extensions of every graph of level m - 1."""
     q = field.q
-    sig = sigma.table
     level = [((0,), _canonical_labelling(q, 1, (0,)))]
     yield level
     for m in range(2, n + 1):
         nxt: dict = {}
-        for base, (_, _, autos) in level:
-            rows = [base[i:i + m - 1] for i in range(0, (m - 1) ** 2, m - 1)]
-            cols = (digits[::-1] for digits in product(range(q), repeat=m - 1))
-            for col in _firsts(cols, autos,
-                               lambda c, g: tuple(map(c.__getitem__, g))):
-                codes = tuple(chain.from_iterable(
-                    [r + (e,) for r, e in zip(rows, col)]
-                    + [[sig[e] for e in col], (0,)]))
-                lab = _canonical_labelling(q, m, codes)
-                if lab[0] not in nxt:
-                    nxt[lab[0]] = (codes, lab)
+        for codes in _extend(field, sigma, level, m):
+            lab = _canonical_labelling(q, m, codes)
+            if lab[0] not in nxt:
+                nxt[lab[0]] = (codes, lab)
         level = list(nxt.values())
         yield level
 
@@ -411,11 +424,31 @@ class Obstruction:
     k: int
 
 
+@dataclass
+class ObstructionStats:
+    """Counters of an obstruction search, plain ints in one dict per count,
+    keyed by the vertex count n of a level: the extensions labelled, the
+    distinct connected graphs among them, the width decisions, the class
+    size (connected graphs of width <= k), the candidates (graphs of width
+    > k that needed a minimality verdict), and among those, the ones whose
+    orbit search made the verdict and the ones that reused the verdict of an
+    earlier search.  `per` names the key in the CLI's `stats:` lines."""
+    per: ClassVar[str] = "n"
+    extensions_labelled: dict[int, int] = dataclass_field(default_factory=dict)
+    connected_graphs: dict[int, int] = dataclass_field(default_factory=dict)
+    width_decisions: dict[int, int] = dataclass_field(default_factory=dict)
+    class_size: dict[int, int] = dataclass_field(default_factory=dict)
+    candidates: dict[int, int] = dataclass_field(default_factory=dict)
+    orbit_searches: dict[int, int] = dataclass_field(default_factory=dict)
+    verdicts_reused: dict[int, int] = dataclass_field(default_factory=dict)
+
+
 def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
-                      k: int, max_n: int,
-                      orbit_budget: int = 200_000) -> list[Obstruction]:
+                      k: int, max_n: int, orbit_budget: int = 200_000,
+                      stats: Optional[ObstructionStats] = None) -> list[Obstruction]:
     """All sigma-symmetric graphs on <= max_n vertices (up to isomorphism)
-    whose width exceeds k while every proper minor has width at most k.
+    whose width exceeds k while every proper minor has width at most k, in
+    the order of their canonical forms; each graph is its canonical matrix.
 
     Minimality reduces to co-dimension 1: moves at surviving vertices commute
     with a deletion, so a proper minor of width > k forces a one-vertex-deleted
@@ -423,6 +456,16 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
     against its single-vertex deletions only, and orbits share minimality:
     each orbit is searched once, and its verdict holds for every later
     candidate whose form lies in it.
+
+    The search grows only the class of connected graphs of width <= k.  A
+    connected graph has a vertex whose deletion leaves it connected (a leaf
+    of a spanning tree), and a deletion never raises the width, so each
+    connected graph of width <= k extends one of the class a level below;
+    so does each obstruction, which is connected and has only deletions of
+    width <= k.  A graph's width is the largest of its components', so a
+    deletion has width <= k exactly when the form of each of its components
+    is in the class.  An ObstructionStats passed as stats receives the
+    counters of each level.
 
     The "vertex" relation needs every unit to be sigma-compatible, so that
     its moves keep the graphs sigma-symmetric (cut-rank is defined on those
@@ -440,45 +483,77 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
                          "sigma-vertex")
     q = field.q
     successors = _successors(field, relation, sigma)
-    widths: dict = {}     # canonical form -> width
-    forms: dict = {}      # codes -> canonical form, in front of widths
+    stats = ObstructionStats() if stats is None else stats
+    # a form is kept as the bytes of its certificate (codes < q <= 256, as
+    # _successors checked): a level's seen set, one form per connected
+    # graph, is the search's largest store
+    level = [((0,), _canonical_labelling(q, 1, (0,)))] if k >= 0 else []
+    narrow = {bytes(lab[0][2]) for _, lab in level}   # the class's forms
 
-    def width_of(codes: tuple, n: int) -> int:
-        form = forms.get(codes)
-        if form is None:
-            form = forms[codes] = _canonical_labelling(q, n, codes)[0]
-        w = widths.get(form)
-        if w is None:
-            G = SigmaGraph(field, range(n), codes, sigma)
-            w = widths[form] = width_exact(G, CutFunction(G, "cutrk")).width
-        return w
+    # is_narrow is asked about graphs a vertex smaller than the level, whose
+    # class is complete, so its answers stay right.  Extensions by columns
+    # that differ in entry d share their deletion of vertex d, and entry 0
+    # varies fastest: a small cache catches most repeats.
+    @lru_cache(maxsize=4096)
+    def is_narrow(codes: tuple, m: int) -> bool:
+        """Is the graph's width <= k: is each component's form in the class?"""
+        for comp in _components(m, codes):
+            part = codes if len(comp) == m else \
+                tuple([codes[i * m + j] for i in comp for j in comp])
+            if bytes(_canonical_labelling(q, len(comp), part)[0][2]) not in narrow:
+                return False
+        return True
 
-    def minor_too_wide(codes: tuple, n: int) -> bool:
-        return any(width_of(_delete(codes, n, d), n - 1) > k for d in range(n))
+    def deletions_narrow(codes: tuple, n: int) -> bool:
+        return all(is_narrow(_delete(codes, n, d), n - 1) for d in range(n))
 
-    verdicts: dict = {}   # canonical form -> is its orbit minimal
+    verdicts: dict = {}   # form -> is its orbit minimal
     found: dict = {}
-    for n, level in enumerate(_generate(field, sigma, max_n), 1):
-        if n < 2:
-            continue
-        for codes, lab in level:
-            form = lab[0]
-            if len(_components(n, codes)) > 1:
+    for n in range(2, max_n + 1):
+        seen: set = set()
+        nxt = []
+        labelled = decisions = size = searches = reused = 0
+        for codes in _extend(field, sigma, level, n):
+            if not any(codes[n * n - n:]):
+                continue  # the new vertex is isolated
+            labelled += 1
+            lab = _canonical_labelling(q, n, codes)
+            form = bytes(lab[0][2])
+            if form in seen:
                 continue
+            seen.add(form)
             minimal = verdicts.get(form)
             if minimal is None:
-                forms[codes] = form
-                # cheap pre-filter: the candidate's own single-vertex deletions
-                if width_of(codes, n) <= k or minor_too_wide(codes, n):
+                decisions += 1
+                G = SigmaGraph(field, range(n), codes, sigma)
+                if decide_width_at_most(G, CutFunction(G, "cutrk"), k) is not None:
+                    size += 1
+                    if n < max_n:
+                        nxt.append((codes, lab))
                     continue
+                if not deletions_narrow(codes, n):
+                    continue
+                searches += 1
                 members = _orbit(q, (codes, True), lab, successors, orbit_budget)
-                minimal = not any(minor_too_wide(c, n) for (c, _), _ in members)
+                minimal = all(deletions_narrow(c, n) for (c, _), _ in members)
                 verdicts[form] = minimal
                 for _, member_lab in members:
-                    verdicts[member_lab[0]] = minimal
+                    verdicts[bytes(member_lab[0][2])] = minimal
+            else:
+                reused += 1
             if minimal:
-                found[form] = Obstruction(_graph(field, range(n), codes, sigma, lab),
-                                          relation, k)
+                found[lab[0]] = Obstruction(
+                    SigmaGraph(field, range(n), lab[0][2], sigma), relation, k)
+        narrow.update(bytes(lab[0][2]) for _, lab in nxt)
+        level = nxt
+        for counts, value in ((stats.extensions_labelled, labelled),
+                              (stats.connected_graphs, len(seen)),
+                              (stats.width_decisions, decisions),
+                              (stats.class_size, size),
+                              (stats.candidates, searches + reused),
+                              (stats.orbit_searches, searches),
+                              (stats.verdicts_reused, reused)):
+            counts[n] = value
     return [found[c] for c in sorted(found)]
 
 

@@ -1,7 +1,8 @@
 """Test-only helpers shared by the suite: the random instance builders, the
 layout enumeration that the width search is checked against, the numpy
-oracles that the kernels of `rankw` are checked against, and the closure
-engine and generator of `rankw.transform` without automorphism pruning.
+oracles that the kernels of `rankw` are checked against, the closure
+engine and generator of `rankw.transform` without automorphism pruning, and
+the obstruction search over every graph, not only the width-<=k class.
 
 `rank_of` is Gaussian elimination over the field's tables, and `fmatmul` the
 matrix product; `np_tables` holds the tables as uint16 arrays for both, and
@@ -19,11 +20,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from rankw.cutrank import CutFunction
 from rankw.fields import Field
-from rankw.graphs import ColoredGraph, SigmaGraph, _canonical_labelling
-from rankw.layouts import Layout, LayoutError
+from rankw.graphs import (ColoredGraph, SigmaGraph, _canonical_labelling,
+                          _components)
+from rankw.layouts import Layout, LayoutError, width_exact
 from rankw.matrix import MatrixError, _require_tables
-from rankw.transform import SearchBudgetError, _minor_successors, _successors
+from rankw.transform import (Obstruction, SearchBudgetError, _delete, _generate,
+                             _minor_successors, _orbit, _successors)
 
 
 # -- shared random instance builders -------------------------------------------
@@ -256,3 +260,55 @@ def minor_search(H: ColoredGraph, G: ColoredGraph, relation: str,
         if form == target:
             return True, True, states
     return False, states == 1 or states < max_states, states
+
+
+# -- the obstruction search over every graph -------------------------------------
+
+def find_obstructions(field: Field, sigma, relation: str, k: int, max_n: int,
+                      orbit_budget: int = 200_000) -> list[Obstruction]:
+    """`transform.find_obstructions` by labelling every sigma-symmetric graph
+    up to max_n (`transform._generate`), with exact widths for the width
+    tests and each obstruction the first graph of its class that generation
+    reaches.  Checks of the arguments are left to the program."""
+    q = field.q
+    successors = _successors(field, relation, sigma)
+    widths: dict = {}     # canonical form -> width
+    forms: dict = {}      # codes -> canonical form, in front of widths
+
+    def width_of(codes: tuple, n: int) -> int:
+        form = forms.get(codes)
+        if form is None:
+            form = forms[codes] = _canonical_labelling(q, n, codes)[0]
+        w = widths.get(form)
+        if w is None:
+            G = SigmaGraph(field, range(n), codes, sigma)
+            w = widths[form] = width_exact(G, CutFunction(G, "cutrk")).width
+        return w
+
+    def minor_too_wide(codes: tuple, n: int) -> bool:
+        return any(width_of(_delete(codes, n, d), n - 1) > k for d in range(n))
+
+    verdicts: dict = {}   # canonical form -> is its orbit minimal
+    found: dict = {}
+    for n, level in enumerate(_generate(field, sigma, max_n), 1):
+        if n < 2:
+            continue
+        for codes, lab in level:
+            form = lab[0]
+            if len(_components(n, codes)) > 1:
+                continue
+            minimal = verdicts.get(form)
+            if minimal is None:
+                forms[codes] = form
+                # cheap pre-filter: the candidate's own single-vertex deletions
+                if width_of(codes, n) <= k or minor_too_wide(codes, n):
+                    continue
+                members = _orbit(q, (codes, True), lab, successors, orbit_budget)
+                minimal = not any(minor_too_wide(c, n) for (c, _), _ in members)
+                verdicts[form] = minimal
+                for _, member_lab in members:
+                    verdicts[member_lab[0]] = minimal
+            if minimal:
+                found[form] = Obstruction(SigmaGraph(field, range(n), codes, sigma),
+                                          relation, k)
+    return [found[c] for c in sorted(found)]

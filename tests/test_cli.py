@@ -224,6 +224,20 @@ def test_obstructions_output(tmp_path, capsys):
     G = parse_graph((outdir / "obstruction_000.rg").read_text())
     assert G.n == 2
     assert "canonical=" in (outdir / "index.txt").read_text()
+    # the search's counters, per level n: the JSON's stats key, and stderr
+    # with --stats
+    stats = payload["stats"]
+    names = ["extensions_labelled", "connected_graphs", "width_decisions",
+             "class_size", "candidates", "orbit_searches", "verdicts_reused"]
+    assert sorted(stats) == sorted(names)
+    assert all(list(counts) == ["2", "3"] for counts in stats.values())
+    assert stats["candidates"]["2"] == 1 and stats["class_size"]["2"] == 0
+    code, text, err = run(capsys, "obstructions", "--field", "2", "1", "--sigma",
+                          "id", "--relation", "pivot", "--k", "0", "--max-n", "3",
+                          "--out", str(outdir), "--stats")
+    assert code == 0 and text.startswith("1 obstruction(s)")
+    assert err.splitlines() == [f"stats: {name} n={n} {stats[name][n]}"
+                                for name in names for n in ("2", "3")]
 
 
 def test_determinism(tmp_path, capsys):

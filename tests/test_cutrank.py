@@ -1,6 +1,7 @@
 """Cut-rank, bi-cut-rank, and the partitioned-matroid connectivity bridge."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ def test_memoization_and_errors():
         f(["nope"])
     with pytest.raises(ValueError):
         CutFunction(C5, "weird")
+
+
+def test_one_cut_query_allocates_no_cut_table():
+    """A cut evaluated outside a width search is stored in a dict: one query
+    on a 24-vertex path does not allocate the 16 MB table of all 2^24 cuts."""
+    P = encode_undirected([(i, i + 1) for i in range(23)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cutrk(P, [0, 1]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1 << 20
 
 
 def test_numpy_integer_masks():

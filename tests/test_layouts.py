@@ -6,12 +6,14 @@ import re
 import sys
 from itertools import accumulate
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankw import cutrank
 from rankw.cutrank import CutFunction, _SparseTable
 from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
@@ -447,24 +449,27 @@ _CONTAINER_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_negation(_F3)),
        kind=st.sampled_from(["cutrk", "bicutrk", "lambda"]),
        seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]))
 def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
-    """The dict cut table of graphs above FLAT_N vertices, put in place of
+    """The dict cut table of graphs above FLAT_N vertices, kept in place of
     the flat bytearray, gives the same width, tree, Newick, cut values and
     counters, and answers both sides of the decision alike."""
     F, sigma = case
     G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
     flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
-    sparse.memo = _SparseTable()
-    a, b = width_exact(G, flat), width_exact(G, sparse)
+    a = width_exact(G, flat)
+    with patch.object(cutrank, "FLAT_N", 0):  # no search gets a flat table
+        b = width_exact(G, sparse)
+    assert sparse.memo.__class__ is _SparseTable
+    assert flat.memo.__class__ is bytearray or n <= 2  # n <= 2 needs no search
     assert a.width == b.width and a.witness.edges == b.witness.edges
     assert a.witness.to_newick() == b.witness.to_newick()
     assert a.cut_values == b.cut_values and a.stats == b.stats
     assert flat.evaluations() == sparse.evaluations() == len(sparse.memo) // 2
     for k in (a.width - 1, a.width):
         flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
-        sparse.memo = _SparseTable()
         s1, s2 = SearchStats(), SearchStats()
         L1 = decide_width_at_most(G, flat, k, stats=s1)
-        L2 = decide_width_at_most(G, sparse, k, stats=s2)
+        with patch.object(cutrank, "FLAT_N", 0):
+            L2 = decide_width_at_most(G, sparse, k, stats=s2)
         assert s1 == s2
         assert (L1 is None) == (L2 is None) == (k < a.width)
         assert L1 is None or L1.to_newick() == L2.to_newick()

@@ -2,6 +2,8 @@
 rank identities."""
 
 import random
+from collections import Counter
+from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
@@ -17,9 +19,9 @@ from rankw.graphs import (GraphError, SigmaGraph, _canonical_labelling,
                           is_sigma_symmetric, isomorphic)
 from rankw.layouts import birankwidth, rankwidth
 from rankw.matrix import MatrixError
-from rankw.transform import (RELATIONS, SearchBudgetError, _closure, _delete,
-                             _generate, _minor_successors, _successors,
-                             const_graph, ec_cycle,
+from rankw.transform import (RELATIONS, ObstructionStats, SearchBudgetError,
+                             _closure, _delete, _generate, _minor_successors,
+                             _successors, const_graph, ec_cycle,
                              equivalence_orbit, equivalence_orbit_graphs,
                              find_obstructions, is_minor, local_complement,
                              obstruction_size_bound, pivot_complement,
@@ -649,6 +651,62 @@ def test_width1_obstructions_at_the_size_bound():
     assert {o.graph.canonical_form() for o in obs_p} == \
         {H.canonical_form() for G in (C5, C6)
          for H in equivalence_orbit_graphs(G, "pivot")}
+
+
+OBSTRUCTION_CASES = {
+    **{f"gf2-{r}": (F2, S2, r, 6) for r in RELATIONS},
+    **{f"gf3-neg-{r}": (F3, S3N, r, 5) for r in ("sigma-vertex", "pivot")},
+    "gf3-id-vertex": (F3, S3I, "vertex", 4),
+    **{f"gf4-conj-{r}": (F4, S4, r, 4) for r in ("sigma-vertex", "pivot")},
+}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", OBSTRUCTION_CASES)
+def test_obstructions_match_full_generation_oracle(name, k):
+    """Growing only the connected width-<=k class finds the obstructions
+    that labelling every graph finds, in the same order; each is its
+    canonical matrix."""
+    F, s, relation, max_n = OBSTRUCTION_CASES[name]
+    obs = find_obstructions(F, s, relation, k, max_n)
+    expected = oracles.find_obstructions(F, s, relation, k, max_n)
+    assert [(o.graph.n, F.q, o.graph.codes) for o in obs] == \
+        [o.graph.canonical_form() for o in expected]
+    assert all(o.relation == relation and o.k == k for o in obs)
+
+
+def test_obstruction_counters():
+    """The counters of each level repeat exactly, and they nest: the class
+    and the width decisions lie among the distinct connected graphs, which
+    lie among the extensions labelled, and each obstruction is a candidate,
+    which an orbit search or a verdict reused settles."""
+    for F, s, relation, max_n in [(F2, S2, "pivot", 6), (F3, S3N, "pivot", 5),
+                                  (F4, S4, "sigma-vertex", 4)]:
+        a, b = ObstructionStats(), ObstructionStats()
+        obs = find_obstructions(F, s, relation, 1, max_n, stats=a)
+        find_obstructions(F, s, relation, 1, max_n, stats=b)
+        assert a == b
+        levels = list(range(2, max_n + 1))
+        assert all(list(counts) == levels for counts in asdict(a).values())
+        sizes = Counter(o.graph.n for o in obs)
+        for n in levels:
+            assert a.class_size[n] <= a.width_decisions[n] <= \
+                a.connected_graphs[n] <= a.extensions_labelled[n]
+            assert a.candidates[n] == a.orbit_searches[n] + a.verdicts_reused[n]
+            assert a.candidates[n] >= sizes[n]
+        assert a.class_size[2] == a.connected_graphs[2]  # an edge has width 1
+
+
+def test_width1_obstructions_gf3_pivot():
+    """Over GF(3) with negation, under pivots, width 1 has 7 obstructions on
+    4 vertices and 36 on 5; the class of connected graphs of width <= 1 has
+    27 and 216 members there."""
+    stats = ObstructionStats()
+    obs = find_obstructions(F3, S3N, "pivot", 1, 5, stats=stats)
+    assert len(obs) == 43
+    assert Counter(o.graph.n for o in obs) == {4: 7, 5: 36}
+    assert stats.class_size == {2: 1, 3: 5, 4: 27, 5: 216}
+    assert all(rankwidth(o.graph).width == 2 for o in obs)
 
 
 def test_vertex_obstructions_need_compatible_units():
