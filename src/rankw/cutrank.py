@@ -2,7 +2,10 @@
 function of the partitioned linear matroid on (I | M_G), evaluated cut-wise.
 
 A CutFunction keeps its values in a cut table indexed by bitmask over the
-graph's vertex order (see `CutFunction`); the three kinds are
+graph's vertex order (see `CutFunction`), whose entries are of three kinds:
+an exact value (below LOW = 128), a lower bound LOW + c (the value is at
+least c; only a width decision stores one) and UNSET (255, not evaluated
+yet).  The three cut functions are
 
     cutrk(X)   = rk M[X][V\\X]                       (sigma-symmetric only)
     bicutrk(X) = rk M[X][V\\X] + rk M[V\\X][X]
@@ -34,6 +37,12 @@ M[X][V\\X] is rank(R, X, V\\X); the field order picks it:
                          more than these lookups;
     orders > 256         no tables: the first such cut raises MatrixError.
 
+Every kernel also takes a cap c >= 1 and returns min(rank, c): it stops
+once its basis holds c rows.  A width decision at bound k needs only
+whether a cut exceeds k, so it stops each rank at k + 1 (bicutrk gives its
+second block what the first left of the cap, and lambda its second rank)
+and stores a cut that reaches k + 1 as the lower bound LOW + k + 1.
+
 The bit-sliced kernels follow T. J. Boothby and R. W. Bradshaw, "Bitslicing
 and the method of four Russians over larger finite fields" (2009), and M. R.
 Albrecht, "The M4RIE library" (2011).  Each basis row keeps its own leading
@@ -59,6 +68,8 @@ KINDS = ("cutrk", "bicutrk", "lambda")
 
 FLAT_N = 24  # the largest n whose cut table becomes a flat bytearray in a search
 UNSET = 255  # the table entry of a cut not evaluated yet
+LOW = 128    # a flat table entry LOW + c, c < UNSET - LOW: the cut is at least c
+UNCAPPED = 1 << 16  # the cap of an exact evaluation: above every rank
 
 
 class _SparseTable(dict):
@@ -75,18 +86,29 @@ class _SparseTable(dict):
 class CutFunction:
     """Memoized symmetric cut function of a fixed graph.
 
-    ``memo`` is the cut table: ``memo[X]`` is the value of the cut X, or
-    UNSET (255) if X is not evaluated yet.  Each evaluation stores its value
-    under both X and V\\X, so a lookup needs no normalisation.  The table
-    starts as a dict whose missing keys read as UNSET, so that a few cuts
-    cost a few entries; `search_table` turns it into a bytearray over all
-    2^n masks (at most 16 MB) when a width search starts on a graph of at
-    most FLAT_N = 24 vertices.  Values fit in a byte up to 254 vertices; a
-    genuine 255, on a graph above that, is simply evaluated again on each
+    ``memo`` is the cut table, indexed by mask; each evaluation stores its
+    entry under both X and V\\X, so a lookup needs no normalisation.  An
+    entry is one of three kinds:
+
+        exact        the value of the cut X, below LOW = 128;
+        lower bound  LOW + c: a width search capped the cut's ranks at c
+                     and the value is at least c (flat table only);
+        UNSET        255: X is not evaluated yet.
+
+    The table starts as a dict whose missing keys read as UNSET, so that a
+    few cuts cost a few entries; `search_table` turns it into a bytearray
+    over all 2^n masks (at most 16 MB) when a width search starts on a
+    graph of at most FLAT_N = 24 vertices.  Only a decision on the flat
+    table stores lower bounds: a search at bound k reads one as "> k"
+    (LOW > k), and `search_table` first resets those with c <= k to UNSET.
+    `f(X)` evaluates any entry >= LOW exactly, so it never returns a bound.
+    Exact values stay below LOW up to 126 vertices; a genuine value >= LOW,
+    on a larger graph (a dict table), is simply evaluated again on each
     lookup.
     """
 
-    __slots__ = ("graph", "kind", "memo", "_n", "_full", "_idx", "_rows", "_rank")
+    __slots__ = ("graph", "kind", "memo", "_n", "_full", "_idx", "_rows", "_rank",
+                 "_caps", "_reset")
 
     def __init__(self, graph: ColoredGraph, kind: str):
         if kind not in KINDS:
@@ -103,6 +125,8 @@ class CutFunction:
         # field without tables (order > 256) fails only there
         self._rows = None
         self._rank = _xor_rank  # the kernel; _pack sets it for other fields
+        self._caps = set()  # every lower bound LOW + c in the table has c here
+        self._reset = 0  # lower bounds removed from the table so far
 
     def mask_of(self, X: Iterable) -> int:
         m = 0
@@ -121,48 +145,82 @@ class CutFunction:
         if not 0 <= mask <= self._full:
             raise GraphError("subset mask out of range")
         v = self.memo[mask]
-        return self._fill(mask) if v == UNSET else v
+        if v < LOW:
+            return v
+        if v != UNSET and self.memo.__class__ is bytearray:
+            self._reset += 1  # a lower bound, replaced by the exact value
+        return self._fill(mask)
 
-    def search_table(self):
-        """The cut table for a width search, which may read most of the 2^n
-        masks: up to FLAT_N vertices, the dict table is first copied into a
-        flat bytearray, which then replaces it."""
+    def search_table(self, k: int, capped: bool) -> tuple:
+        """The cut table for a width search at bound k, which may read most
+        of the 2^n masks, and the cap for `_fill`.  Up to FLAT_N vertices,
+        the dict table is first copied into a flat bytearray, which then
+        replaces it, and its lower bounds LOW + c with c <= k, which do not
+        say whether the cut exceeds k, are reset to UNSET.  The cap is
+        k + 1 if capped, the table is flat and k <= n, else UNCAPPED (exact
+        values): no cut exceeds n + 1 <= 25, so a larger cap would stop
+        nothing, and a bound LOW + k + 1 stays below UNSET."""
         memo = self.memo
-        if memo.__class__ is not bytearray and self._n <= FLAT_N:
+        if memo.__class__ is not bytearray:
+            if self._n > FLAT_N:
+                return memo, UNCAPPED
             flat = bytearray((UNSET,)) * (self._full + 1)
             for mask, v in memo.items():
                 flat[mask] = v
             self.memo = memo = flat
-        return memo
+        if self._caps and min(self._caps) <= k:
+            reset = bytes(UNSET if LOW <= b <= LOW + k else b for b in range(256))
+            unset = memo.count(UNSET)
+            self.memo = memo = memo.translate(reset)
+            self._reset += (memo.count(UNSET) - unset) // 2
+            self._caps = {c for c in self._caps if c > k}
+        if capped and k <= self._n:
+            self._caps.add(k + 1)
+            return memo, k + 1
+        return memo, UNCAPPED
 
-    def _fill(self, mask: int) -> int:
-        """Evaluate the cut mask and store its value under mask and V\\mask."""
-        v = self.memo[mask] = self.memo[self._full ^ mask] = self._evaluate(mask)
+    def _fill(self, mask: int, cap: int = UNCAPPED) -> int:
+        """Evaluate the cut mask with each rank stopped at cap, and store the
+        entry under mask and V\\mask: the value, or LOW + cap if it reached
+        cap."""
+        X, Y = mask, self._full ^ mask
+        if not X or not Y:
+            v = int(self.kind == "lambda")
+        else:
+            if self._rows is None:
+                self._pack()
+            R, rank, kind = self._rows, self._rank, self.kind
+            if kind == "cutrk":
+                if Y.bit_count() < X.bit_count():
+                    X, Y = Y, X  # M[Y][X] = sigma(M[X][Y])^T has the same rank
+                v = rank(R, X, Y, cap)
+            elif kind == "bicutrk":
+                v = rank(R, X, Y, cap)
+                if v < cap:
+                    v += rank(R, Y, X, cap - v)
+            else:  # r(X u X') + r(Y u Y') - r(V u V') + 1, r(V u V') = n
+                n = self._n
+                r = rank(R, X | X << n, self._full, UNCAPPED)
+                v = r + rank(R, Y | Y << n, self._full, cap + n - 1 - r) - n + 1
+            if v >= cap:
+                v = LOW + cap
+        self.memo[mask] = self.memo[self._full ^ mask] = v
         return v
 
     def evaluations(self) -> int:
-        """The number of cuts {X, V\\X} evaluated so far: the table's entries
-        other than UNSET (every entry of a dict table), halved."""
+        """The number of cut evaluations {X, V\\X} so far: the table's
+        entries other than UNSET, halved, plus the lower bounds removed
+        since (so a cut whose bound was reset and which was then evaluated
+        again counts twice)."""
         memo = self.memo
         if memo.__class__ is bytearray:
-            return (len(memo) - memo.count(UNSET)) // 2
+            return (len(memo) - memo.count(UNSET)) // 2 + self._reset
         return len(memo) // 2
 
-    def _evaluate(self, mask: int) -> int:
-        X, Y = mask, self._full ^ mask
-        if not X or not Y:
-            return int(self.kind == "lambda")
-        if self._rows is None:
-            self._pack()
-        if self.kind == "lambda":
-            return self._lambda(X, Y)
-        R, rank = self._rows, self._rank
-        if self.kind == "cutrk" and Y.bit_count() < X.bit_count():
-            X, Y = Y, X  # M[Y][X] = sigma(M[X][Y])^T has the same rank
-        r = rank(R, X, Y)
-        if self.kind == "bicutrk":
-            r += rank(R, Y, X)
-        return r
+    def capped_evaluations(self) -> int:
+        """The number of those evaluations that stopped at a cap: the lower
+        bounds in the table, halved, plus those removed since."""
+        return sum(self.memo.count(LOW + c) for c in self._caps) // 2 + self._reset
 
     def _pack(self):
         F, rows = self.graph.field, self.graph.rows()
@@ -183,13 +241,8 @@ class CutFunction:
             else:
                 tables = F.SUB, F.MUL, F.INV
                 self._rows = rows
-                self._rank = lambda R, X, Y: _list_rank(R, _bits(X), _bits(Y), tables)
-
-    def _lambda(self, X: int, Y: int) -> int:
-        """r(X u X') + r(Y u Y') - r(V u V') + 1, r(S u S') the rank of the
-        rows e_x and M[:, x] (x in S) of (I | M)^T, and r(V u V') = n."""
-        n, R, rank = self._n, self._rows, self._rank
-        return rank(R, X | X << n, self._full) + rank(R, Y | Y << n, self._full) - n + 1
+                self._rank = lambda R, X, Y, cap: _list_rank(R, _bits(X), _bits(Y),
+                                                             tables, cap)
 
 
 def _bits(mask: int) -> list[int]:
@@ -202,10 +255,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _xor_rank(R, rows: int, cols: int) -> int:
-    """Rank over GF(2) of the bit-packed rows R[i] & cols, i in rows.  Each
-    basis vector has its own leading bit, and v ^ b < v exactly when v has
-    the leading bit of b (min(v, v ^ b) without the builtin call)."""
+def _xor_rank(R, rows: int, cols: int, cap: int) -> int:
+    """Rank over GF(2) of the bit-packed rows R[i] & cols, i in rows, or cap
+    if that is smaller.  Each basis vector has its own leading bit, and
+    v ^ b < v exactly when v has the leading bit of b (min(v, v ^ b)
+    without the builtin call)."""
     basis = []
     while rows:
         low = rows & -rows
@@ -217,17 +271,22 @@ def _xor_rank(R, rows: int, cols: int) -> int:
                 v = w
         if v:
             basis.append(v)
+            if len(basis) == cap:
+                break
     return len(basis)
 
 
-def _gf3_rank(R, rows: int, cols: int) -> int:
+def _gf3_rank(R, rows: int, cols: int, cap: int) -> int:
     """Rank over GF(3) of the rows R[i] restricted to cols, i in rows, each
     R[i] a pair of planes (entry = 1, entry = 2).  (a, b) + (c, d) is
     (b | d) ^ t, (a | c) ^ t with t = (a | d) ^ (b | c), and -(c, d) is
     (d, c).  A basis row (c, d) has leading bit L and entry 1 there; a row
     with entry 1 at L takes it off, a row with entry 2 adds it.  Once the
-    rank reaches the number of columns, the other rows add nothing."""
+    rank reaches the number of columns or cap, the other rows are not
+    read."""
     limit = cols.bit_count()
+    if cap < limit:
+        limit = cap
     basis = []
     while rows:
         low = rows & -rows
@@ -272,14 +331,17 @@ def _gf2k_kernel(F, n: int, rows):
     shifts = [(t * n, t * kn) for t in range(k)]
     R = [sum(spread[e] << j for j, e in enumerate(row) if e) for row in rows]
 
-    def rank(R, rows: int, cols: int) -> int:
-        """Rank of the packed rows R[i] restricted to cols, i in rows.  The
+    def rank(R, rows: int, cols: int, cap: int) -> int:
+        """Rank of the packed rows R[i] restricted to cols, i in rows, or cap
+        if that is smaller.  The
         basis is a flat list of pairs (bit, m): m is a basis row times the
         element 2^t / (its leading entry), so its entry at the row's leading
         column is 2^t, bit is that column in plane t, and XORing m in
         clears bit t of an entry there.  The row that makes the rank reach
-        the number of columns, or the last row, needs no multiples."""
+        the number of columns or cap, or the last row, needs no multiples."""
         limit = cols.bit_count()
+        if cap < limit:
+            limit = cap
         cols *= ones  # the column mask in every plane
         r, basis = 0, []
         append = basis.append
@@ -306,9 +368,10 @@ def _gf2k_kernel(F, n: int, rows):
     return R, rank
 
 
-def _list_rank(A, rows, cols, tables) -> int:
+def _list_rank(A, rows, cols, tables, cap) -> int:
     """Rank of A[rows][cols] (A a list of code rows, rows and cols nonempty,
-    tables the field's SUB, MUL and INV), first-nonzero pivots."""
+    tables the field's SUB, MUL and INV), first-nonzero pivots, or cap if
+    that is smaller."""
     if len(cols) == 1:  # itemgetter of one index returns the entry itself
         return int(any(A[i][cols[0]] for i in rows))
     SUB, MUL, INV = tables
@@ -333,7 +396,7 @@ def _list_rank(A, rows, cols, tables) -> int:
                 me = MUL[MUL[e][pinv]]
                 m[i] = [SUB[x][me[y]] for x, y in zip(row, prow)]
         rank += 1
-        if rank == h:
+        if rank == h or rank == cap:
             break
     return rank
 

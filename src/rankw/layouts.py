@@ -104,17 +104,28 @@ class Layout:
     def edge_sides(self) -> list[tuple[tuple[int, int], frozenset]]:
         """All tree edges with their first-endpoint vertex sides, computed in
         one rooted traversal."""
+        index = {v: i for i, v in enumerate(self.leaves.values())}
+        return [(edge, side) for edge, side, _ in self.edge_cuts(index)]
+
+    def edge_cuts(self, index: dict) -> list[tuple[tuple[int, int], frozenset, int]]:
+        """All tree edges with their first-endpoint vertex sides and each
+        side's bitmask, bit index[v] for vertex v, in one rooted traversal."""
         order = self._walk(next(iter(self._adj)))
         below: dict[int, set] = {x: set() for x, _ in order}
+        bits = dict.fromkeys(below, 0)
         for x, p in reversed(order):
             if x in self.leaves:
-                below[x].add(self.leaves[x])
+                v = self.leaves[x]
+                below[x].add(v)
+                bits[x] |= 1 << index[v]
             if p is not None:
                 below[p] |= below[x]
+                bits[p] |= bits[x]
         parent = dict(order)
-        everything = frozenset(self.leaves.values())
-        return [((u, v), frozenset(below[u]) if parent[u] == v
-                 else everything - below[v]) for u, v in self.edges]
+        everything, full = frozenset(self.leaves.values()), bits[order[0][0]]
+        return [((u, v), frozenset(below[u]), bits[u]) if parent[u] == v
+                else ((u, v), everything - below[v], full ^ bits[v])
+                for u, v in self.edges]
 
     def rooted(self, vertex) -> list[Optional[int]]:
         """The layout rooted by subdividing the edge at vertex's leaf, as a
@@ -280,13 +291,16 @@ def parse_newick(text: str) -> Layout:
 
 @dataclass
 class SearchStats:
-    """Counters of a width search, plain ints: the cuts it evaluated (read
-    from the cut table when it ends, so cuts evaluated before, by another
-    search on the same CutFunction, are not counted again) and, for each
-    bound k, the subsets it searched (one per frame, not per split).  `per`
-    names the key in the CLI's `stats:` lines."""
+    """Counters of a width search, plain ints: the cut evaluations it made
+    and how many of them a decision stopped at k + 1 (the growth of the
+    CutFunction's counts, so a cut evaluated before, by another search on
+    the same CutFunction, is not counted again, but one whose lower bound
+    the search reset and evaluated again is), and, for each bound k, the
+    subsets it searched (one per frame, not per split).  `per` names the
+    key in the CLI's `stats:` lines."""
     per: ClassVar[str] = "k"
     cut_evaluations: int = 0
+    capped_evaluations: int = 0
     subsets_searched: dict[int, int] = field(default_factory=dict)
 
 
@@ -311,8 +325,8 @@ def layout_width(G: ColoredGraph, f: CutFunction, L: Layout) -> WidthResult:
     cut_values: dict[tuple[int, int], int] = {}
     cut_sides: dict[tuple[int, int], frozenset] = {}
     width = 0
-    for edge, side in L.edge_sides():
-        v = f(side)
+    for edge, side, mask in L.edge_cuts(f._idx):
+        v = f(mask)
         cut_values[edge] = v
         cut_sides[edge] = side
         if v > width:
@@ -328,9 +342,11 @@ def _singleton_floor(f: CutFunction, n: int) -> int:
 # -- bounded search over recursive canonical splits ----------------------------
 
 def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
-                   stats: SearchStats):
+                   stats: SearchStats, capped: bool = False):
     """A rooted split tree (nested index pairs; the leaf index 0 when n = 1)
-    whose every cut is <= k, or None.  seen, shared over increasing bounds,
+    whose every cut is <= k, or None.  If capped, cut ranks stop at k + 1
+    where the table can keep lower bounds (`CutFunction.search_table`); a
+    bound, like UNSET, reads as > k.  seen, shared over increasing bounds,
     keeps verdicts by mask: a tree (valid at every larger bound) or the
     largest bound found infeasible.  A frame (mask, others, sub, left) tries
     the splits (mask ^ sub, sub), sub a nonempty subset of mask less its
@@ -342,7 +358,7 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
         return None
     if G.n <= 2:
         return 0 if G.n == 1 else (0, 1)
-    memo, fill = f.search_table(), f._fill
+    (memo, cap), fill = f.search_table(k, capped), f._fill
     stack, mask = [], f._full ^ 1  # f(rest) = f({v0}) <= floor <= k already
     others, sub, left, t = mask & (mask - 1), 0, None, None
     frames = 1
@@ -353,11 +369,11 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
                 x = mask ^ sub
                 v = memo[x]
                 if v == UNSET:
-                    v = fill(x)
+                    v = fill(x, cap)
                 if v <= k:
                     v = memo[sub]
                     if v == UNSET:
-                        v = fill(sub)
+                        v = fill(sub, cap)
                     if v <= k:
                         break
                 sub = (sub - 1) & others
@@ -415,12 +431,21 @@ def decide_width_at_most(G: ColoredGraph, f: CutFunction, k: int, *,
                          stats: Optional[SearchStats] = None) -> Optional[Layout]:
     """A witness layout of f-width <= k, or None.  A SearchStats passed as
     stats receives the search's counters."""
+    t = _decided_tree(G, f, k, force=force, stats=stats)
+    return None if t is None else build_layout(t, G.vertices)
+
+
+def _decided_tree(G: ColoredGraph, f: CutFunction, k: int, *, force: bool = False,
+                  stats: Optional[SearchStats] = None):
+    """The split tree of `decide_width_at_most`, or None, without building
+    the layout: a caller that asks only yes or no reads this."""
     _check_size(G.n, force)
     stats = SearchStats() if stats is None else stats
-    before = f.evaluations()
-    t = _feasible_tree(G, f, k, {}, stats)
+    before, capped = f.evaluations(), f.capped_evaluations()
+    t = _feasible_tree(G, f, k, {}, stats, capped=True)
     stats.cut_evaluations += f.evaluations() - before
-    return None if t is None else build_layout(t, G.vertices)
+    stats.capped_evaluations += f.capped_evaluations() - capped
+    return t
 
 
 def rankwidth(G: SigmaGraph, *, force: bool = False) -> WidthResult:

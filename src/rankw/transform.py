@@ -50,7 +50,7 @@ from .fields import Field, FieldError, Sesquimorphism, sigma_compatible, \
     sigma_compatible_set
 from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
     _components, digraph_gf2
-from .layouts import decide_width_at_most
+from .layouts import _decided_tree
 from .matrix import _require_tables
 
 RELATIONS = ("sigma-vertex", "vertex", "pivot")
@@ -526,7 +526,7 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
             if minimal is None:
                 decisions += 1
                 G = SigmaGraph(field, range(n), codes, sigma)
-                if decide_width_at_most(G, CutFunction(G, "cutrk"), k) is not None:
+                if _decided_tree(G, CutFunction(G, "cutrk"), k) is not None:
                     size += 1
                     if n < max_n:
                         nxt.append((codes, lab))

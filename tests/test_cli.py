@@ -69,10 +69,12 @@ def test_width_c5(tmp_path, capsys):
     assert sorted(L.leaves.values()) == [f"v{i}" for i in range(1, 6)]
     # the search's counters: the JSON's stats key, and stderr with --stats
     stats = payload["stats"]
-    assert set(stats) == {"cut_evaluations", "subsets_searched"}
+    assert set(stats) == {"cut_evaluations", "capped_evaluations", "subsets_searched"}
     searched = stats["subsets_searched"]
     assert 0 < stats["cut_evaluations"] <= 16 and list(searched) == ["1", "2"]
-    lines = [f"stats: cut_evaluations {stats['cut_evaluations']}"] + [
+    assert stats["capped_evaluations"] == 0  # only a decision caps cut ranks
+    lines = [f"stats: cut_evaluations {stats['cut_evaluations']}",
+             "stats: capped_evaluations 0"] + [
         f"stats: subsets_searched k={k} {searched[k]}" for k in ("1", "2")]
     assert run(capsys, "width", "--input", str(path), "--json", "--stats") == \
         (0, out, "\n".join(lines) + "\n")
@@ -82,7 +84,10 @@ def test_width_c5(tmp_path, capsys):
                          "--json", "--stats")
     payload = json.loads(out)
     assert payload["witness"] is None and list(payload["stats"]["subsets_searched"]) == ["1"]
-    assert err.splitlines()[1].startswith("stats: subsets_searched k=1 ")
+    capped = payload["stats"]["capped_evaluations"]
+    assert 0 < capped <= payload["stats"]["cut_evaluations"]
+    assert err.splitlines()[1:3] == [f"stats: capped_evaluations {capped}",
+                                     "stats: subsets_searched k=1 1"]
 
 
 def test_width_decision_and_layout_file(tmp_path, capsys):
@@ -94,6 +99,9 @@ def test_width_decision_and_layout_file(tmp_path, capsys):
                        "--emit-layout", str(nwk))
     assert code == 0 and out.splitlines()[0] == "width <= 2"
     assert parse_newick(nwk.read_text()).n == 5
+    # a bound past the byte range of the flat cut table
+    code, out, _ = run(capsys, "width", "--input", str(path), "--k", "300")
+    assert code == 0 and out.splitlines()[0] == "width <= 300"
 
 
 def test_cut_lambda_k3(tmp_path, capsys):

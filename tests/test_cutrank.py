@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankw.cutrank import CutFunction, bicutrk, cutrk, matroid_lambda
+from rankw.cutrank import LOW, CutFunction, bicutrk, cutrk, matroid_lambda
 from rankw.fields import (field_extend_quadratic, field_make,
                           sigma_frobenius_conj, sigma_identity, sigma_negation)
 from rankw.graphs import (ColoredGraph, GraphError, digraph_gf2,
@@ -202,3 +202,33 @@ def _colored_graphs(draw):
 @given(G=_colored_graphs())
 def test_bicut_kernels_match_rank_of(G):
     _assert_cuts_match_oracle(G, ("bicutrk",))
+
+
+_CAP_CASES = _SIGMA_CASES + [(_F16, sigma_identity(_F16))]
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=st.sampled_from(_CAP_CASES), n=st.integers(2, 8),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]))
+def test_capped_kernels_match_rank_of(case, n, seed, density):
+    """Every kernel with cap c returns min(rank, c) on both blocks of every
+    cut, for cutrk on a sigma-symmetric graph and bicutrk on an arbitrary
+    one; an evaluation with cap c (lambda's too) stores the value if it is
+    below c, else LOW + c."""
+    F, sigma = case
+    rng = random.Random(seed)
+    S, G = random_sigma_graph(rng, F, sigma, n, density), random_colored_graph(rng, F, n, density)
+    full = (1 << n) - 1
+    for kind, H in (("cutrk", S), ("bicutrk", G), ("lambda", G)):
+        f = CutFunction(H, kind)
+        f._pack()
+        R, rank = f._rows, f._rank
+        for X in range(1, full):
+            out, back = cut_block_ranks(H, X)
+            value = {"cutrk": out, "bicutrk": out + back, "lambda": out + back + 1}[kind]
+            for c in range(1, n + 2):
+                if kind != "lambda":
+                    assert rank(R, X, full ^ X, c) == min(out, c), (kind, X, c)
+                    assert rank(R, full ^ X, X, c) == min(back, c), (kind, X, c)
+                assert f._fill(X, c) == (value if value < c else LOW + c), (kind, X, c)
+                assert f.memo[X] == f.memo[full ^ X] == f._fill(X, c)

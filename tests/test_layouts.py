@@ -4,8 +4,10 @@ import functools
 import random
 import re
 import sys
+from contextlib import contextmanager
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankw import cutrank
-from rankw.cutrank import CutFunction, _SparseTable
+from rankw.cutrank import LOW, UNCAPPED, UNSET, CutFunction, _SparseTable
 from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import ColoredGraph, digraph_gf2, encode_undirected
@@ -451,7 +453,8 @@ _CONTAINER_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_negation(_F3)),
 def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
     """The dict cut table of graphs above FLAT_N vertices, kept in place of
     the flat bytearray, gives the same width, tree, Newick, cut values and
-    counters, and answers both sides of the decision alike."""
+    counters, and answers both sides of the decision alike; only the flat
+    table stores capped cuts, and the dict keeps every cut exact."""
     F, sigma = case
     G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
     flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
@@ -470,9 +473,105 @@ def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
         L1 = decide_width_at_most(G, flat, k, stats=s1)
         with patch.object(cutrank, "FLAT_N", 0):
             L2 = decide_width_at_most(G, sparse, k, stats=s2)
+        assert s2.capped_evaluations == 0
+        s2.capped_evaluations = s1.capped_evaluations
         assert s1 == s2
         assert (L1 is None) == (L2 is None) == (k < a.width)
         assert L1 is None or L1.to_newick() == L2.to_newick()
+
+
+@contextmanager
+def _fills_of(target: CutFunction):
+    """Counts the evaluations (`_fill` calls) of target, those that stored
+    a lower bound, and the masks evaluated."""
+    counts = SimpleNamespace(fills=0, capped=0, masks=[])
+    fill = CutFunction._fill
+
+    def counted(f, mask, cap=UNCAPPED):
+        v = fill(f, mask, cap)
+        if f is target:
+            counts.fills += 1
+            counts.capped += v >= LOW
+            counts.masks.append(mask)
+        return v
+    with patch.object(CutFunction, "_fill", counted):
+        yield counts
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=st.sampled_from(_CONTAINER_CASES), n=st.integers(1, 10),
+       kind=st.sampled_from(["cutrk", "bicutrk", "lambda"]),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]),
+       shift=st.integers(-1, 1))
+def test_capped_decisions_on_one_cut_function(case, n, kind, seed, density, shift):
+    """On one CutFunction, decisions at k, k + 1 and k - 1, then width_exact,
+    then f(X) on every mask give the answers, Newick, cut values and subsets
+    searched of a fresh CutFunction per call, although each decision leaves
+    lower bounds in the table.  A search's cut_evaluations is the number of
+    evaluations it made, so a cut whose bound search_table reset counts
+    again when it is evaluated again, and capped_evaluations the number of
+    those that stopped at k + 1; evaluations() counts every one so far."""
+    F, sigma = case
+    G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
+    w = width_exact(G, CutFunction(G, kind)).width
+    k, full = w + shift, (1 << n) - 1
+    shared = CutFunction(G, kind)
+    with _fills_of(shared) as calls:
+        for step in (k, k + 1, k - 1):
+            fresh, s1, s2 = CutFunction(G, kind), SearchStats(), SearchStats()
+            before = calls.fills, calls.capped
+            L1 = decide_width_at_most(G, shared, step, stats=s1)
+            L2 = decide_width_at_most(G, fresh, step, stats=s2)
+            assert (L1 is None) == (L2 is None) == (step < w)
+            assert L1 is None or L1.to_newick() == L2.to_newick()
+            assert s1.subsets_searched == s2.subsets_searched
+            assert (s1.cut_evaluations, s1.capped_evaluations) == (
+                calls.fills - before[0], calls.capped - before[1])
+        before = calls.fills
+        a, b = width_exact(G, shared), width_exact(G, CutFunction(G, kind))
+        assert (a.width, a.witness.to_newick(), a.cut_values) == (
+            b.width, b.witness.to_newick(), b.cut_values)
+        assert a.stats.subsets_searched == b.stats.subsets_searched
+        assert a.stats.cut_evaluations == calls.fills - before
+        assert a.stats.capped_evaluations == 0
+        fresh = CutFunction(G, kind)
+        assert [shared(X) for X in range(full + 1)] == [fresh(X) for X in range(full + 1)]
+        assert max(shared.memo[X] for X in range(full + 1)) < LOW
+        assert shared.evaluations() == calls.fills
+        assert shared.capped_evaluations() == calls.capped
+
+
+def test_reset_bounds_are_evaluated_and_counted_again():
+    """A "no" at k = 2 on the 4x4 grid stores LOW + 3 for the cuts above 2;
+    the decision at k = 3 on the same CutFunction resets them to UNSET and
+    counts each one it evaluates again among its cut evaluations."""
+    G = encode_undirected([(r * 4 + c, r * 4 + c + d) for r in range(4) for c in range(4)
+                           for d in (1, 4) if (d == 1 and c < 3) or (d == 4 and r < 3)])
+    f, s2, s3 = CutFunction(G, "cutrk"), SearchStats(), SearchStats()
+    assert decide_width_at_most(G, f, 2, force=True, stats=s2) is None
+    bounds = {X for X in range(1 << 16) if f.memo[X] == LOW + 3}
+    assert 0 < 2 * s2.capped_evaluations == len(bounds)
+    with _fills_of(f) as calls:
+        L = decide_width_at_most(G, f, 3, force=True, stats=s3)
+    again = bounds.intersection(calls.masks)
+    assert L is not None and layout_width(G, f, L).width == 3
+    assert again and s3.cut_evaluations == calls.fills >= len(again)
+    assert f.evaluations() == s2.cut_evaluations + s3.cut_evaluations
+
+
+def test_large_bounds_do_not_overflow_the_byte_table():
+    """A bound past the byte range: a decision at k = 200 on a 20-vertex
+    cycle stores exact values, before and after a "no" at k = 1 filled the
+    table with lower bounds, all of which the second search at k = 200
+    resets."""
+    G = encode_undirected([(i, (i + 1) % 20) for i in range(20)])
+    f = CutFunction(G, "cutrk")
+    for k in (200, 1, 200):
+        L = decide_width_at_most(G, f, k, force=True)
+        assert (L is None) == (k < 2)
+        assert L is None or layout_width(G, f, L).width <= k
+    assert f.memo.__class__ is bytearray
+    assert max(f.memo.translate(None, bytes((UNSET,)))) < LOW
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
