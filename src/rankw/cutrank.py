@@ -2,10 +2,10 @@
 function of the partitioned linear matroid on (I | M_G), evaluated cut-wise.
 
 A CutFunction keeps its values in a cut table indexed by bitmask over the
-graph's vertex order (see `CutFunction`), whose entries are of three kinds:
-an exact value (below LOW = 128), a lower bound LOW + c (the value is at
-least c; only a width decision stores one) and UNSET (255, not evaluated
-yet).  The three cut functions are
+graph's vertex order (see `CutFunction`).  An entry e below LOW = 128 is
+the exact value of its cut; an entry e >= LOW says that the cut is at least
+UNSET - e, so UNSET = 255 (not evaluated yet) is the trivial bound 0.  The
+three cut functions are
 
     cutrk(X)   = rk M[X][V\\X]                       (sigma-symmetric only)
     bicutrk(X) = rk M[X][V\\X] + rk M[V\\X][X]
@@ -41,7 +41,7 @@ Every kernel also takes a cap c >= 1 and returns min(rank, c): it stops
 once its basis holds c rows.  A width decision at bound k needs only
 whether a cut exceeds k, so it stops each rank at k + 1 (bicutrk gives its
 second block what the first left of the cap, and lambda its second rank)
-and stores a cut that reaches k + 1 as the lower bound LOW + k + 1.
+and stores a cut that reaches k + 1 as the bound UNSET - (k + 1).
 
 The bit-sliced kernels follow T. J. Boothby and R. W. Bradshaw, "Bitslicing
 and the method of four Russians over larger finite fields" (2009), and M. R.
@@ -67,8 +67,8 @@ KINDS = ("cutrk", "bicutrk", "lambda")
 
 
 FLAT_N = 24  # the largest n whose cut table becomes a flat bytearray in a search
-UNSET = 255  # the table entry of a cut not evaluated yet
-LOW = 128    # a flat table entry LOW + c, c < UNSET - LOW: the cut is at least c
+UNSET = 255  # the table entry of a cut not evaluated yet: the cut is at least 0
+LOW = 128    # entries below LOW are exact; an entry e >= LOW: the cut is >= UNSET - e
 UNCAPPED = 1 << 16  # the cap of an exact evaluation: above every rank
 
 
@@ -88,27 +88,26 @@ class CutFunction:
 
     ``memo`` is the cut table, indexed by mask; each evaluation stores its
     entry under both X and V\\X, so a lookup needs no normalisation.  An
-    entry is one of three kinds:
-
-        exact        the value of the cut X, below LOW = 128;
-        lower bound  LOW + c: a width search capped the cut's ranks at c
-                     and the value is at least c (flat table only);
-        UNSET        255: X is not evaluated yet.
+    entry e has one reading: if e < LOW = 128, it is the value of the cut
+    X; if e >= LOW, the value is at least UNSET - e.  So UNSET = 255, the
+    entry of a cut not evaluated yet, is the trivial bound 0, and a cut
+    whose ranks a width decision capped at c is stored as UNSET - c.  A
+    search at bound k reads a bound c > k as "> k" and evaluates an entry
+    again exactly when it is at least max(LOW, UNSET - k), so a bound
+    outlives searches at other bounds and none is ever reset.  `f(X)`
+    evaluates any entry >= LOW exactly, so it never returns a bound.
 
     The table starts as a dict whose missing keys read as UNSET, so that a
     few cuts cost a few entries; `search_table` turns it into a bytearray
     over all 2^n masks (at most 16 MB) when a width search starts on a
-    graph of at most FLAT_N = 24 vertices.  Only a decision on the flat
-    table stores lower bounds: a search at bound k reads one as "> k"
-    (LOW > k), and `search_table` first resets those with c <= k to UNSET.
-    `f(X)` evaluates any entry >= LOW exactly, so it never returns a bound.
-    Exact values stay below LOW up to 126 vertices; a genuine value >= LOW,
-    on a larger graph (a dict table), is simply evaluated again on each
-    lookup.
+    graph of at most FLAT_N = 24 vertices.  Exact values stay below LOW up
+    to 126 vertices; a genuine value v >= LOW, on a larger graph (a dict
+    table), reads as the true bound UNSET - v < v and is simply evaluated
+    again when it is needed.
     """
 
     __slots__ = ("graph", "kind", "memo", "_n", "_full", "_idx", "_rows", "_rank",
-                 "_caps", "_reset")
+                 "_exact", "_capped")
 
     def __init__(self, graph: ColoredGraph, kind: str):
         if kind not in KINDS:
@@ -125,8 +124,7 @@ class CutFunction:
         # field without tables (order > 256) fails only there
         self._rows = None
         self._rank = _xor_rank  # the kernel; _pack sets it for other fields
-        self._caps = set()  # every lower bound LOW + c in the table has c here
-        self._reset = 0  # lower bounds removed from the table so far
+        self._exact = self._capped = 0  # evaluations by outcome, bumped by _fill
 
     def mask_of(self, X: Iterable) -> int:
         m = 0
@@ -145,44 +143,30 @@ class CutFunction:
         if not 0 <= mask <= self._full:
             raise GraphError("subset mask out of range")
         v = self.memo[mask]
-        if v < LOW:
-            return v
-        if v != UNSET and self.memo.__class__ is bytearray:
-            self._reset += 1  # a lower bound, replaced by the exact value
-        return self._fill(mask)
+        return v if v < LOW else self._fill(mask)
 
     def search_table(self, k: int, capped: bool) -> tuple:
         """The cut table for a width search at bound k, which may read most
-        of the 2^n masks, and the cap for `_fill`.  Up to FLAT_N vertices,
-        the dict table is first copied into a flat bytearray, which then
-        replaces it, and its lower bounds LOW + c with c <= k, which do not
-        say whether the cut exceeds k, are reset to UNSET.  The cap is
-        k + 1 if capped, the table is flat and k <= n, else UNCAPPED (exact
-        values): no cut exceeds n + 1 <= 25, so a larger cap would stop
-        nothing, and a bound LOW + k + 1 stays below UNSET."""
+        of the 2^n masks, the cap for `_fill` and the threshold from which
+        an entry must be evaluated again.  Up to FLAT_N vertices, the dict
+        table is first copied into a flat bytearray, which then replaces
+        it.  The cap is k + 1 if capped and 0 <= k < UNSET - LOW, so that
+        the bound UNSET - (k + 1) stays >= LOW, else UNCAPPED (exact
+        values).  The threshold max(LOW, UNSET - k) selects the entries
+        that are neither exact nor a bound c > k."""
         memo = self.memo
-        if memo.__class__ is not bytearray:
-            if self._n > FLAT_N:
-                return memo, UNCAPPED
+        if memo.__class__ is not bytearray and self._n <= FLAT_N:
             flat = bytearray((UNSET,)) * (self._full + 1)
             for mask, v in memo.items():
                 flat[mask] = v
             self.memo = memo = flat
-        if self._caps and min(self._caps) <= k:
-            reset = bytes(UNSET if LOW <= b <= LOW + k else b for b in range(256))
-            unset = memo.count(UNSET)
-            self.memo = memo = memo.translate(reset)
-            self._reset += (memo.count(UNSET) - unset) // 2
-            self._caps = {c for c in self._caps if c > k}
-        if capped and k <= self._n:
-            self._caps.add(k + 1)
-            return memo, k + 1
-        return memo, UNCAPPED
+        cap = k + 1 if capped and 0 <= k < UNSET - LOW else UNCAPPED
+        return memo, cap, max(LOW, UNSET - k)
 
     def _fill(self, mask: int, cap: int = UNCAPPED) -> int:
-        """Evaluate the cut mask with each rank stopped at cap, and store the
-        entry under mask and V\\mask: the value, or LOW + cap if it reached
-        cap."""
+        """Evaluate the cut mask with each rank stopped at cap, store the
+        entry under mask and V\\mask: the value, or UNSET - cap if it
+        reached cap, and count the evaluation."""
         X, Y = mask, self._full ^ mask
         if not X or not Y:
             v = int(self.kind == "lambda")
@@ -202,25 +186,22 @@ class CutFunction:
                 n = self._n
                 r = rank(R, X | X << n, self._full, UNCAPPED)
                 v = r + rank(R, Y | Y << n, self._full, cap + n - 1 - r) - n + 1
-            if v >= cap:
-                v = LOW + cap
+        if v < cap:
+            self._exact += 1
+        else:
+            v = UNSET - cap
+            self._capped += 1
         self.memo[mask] = self.memo[self._full ^ mask] = v
         return v
 
     def evaluations(self) -> int:
-        """The number of cut evaluations {X, V\\X} so far: the table's
-        entries other than UNSET, halved, plus the lower bounds removed
-        since (so a cut whose bound was reset and which was then evaluated
-        again counts twice)."""
-        memo = self.memo
-        if memo.__class__ is bytearray:
-            return (len(memo) - memo.count(UNSET)) // 2 + self._reset
-        return len(memo) // 2
+        """The number of cut evaluations {X, V\\X} so far, a cut evaluated
+        again counting again."""
+        return self._exact + self._capped
 
     def capped_evaluations(self) -> int:
-        """The number of those evaluations that stopped at a cap: the lower
-        bounds in the table, halved, plus those removed since."""
-        return sum(self.memo.count(LOW + c) for c in self._caps) // 2 + self._reset
+        """The number of those evaluations that stopped at a cap."""
+        return self._capped
 
     def _pack(self):
         F, rows = self.graph.field, self.graph.rows()

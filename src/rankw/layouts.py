@@ -22,7 +22,7 @@ from functools import partial
 from operator import is_
 from typing import ClassVar, Optional, Sequence
 
-from .cutrank import UNSET, CutFunction
+from .cutrank import CutFunction
 from .graphs import ColoredGraph, SigmaGraph
 
 BNB_BOUND = 14
@@ -293,11 +293,12 @@ def parse_newick(text: str) -> Layout:
 class SearchStats:
     """Counters of a width search, plain ints: the cut evaluations it made
     and how many of them a decision stopped at k + 1 (the growth of the
-    CutFunction's counts, so a cut evaluated before, by another search on
-    the same CutFunction, is not counted again, but one whose lower bound
-    the search reset and evaluated again is), and, for each bound k, the
-    subsets it searched (one per frame, not per split).  `per` names the
-    key in the CLI's `stats:` lines."""
+    CutFunction's counts, so a cut whose entry an earlier search on the
+    same CutFunction left exact, or a bound > k, is not counted again, but
+    one whose bound <= k the search evaluated again is), and, for each
+    bound k, the subsets it searched (one per frame, not per split).  A
+    SearchStats passed to several decisions adds up all three.  `per`
+    names the key in the CLI's `stats:` lines."""
     per: ClassVar[str] = "k"
     cut_evaluations: int = 0
     capped_evaluations: int = 0
@@ -345,20 +346,21 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
                    stats: SearchStats, capped: bool = False):
     """A rooted split tree (nested index pairs; the leaf index 0 when n = 1)
     whose every cut is <= k, or None.  If capped, cut ranks stop at k + 1
-    where the table can keep lower bounds (`CutFunction.search_table`); a
-    bound, like UNSET, reads as > k.  seen, shared over increasing bounds,
-    keeps verdicts by mask: a tree (valid at every larger bound) or the
-    largest bound found infeasible.  A frame (mask, others, sub, left) tries
-    the splits (mask ^ sub, sub), sub a nonempty subset of mask less its
-    lowest bit, in decreasing order: it asks for the tree of mask ^ sub,
-    then of sub; a None moves it on.  The frames started are counted in
+    (`CutFunction.search_table`).  An entry at or above the table's
+    threshold is evaluated; any other is exact or a bound > k, which reads
+    as > k.  seen, shared over increasing bounds, keeps verdicts by mask: a
+    tree (valid at every larger bound) or the largest bound found
+    infeasible.  A frame (mask, others, sub, left) tries the splits
+    (mask ^ sub, sub), sub a nonempty subset of mask less its lowest bit, in
+    decreasing order: it asks for the tree of mask ^ sub, then of sub; a
+    None moves it on.  The frames started are added to
     stats.subsets_searched[k]."""
-    stats.subsets_searched[k] = 0
+    stats.subsets_searched.setdefault(k, 0)
     if _singleton_floor(f, G.n) > k:
         return None
     if G.n <= 2:
         return 0 if G.n == 1 else (0, 1)
-    (memo, cap), fill = f.search_table(k, capped), f._fill
+    (memo, cap, threshold), fill = f.search_table(k, capped), f._fill
     stack, mask = [], f._full ^ 1  # f(rest) = f({v0}) <= floor <= k already
     others, sub, left, t = mask & (mask - 1), 0, None, None
     frames = 1
@@ -368,11 +370,11 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
             while sub:
                 x = mask ^ sub
                 v = memo[x]
-                if v == UNSET:
+                if v >= threshold:
                     v = fill(x, cap)
                 if v <= k:
                     v = memo[sub]
-                    if v == UNSET:
+                    if v >= threshold:
                         v = fill(sub, cap)
                     if v <= k:
                         break
@@ -387,7 +389,7 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
             child = 0
         if not child:  # the frame is done: hand t to the frame below
             if not stack:
-                stats.subsets_searched[k] = frames
+                stats.subsets_searched[k] += frames
                 return None if t is None else (0, t)
             mask, others, sub, left = stack.pop()
         elif child & (child - 1) == 0:

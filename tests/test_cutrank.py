@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankw.cutrank import LOW, CutFunction, bicutrk, cutrk, matroid_lambda
+from rankw.cutrank import UNSET, CutFunction, bicutrk, cutrk, matroid_lambda
 from rankw.fields import (field_extend_quadratic, field_make,
                           sigma_frobenius_conj, sigma_identity, sigma_negation)
 from rankw.graphs import (ColoredGraph, GraphError, digraph_gf2,
@@ -214,7 +214,7 @@ def test_capped_kernels_match_rank_of(case, n, seed, density):
     """Every kernel with cap c returns min(rank, c) on both blocks of every
     cut, for cutrk on a sigma-symmetric graph and bicutrk on an arbitrary
     one; an evaluation with cap c (lambda's too) stores the value if it is
-    below c, else LOW + c."""
+    below c, else UNSET - c."""
     F, sigma = case
     rng = random.Random(seed)
     S, G = random_sigma_graph(rng, F, sigma, n, density), random_colored_graph(rng, F, n, density)
@@ -230,5 +230,5 @@ def test_capped_kernels_match_rank_of(case, n, seed, density):
                 if kind != "lambda":
                     assert rank(R, X, full ^ X, c) == min(out, c), (kind, X, c)
                     assert rank(R, full ^ X, X, c) == min(back, c), (kind, X, c)
-                assert f._fill(X, c) == (value if value < c else LOW + c), (kind, X, c)
+                assert f._fill(X, c) == (value if value < c else UNSET - c), (kind, X, c)
                 assert f.memo[X] == f.memo[full ^ X] == f._fill(X, c)

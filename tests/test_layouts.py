@@ -415,7 +415,8 @@ def test_search_counters():
     """The counters of a search repeat exactly for the same input, count at
     most 2^(n-1) cut evaluations, one subset search per bound from the
     singleton floor up, and a second search on the same CutFunction
-    evaluates no cut again."""
+    evaluates no cut again.  A SearchStats passed to two decisions adds up
+    every counter."""
     rng = random.Random(6)
     for kind in ("cutrk", "bicutrk", "lambda"):
         for n in (4, 7, 9):
@@ -436,8 +437,10 @@ def test_search_counters():
                 decide_width_at_most(G, fresh, k, stats=stats)
                 assert 0 < stats.cut_evaluations == fresh.evaluations() <= 1 << (n - 1)
                 assert list(stats.subsets_searched) == [k]
+                searched = stats.subsets_searched[k]
                 decide_width_at_most(G, fresh, k, stats=stats)
                 assert stats.cut_evaluations == fresh.evaluations()
+                assert stats.subsets_searched == {k: 2 * searched}
             assert decide_width_at_most(G, fresh, 0, stats=stats) is None
             assert stats.subsets_searched[0] == 0  # below the floor: no search
 
@@ -453,8 +456,8 @@ _CONTAINER_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_negation(_F3)),
 def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
     """The dict cut table of graphs above FLAT_N vertices, kept in place of
     the flat bytearray, gives the same width, tree, Newick, cut values and
-    counters, and answers both sides of the decision alike; only the flat
-    table stores capped cuts, and the dict keeps every cut exact."""
+    counters, and answers both sides of the decision alike, capped cuts
+    and their counter included."""
     F, sigma = case
     G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
     flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
@@ -473,8 +476,6 @@ def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
         L1 = decide_width_at_most(G, flat, k, stats=s1)
         with patch.object(cutrank, "FLAT_N", 0):
             L2 = decide_width_at_most(G, sparse, k, stats=s2)
-        assert s2.capped_evaluations == 0
-        s2.capped_evaluations = s1.capped_evaluations
         assert s1 == s2
         assert (L1 is None) == (L2 is None) == (k < a.width)
         assert L1 is None or L1.to_newick() == L2.to_newick()
@@ -498,58 +499,79 @@ def _fills_of(target: CutFunction):
         yield counts
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(case=st.sampled_from(_CONTAINER_CASES), n=st.integers(1, 10),
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=st.sampled_from(_CONTAINER_CASES), n=st.integers(3, 9),
        kind=st.sampled_from(["cutrk", "bicutrk", "lambda"]),
        seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]),
-       shift=st.integers(-1, 1))
-def test_capped_decisions_on_one_cut_function(case, n, kind, seed, density, shift):
-    """On one CutFunction, decisions at k, k + 1 and k - 1, then width_exact,
-    then f(X) on every mask give the answers, Newick, cut values and subsets
-    searched of a fresh CutFunction per call, although each decision leaves
-    lower bounds in the table.  A search's cut_evaluations is the number of
-    evaluations it made, so a cut whose bound search_table reset counts
-    again when it is evaluated again, and capped_evaluations the number of
-    those that stopped at k + 1; evaluations() counts every one so far."""
+       flat=st.booleans(), data=st.data())
+def test_capped_decisions_on_one_cut_function(case, n, kind, seed, density, flat, data):
+    """On one CutFunction, with the flat table or the dict table, a random
+    sequence of decisions (at k in -1..n + 2 or at 200), exact widths and
+    single cuts, then f(X) on every mask, gives the answers, Newick, cut
+    values and subsets searched of a fresh CutFunction per call, although
+    each decision leaves lower bounds in the table.
+    After every call each entry below LOW is the cut's value and each
+    other entry is UNSET - c for a c that the value reaches.  A search's
+    cut_evaluations is the number of evaluations it made, so a cut whose
+    bound it evaluates again counts again, and capped_evaluations the
+    number of those that stopped at k + 1; evaluations() and
+    capped_evaluations() count every one so far."""
     F, sigma = case
     G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
-    w = width_exact(G, CutFunction(G, kind)).width
-    k, full = w + shift, (1 << n) - 1
+    fresh = CutFunction(G, kind)
+    full = (1 << n) - 1
+    values = [fresh(X) for X in range(full + 1)]
+    queries = data.draw(st.lists(st.tuples(
+        st.sampled_from(["decide"] * 4 + ["exact", "cut"]),
+        st.integers(-1, n + 3), st.integers(0, full)), min_size=2, max_size=6))
+    w = width_exact(G, fresh).width
     shared = CutFunction(G, kind)
-    with _fills_of(shared) as calls:
-        for step in (k, k + 1, k - 1):
-            fresh, s1, s2 = CutFunction(G, kind), SearchStats(), SearchStats()
+    with _fills_of(shared) as calls, patch.object(cutrank, "FLAT_N",
+                                                  cutrank.FLAT_N if flat else 0):
+        for query, x, X in queries:
             before = calls.fills, calls.capped
-            L1 = decide_width_at_most(G, shared, step, stats=s1)
-            L2 = decide_width_at_most(G, fresh, step, stats=s2)
-            assert (L1 is None) == (L2 is None) == (step < w)
-            assert L1 is None or L1.to_newick() == L2.to_newick()
-            assert s1.subsets_searched == s2.subsets_searched
-            assert (s1.cut_evaluations, s1.capped_evaluations) == (
-                calls.fills - before[0], calls.capped - before[1])
-        before = calls.fills
-        a, b = width_exact(G, shared), width_exact(G, CutFunction(G, kind))
-        assert (a.width, a.witness.to_newick(), a.cut_values) == (
-            b.width, b.witness.to_newick(), b.cut_values)
-        assert a.stats.subsets_searched == b.stats.subsets_searched
-        assert a.stats.cut_evaluations == calls.fills - before
-        assert a.stats.capped_evaluations == 0
-        fresh = CutFunction(G, kind)
-        assert [shared(X) for X in range(full + 1)] == [fresh(X) for X in range(full + 1)]
+            if query == "decide":
+                x = 200 if x > n + 2 else x
+                fresh, s1, s2 = CutFunction(G, kind), SearchStats(), SearchStats()
+                L1 = decide_width_at_most(G, shared, x, stats=s1)
+                L2 = decide_width_at_most(G, fresh, x, stats=s2)
+                assert (L1 is None) == (L2 is None) == (x < w)
+                assert L1 is None or L1.to_newick() == L2.to_newick()
+                assert s1.subsets_searched == s2.subsets_searched
+                assert (s1.cut_evaluations, s1.capped_evaluations) == (
+                    calls.fills - before[0], calls.capped - before[1])
+            elif query == "exact":
+                a, b = width_exact(G, shared), width_exact(G, CutFunction(G, kind))
+                assert (a.width, a.witness.to_newick(), a.cut_values) == (
+                    b.width, b.witness.to_newick(), b.cut_values)
+                assert a.stats.subsets_searched == b.stats.subsets_searched
+                assert a.stats.cut_evaluations == calls.fills - before[0]
+                assert a.stats.capped_evaluations == 0 == calls.capped - before[1]
+            else:
+                assert shared(X) == values[X]
+            for X, v in enumerate(values):
+                e = shared.memo[X]
+                assert e == v if e < LOW else e <= UNSET and v >= UNSET - e
+            assert shared.evaluations() == calls.fills
+            assert shared.capped_evaluations() == calls.capped
+        assert flat or shared.memo.__class__ is _SparseTable
+        assert [shared(X) for X in range(full + 1)] == values
         assert max(shared.memo[X] for X in range(full + 1)) < LOW
         assert shared.evaluations() == calls.fills
         assert shared.capped_evaluations() == calls.capped
 
 
-def test_reset_bounds_are_evaluated_and_counted_again():
-    """A "no" at k = 2 on the 4x4 grid stores LOW + 3 for the cuts above 2;
-    the decision at k = 3 on the same CutFunction resets them to UNSET and
-    counts each one it evaluates again among its cut evaluations."""
+def test_bounds_are_re_evaluated_and_counted_again():
+    """A "no" at k = 2 on the 4x4 grid stores UNSET - 3 for the cuts above
+    2; the decision at k = 3 on the same CutFunction evaluates those it
+    reaches again and counts each among its cut evaluations, and a second
+    "no" at k = 2 reads every cut it needs from the table, the bounds
+    UNSET - 3 that the search at 3 did not reach and UNSET - 4 included."""
     G = encode_undirected([(r * 4 + c, r * 4 + c + d) for r in range(4) for c in range(4)
                            for d in (1, 4) if (d == 1 and c < 3) or (d == 4 and r < 3)])
     f, s2, s3 = CutFunction(G, "cutrk"), SearchStats(), SearchStats()
     assert decide_width_at_most(G, f, 2, force=True, stats=s2) is None
-    bounds = {X for X in range(1 << 16) if f.memo[X] == LOW + 3}
+    bounds = {X for X in range(1 << 16) if f.memo[X] == UNSET - 3}
     assert 0 < 2 * s2.capped_evaluations == len(bounds)
     with _fills_of(f) as calls:
         L = decide_width_at_most(G, f, 3, force=True, stats=s3)
@@ -557,13 +579,17 @@ def test_reset_bounds_are_evaluated_and_counted_again():
     assert L is not None and layout_width(G, f, L).width == 3
     assert again and s3.cut_evaluations == calls.fills >= len(again)
     assert f.evaluations() == s2.cut_evaluations + s3.cut_evaluations
+    s4 = SearchStats()
+    assert decide_width_at_most(G, f, 2, force=True, stats=s4) is None
+    assert s4.cut_evaluations == s4.capped_evaluations == 0
+    assert s4.subsets_searched == s2.subsets_searched
 
 
 def test_large_bounds_do_not_overflow_the_byte_table():
     """A bound past the byte range: a decision at k = 200 on a 20-vertex
     cycle stores exact values, before and after a "no" at k = 1 filled the
-    table with lower bounds, all of which the second search at k = 200
-    resets."""
+    table with lower bounds UNSET - 2, and evaluates again each of those
+    that it reads."""
     G = encode_undirected([(i, (i + 1) % 20) for i in range(20)])
     f = CutFunction(G, "cutrk")
     for k in (200, 1, 200):
@@ -571,7 +597,7 @@ def test_large_bounds_do_not_overflow_the_byte_table():
         assert (L is None) == (k < 2)
         assert L is None or layout_width(G, f, L).width <= k
     assert f.memo.__class__ is bytearray
-    assert max(f.memo.translate(None, bytes((UNSET,)))) < LOW
+    assert set(f.memo) - set(range(LOW)) <= {UNSET, UNSET - 2}
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
