@@ -54,6 +54,7 @@ from .layouts import _decided_tree
 from .matrix import _require_tables
 
 RELATIONS = ("sigma-vertex", "vertex", "pivot")
+MAX_STATES = 200_000   # the default budget of the closure searches, in forms
 
 
 def obstruction_size_bound(k: int) -> int:
@@ -233,20 +234,18 @@ def _successors(field: Field, relation: str, sigma):
     return local_moves
 
 
-def _closure(q: int, start, start_lab, successors, max_states: int):
+def _closure(q: int, start, start_lab, successors):
     """Breadth-first closure from the state start, whose labelling is
-    start_lab.  Yields (state, labelling) for each state of a new canonical
-    form, in first-reached order; codes handled before are skipped without
-    labelling.  Each state keeps the automorphisms of its labelling for its
-    expansion, so successors(codes, n, sym, gens) makes one move per orbit:
-    the others give forms that the first has put in seen.  A state that is
-    the max_states-th or later (start = 1) is not expanded, and the search
-    then ends with its level."""
+    start_lab, to its end.  Yields (state, labelling) for each state of a new
+    canonical form, in first-reached order; codes handled before are skipped
+    without labelling.  Each state keeps the automorphisms of its labelling
+    for its expansion, so successors(codes, n, sym, gens) makes one move per
+    orbit: the others give forms that the first has put in seen.  There is
+    no budget: the caller ends the search by no longer iterating."""
     seen = {start_lab[0]}
     handled = {start[0]}
     frontier = [(start, start_lab[2])]
-    truncated = False
-    while frontier and not truncated:
+    while frontier:
         nxt = []
         for (s, sym), gens in frontier:
             for state in successors(s, isqrt(len(s)), sym, gens):
@@ -259,18 +258,15 @@ def _closure(q: int, start, start_lab, successors, max_states: int):
                     continue
                 seen.add(lab[0])
                 yield state, lab
-                if len(seen) < max_states:
-                    nxt.append((state, lab[2]))
-                else:
-                    truncated = True
+                nxt.append((state, lab[2]))
         frontier = nxt
 
 
 def _orbit(q: int, start, start_lab, successors, max_states: int) -> list:
     """The (state, labelling) pairs of the orbit members other than start;
-    SearchBudgetError when the orbit has more than max_states forms."""
+    SearchBudgetError at the (max_states + 1)-th form, the start counted."""
     members = []
-    for member in _closure(q, start, start_lab, successors, max_states + 1):
+    for member in _closure(q, start, start_lab, successors):
         if len(members) + 1 >= max_states:
             raise SearchBudgetError(f"orbit exceeded {max_states} states")
         members.append(member)
@@ -289,11 +285,11 @@ def _graph(field: Field, vertices, codes: tuple, sigma, lab) -> ColoredGraph:
 
 
 def equivalence_orbit_graphs(G: ColoredGraph, relation: str,
-                             max_states: int = 200_000) -> list[ColoredGraph]:
+                             max_states: int = MAX_STATES) -> list[ColoredGraph]:
     """BFS closure of G under the relation's moves, one representative per
-    isomorphism class, in first-reached order.  A representative is a
-    SigmaGraph exactly when every move on the path to it kept sigma-symmetry
-    (always, except under the "vertex" relation)."""
+    isomorphism class, in first-reached order (SearchBudgetError past
+    max_states).  A representative is a SigmaGraph exactly when every move
+    on the path kept sigma-symmetry (always, except under "vertex")."""
     if G.n > 10:
         raise GraphError("orbit search limited to n <= 10")
     sigma = getattr(G, "sigma", None)
@@ -304,7 +300,8 @@ def equivalence_orbit_graphs(G: ColoredGraph, relation: str,
                   for (codes, sym), lab in members]
 
 
-def equivalence_orbit(G: ColoredGraph, relation: str, max_states: int = 200_000) -> set:
+def equivalence_orbit(G: ColoredGraph, relation: str,
+                      max_states: int = MAX_STATES) -> set:
     """Canonical forms of the orbit members."""
     return {H.canonical_form() for H in
             equivalence_orbit_graphs(G, relation, max_states)}
@@ -312,9 +309,10 @@ def equivalence_orbit(G: ColoredGraph, relation: str, max_states: int = 200_000)
 
 @dataclass(frozen=True)
 class MinorSearchResult:
+    """states counts the distinct forms reached, the start included."""
     found: bool
-    complete: bool        # True when the full closure was explored
-    states: int
+    complete: bool        # False only for a negative cut off by the budget
+    states: int           # at most max_states + 1
 
     def __bool__(self) -> bool:
         return self.found
@@ -336,14 +334,14 @@ def _minor_successors(field: Field, relation: str, sigma, top: int, bottom: int)
 
 
 def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
-             max_states: int = 200_000) -> MinorSearchResult:
+             max_states: int = MAX_STATES) -> MinorSearchResult:
     """Does some graph reachable from G by moves and vertex deletions contain
     an induced subgraph isomorphic to H?  A move and the deletion of another
     vertex commute, so every such minor is an induced subgraph of a member of
     G's orbit: the search applies moves to graphs of G's size only and
     deletions down to H's size, breadth-first with canonical-form
-    deduplication; a negative with complete=False only means the budget ran
-    out."""
+    deduplication.  Reaching max_states + 1 forms (the start is one) without
+    H ends the search with complete=False: only the budget ran out."""
     if G.field != H.field:
         raise GraphError("graphs live over different fields")
     if H.n > G.n or G.n > 10:
@@ -358,12 +356,13 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
     successors = _minor_successors(G.field, relation, sigma, G.n, H.n)
     states = 1
     for _, lab in _closure(G.field.q, (G.codes, sigma is not None), start_lab,
-                           successors, max_states):
+                           successors):
         states += 1
         if lab[0] == target:
             return MinorSearchResult(True, True, states)
-    # a state past the budget is left unexpanded, which ends the search
-    return MinorSearchResult(False, states == 1 or states < max_states, states)
+        if states > max_states:
+            return MinorSearchResult(False, False, states)
+    return MinorSearchResult(False, True, states)
 
 
 # -- isomorph-free generation of sigma-symmetric graphs ------------------------
@@ -444,7 +443,7 @@ class ObstructionStats:
 
 
 def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
-                      k: int, max_n: int, orbit_budget: int = 200_000,
+                      k: int, max_n: int,
                       stats: Optional[ObstructionStats] = None) -> list[Obstruction]:
     """All sigma-symmetric graphs on <= max_n vertices (up to isomorphism)
     whose width exceeds k while every proper minor has width at most k, in
@@ -534,7 +533,7 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
                 if not deletions_narrow(codes, n):
                     continue
                 searches += 1
-                members = _orbit(q, (codes, True), lab, successors, orbit_budget)
+                members = _orbit(q, (codes, True), lab, successors, MAX_STATES)
                 minimal = all(deletions_narrow(c, n) for (c, _), _ in members)
                 verdicts[form] = minimal
                 for _, member_lab in members:

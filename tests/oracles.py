@@ -26,8 +26,9 @@ from rankw.graphs import (ColoredGraph, SigmaGraph, _canonical_labelling,
                           _components)
 from rankw.layouts import Layout, LayoutError, width_exact
 from rankw.matrix import MatrixError, _require_tables
-from rankw.transform import (Obstruction, SearchBudgetError, _delete, _generate,
-                             _minor_successors, _orbit, _successors)
+from rankw.transform import (MAX_STATES, Obstruction, SearchBudgetError,
+                             _delete, _generate, _minor_successors, _orbit,
+                             _successors)
 
 
 # -- shared random instance builders -------------------------------------------
@@ -202,15 +203,14 @@ def generate_levels(field: Field, sigma, n: int) -> Iterator[list]:
         yield level
 
 
-def closure(q: int, start, successors, max_states: int) -> Iterator[tuple]:
+def closure(q: int, start, successors) -> Iterator[tuple]:
     """`transform._closure` with every move made: yields (state, form) for
-    each state of a new canonical form, in first-reached order;
-    successors(codes, n, sym) lists a state's successors."""
+    each state of a new canonical form, in first-reached order, to the end
+    of the closure; successors(codes, n, sym) lists a state's successors."""
     seen = {_canonical_labelling(q, isqrt(len(start[0])), start[0])[0]}
     handled = {start[0]}
     frontier = [start]
-    truncated = False
-    while frontier and not truncated:
+    while frontier:
         nxt = []
         for s, sym in frontier:
             for state in successors(s, isqrt(len(s)), sym):
@@ -223,21 +223,20 @@ def closure(q: int, start, successors, max_states: int) -> Iterator[tuple]:
                     continue
                 seen.add(form)
                 yield state, form
-                if len(seen) < max_states:
-                    nxt.append(state)
-                else:
-                    truncated = True
+                nxt.append(state)
         frontier = nxt
 
 
-def orbit_states(G: ColoredGraph, relation: str, max_states: int = 200_000) -> list:
+def orbit_states(G: ColoredGraph, relation: str,
+                 max_states: int = MAX_STATES) -> list:
     """The (codes, stays sigma-symmetric) states of
-    `equivalence_orbit_graphs(G, relation, max_states)`, in order."""
+    `equivalence_orbit_graphs(G, relation, max_states)`, in order: the
+    (max_states + 1)-th form raises SearchBudgetError."""
     sigma = getattr(G, "sigma", None)
     moves = _successors(G.field, relation, sigma)
     members = [(G.codes, sigma is not None)]
     for state, _ in closure(G.field.q, members[0],
-                            lambda s, n, sym: moves(s, n, sym, ()), max_states + 1):
+                            lambda s, n, sym: moves(s, n, sym, ())):
         if len(members) >= max_states:
             raise SearchBudgetError(f"orbit exceeded {max_states} states")
         members.append(state)
@@ -245,9 +244,10 @@ def orbit_states(G: ColoredGraph, relation: str, max_states: int = 200_000) -> l
 
 
 def minor_search(H: ColoredGraph, G: ColoredGraph, relation: str,
-                 max_states: int = 200_000) -> tuple:
+                 max_states: int = MAX_STATES) -> tuple:
     """(found, complete, states) of `is_minor(H, G, relation, max_states)`
-    for H.n <= G.n <= 10."""
+    for H.n <= G.n <= 10: a form that is not H's and is the
+    (max_states + 1)-th, the start counted, ends the search incomplete."""
     target = H.canonical_form()
     if G.n == H.n and G.canonical_form() == target:
         return True, True, 1
@@ -255,17 +255,19 @@ def minor_search(H: ColoredGraph, G: ColoredGraph, relation: str,
     successors = _minor_successors(G.field, relation, sigma, G.n, H.n)
     states = 1
     for _, form in closure(G.field.q, (G.codes, sigma is not None),
-                           lambda s, n, sym: successors(s, n, sym, ()), max_states):
+                           lambda s, n, sym: successors(s, n, sym, ())):
         states += 1
         if form == target:
             return True, True, states
-    return False, states == 1 or states < max_states, states
+        if states > max_states:
+            return False, False, states
+    return False, True, states
 
 
 # -- the obstruction search over every graph -------------------------------------
 
-def find_obstructions(field: Field, sigma, relation: str, k: int, max_n: int,
-                      orbit_budget: int = 200_000) -> list[Obstruction]:
+def find_obstructions(field: Field, sigma, relation: str, k: int,
+                      max_n: int) -> list[Obstruction]:
     """`transform.find_obstructions` by labelling every sigma-symmetric graph
     up to max_n (`transform._generate`), with exact widths for the width
     tests and each obstruction the first graph of its class that generation
@@ -303,7 +305,7 @@ def find_obstructions(field: Field, sigma, relation: str, k: int, max_n: int,
                 # cheap pre-filter: the candidate's own single-vertex deletions
                 if width_of(codes, n) <= k or minor_too_wide(codes, n):
                     continue
-                members = _orbit(q, (codes, True), lab, successors, orbit_budget)
+                members = _orbit(q, (codes, True), lab, successors, MAX_STATES)
                 minimal = not any(minor_too_wide(c, n) for (c, _), _ in members)
                 verdicts[form] = minimal
                 for _, member_lab in members:

@@ -19,8 +19,9 @@ from rankw.graphs import (GraphError, SigmaGraph, _canonical_labelling,
                           is_sigma_symmetric, isomorphic)
 from rankw.layouts import birankwidth, rankwidth
 from rankw.matrix import MatrixError
-from rankw.transform import (RELATIONS, ObstructionStats, SearchBudgetError,
-                             _closure, _delete, _generate, _minor_successors,
+from rankw.transform import (MAX_STATES, RELATIONS, MinorSearchResult,
+                             ObstructionStats, SearchBudgetError, _closure,
+                             _delete, _generate, _minor_successors,
                              _successors, const_graph, ec_cycle,
                              equivalence_orbit, equivalence_orbit_graphs,
                              find_obstructions, is_minor, local_complement,
@@ -34,6 +35,7 @@ from oracles import (np_tables, random_colored_graph, random_sigma_graph,
 F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
 S2, S3N, S3I = sigma_identity(F2), sigma_negation(F3), sigma_identity(F3)
 S4 = sigma_frobenius_conj(F4)
+_CASES = [(F2, S2), (F3, S3N), (F4, S4)]
 
 
 def test_local_complement_gf2_is_bouchet():
@@ -310,7 +312,7 @@ def test_bordered_rank_identity_pivot():
     rng = random.Random(6)
     done = 0
     while done < 100:
-        F, s = rng.choice([(F2, S2), (F3, S3N), (F4, S4)])
+        F, s = rng.choice(_CASES)
         n = rng.randrange(2, 7)
         G = random_sigma_graph(rng, F, s, n, density=0.7)
         edges = [(i, j) for i in range(n) for j in range(n)
@@ -386,8 +388,76 @@ def test_is_minor_budget():
     assert not r.complete or r.found
 
 
+def _top(F, relation):
+    """The largest n whose searches stay small: orbits under "vertex" over
+    GF(3) and GF(4) grow too fast above n = 4."""
+    return 4 if relation == "vertex" and F.q > 2 else 8 if F.q == 2 else 6
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=st.sampled_from(_CASES), relation=st.sampled_from(RELATIONS),
+       n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1),
+       planted=st.booleans(), budget=st.integers(1, 40))
+def test_is_minor_budget_bounds_the_states(case, relation, n, seed, planted,
+                                           budget):
+    """A search may reach max_states forms, the start included, and one more
+    ends it: states <= max_states + 1, a negative is complete exactly when
+    states <= max_states, and a found or complete answer is the one of the
+    default budget."""
+    F, s = case
+    rng = random.Random(seed)
+    G = random_sigma_graph(rng, F, s, min(n, _top(F, relation)),
+                           rng.choice([0.4, 0.7]))
+    m = rng.randint(1, G.n)
+    if planted:
+        orbit = equivalence_orbit_graphs(G, relation)
+        K = orbit[rng.randrange(len(orbit))]
+        H = K.induced_subgraph(rng.sample(K.vertices, m))
+    else:
+        H = random_sigma_graph(rng, F, s, m, 0.6)
+    full = is_minor(H, G, relation)
+    r = is_minor(H, G, relation, budget)
+    assert r.states <= budget + 1
+    if not r.found:
+        assert r.complete == (r.states <= budget)
+    if r.found or r.complete:
+        assert r == full
+    else:
+        assert full.states > budget
+
+
+def test_budget_boundaries():
+    """A complete negative that reaches s forms is complete at max_states = s
+    and cut off with s states at s - 1; an orbit of s forms is returned at
+    max_states = s and raises at s - 1."""
+    rng = random.Random(7)
+    checked = Counter()
+    while min(checked[case, relation] for case in range(3)
+              for relation in RELATIONS) < 2:
+        case = rng.randrange(3)
+        F, s = _CASES[case]
+        relation = rng.choice(RELATIONS)
+        n = rng.randint(3, min(6, _top(F, relation)))
+        G = random_sigma_graph(rng, F, s, n, 0.4)
+        H = random_sigma_graph(rng, F, s, rng.randint(2, G.n), 0.6)
+        full = is_minor(H, G, relation)
+        if full.found or full.states < 2:
+            continue
+        assert full.complete
+        b = full.states
+        assert is_minor(H, G, relation, b) == full
+        assert is_minor(H, G, relation, b - 1) == MinorSearchResult(False, False, b)
+        orbit = [K.codes for K in equivalence_orbit_graphs(G, relation)]
+        if len(orbit) >= 2:
+            assert [K.codes for K in equivalence_orbit_graphs(
+                G, relation, len(orbit))] == orbit
+            with pytest.raises(SearchBudgetError):
+                equivalence_orbit_graphs(G, relation, len(orbit) - 1)
+        checked[case, relation] += 1
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(case=st.sampled_from([(F2, S2), (F3, S3N), (F4, S4)]),
+@given(case=st.sampled_from(_CASES),
        relation=st.sampled_from(["sigma-vertex", "vertex", "pivot"]),
        n=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1), planted=st.booleans())
@@ -514,21 +584,20 @@ def _assert_closures_match_oracles(G, relation, H, budget):
     assert _or_budget(lambda: [K.codes for K in equivalence_orbit_graphs(
         G, relation, budget)]) == \
         _or_budget(lambda: [c for c, _ in oracles.orbit_states(G, relation, budget)])
-    for max_states in (200_000, budget):
+    for max_states in (MAX_STATES, budget):
         r = is_minor(H, G, relation, max_states)
         assert (r.found, r.complete, r.states) == \
             oracles.minor_search(H, G, relation, max_states)
     # the whole search behind is_minor, past the point where H is found
     succ = _minor_successors(F, relation, s, G.n, H.n)
     start = (G.codes, True)
-    assert [state for state, _ in _closure(F.q, start, G._labelling(), succ,
-                                           200_000)] == \
+    assert [state for state, _ in _closure(F.q, start, G._labelling(), succ)] == \
         [state for state, _ in oracles.closure(
-            F.q, start, lambda c, k, sym: succ(c, k, sym, ()), 200_000)]
+            F.q, start, lambda c, k, sym: succ(c, k, sym, ()))]
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(case=st.sampled_from([(F2, S2), (F3, S3N), (F4, S4)]),
+@given(case=st.sampled_from(_CASES),
        relation=st.sampled_from(RELATIONS), n=st.integers(1, 8),
        copies=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
        planted=st.booleans(), budget=st.integers(2, 40))
@@ -538,8 +607,8 @@ def test_pruned_closure_matches_unpruned_oracle(case, relation, n, copies,
     closure searches, on random graphs made of equal components."""
     F, s = case
     rng = random.Random(seed)
-    top = 4 if relation == "vertex" and F.q > 2 else 8 if F.q == 2 else 6
-    G = _copies_graph(rng, F, s, max(1, min(n, top) // copies), copies)
+    G = _copies_graph(rng, F, s, max(1, min(n, _top(F, relation)) // copies),
+                      copies)
     m = rng.randint(1, G.n)
     if planted:
         orbit = equivalence_orbit_graphs(G, relation)
@@ -600,7 +669,7 @@ def test_obstruction_size_bound():
 
 
 def test_obstructions_k0():
-    for F, s in [(F2, S2), (F3, S3N), (F4, S4)]:
+    for F, s in _CASES:
         obs = find_obstructions(F, s, "pivot", 0, 3)
         expected = {const_graph(F, s, a).canonical_form() for a in F.units()}
         assert {o.graph.canonical_form() for o in obs} == expected
