@@ -15,7 +15,11 @@ cell, sorted (pair code, cell of w)), never by label.  The search
 individualizes each vertex of the first non-singleton cell in turn; a leaf's
 certificate is the matrix in leaf order, and the form is (n, q, least
 certificate).  Equal leaves give automorphisms, and a vertex in the orbit of
-a tried one, under those fixing the node's path, is skipped.  The
+a tried one, under those fixing the node's path, is skipped.  So is a twin
+of the last tried vertex, one whose swap with it is an automorphism, seen
+from the two rows and columns; the swap joins the automorphisms.  Graphs
+built from twins (complete graphs, stars, the distance-hereditary graphs of
+rank-width 1) so need no walk down to an equal leaf per twin.  The
 automorphisms found are returned with the form; the closure engine and
 generation in `transform` use them to skip moves and extensions that give
 isomorphic graphs.  `isomorphic` compares forms and pairs up the two
@@ -325,9 +329,12 @@ def _canonical_labelling(q: int, n: int, codes: tuple):
     certificate (the matrix permuted by a leaf order, flattened row by row),
     ``order`` lists the vertex indices in that leaf's order, and ``autos``
     lists the automorphisms found on the way, each a list g with
-    M[g[u]][g[v]] = M[u][v].  They may generate only a subgroup of the full
-    automorphism group (none are listed for an asymmetric graph); pruning by
-    any subgroup is sound.
+    M[g[u]][g[v]] = M[u][v]: one per pair of equal leaves, and the swap of
+    each twin pruned at sight, a vertex v of the target cell whose swap with
+    the last tried vertex t is an automorphism.  Both lie off the path, so
+    the swap fixes it and maps t's subtree onto v's.  The automorphisms may
+    generate only a subgroup of the full automorphism group (none are listed
+    for an asymmetric graph); pruning by any subgroup is sound.
     """
     rows = [codes[i * n:i * n + n] for i in range(n)]
     # nbrs[v]: (pair code * n, w) for each w joined to v in either direction;
@@ -350,7 +357,7 @@ def _canonical_labelling(q: int, n: int, codes: tuple):
         return cell, ncells
 
     best = []       # [cert, order] of the least leaf so far
-    autos = []      # automorphisms, each mapping the best leaf to an equal one
+    autos = []      # automorphisms: leaf pairs and twin swaps
 
     def search(cell, ncells, path):
         cell, ncells = refine(cell, ncells)
@@ -370,6 +377,11 @@ def _canonical_labelling(q: int, n: int, codes: tuple):
         target = min(c for c in cell if cell.count(c) > 1)
         tried = []
         for v in [u for u, c in enumerate(cell) if c == target]:
+            if tried and _twins(rows, codes, n, tried[-1], v):
+                swap = list(range(n))
+                swap[v], swap[tried[-1]] = tried[-1], v
+                autos.append(swap)
+                continue
             # an automorphism that fixes the path maps the subtree of a tried
             # vertex onto the subtree of each vertex in its orbit
             if tried and v in _orbit(tried, [g for g in autos
@@ -384,6 +396,19 @@ def _canonical_labelling(q: int, n: int, codes: tuple):
     search([0] * n, min(n, 1), [])
     del search  # search refers to itself: free it now, not at the next gc
     return (n, q, best[0]), best[1], autos
+
+
+def _twins(rows, codes, n, t, v) -> bool:
+    """Is the swap of vertices t < v an automorphism of the n x n matrix
+    (rows, its rows; codes, its row-major codes)?  Exactly when rows t and
+    v agree off {t, v}, so do columns t and v, and M[t][v] = M[v][t]."""
+    rt, rv = rows[t], rows[v]
+    if rt[v] != rv[t] or rt[:t] != rv[:t] or rt[t + 1:v] != rv[t + 1:v] \
+            or rt[v + 1:] != rv[v + 1:]:
+        return False
+    ct, cv = codes[t::n], codes[v::n]
+    return ct[:t] == cv[:t] and ct[t + 1:v] == cv[t + 1:v] \
+        and ct[v + 1:] == cv[v + 1:]
 
 
 def _orbit(start, gens) -> set:

@@ -30,8 +30,8 @@ Both searches use the automorphisms that canonical labelling finds (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Moves at
 vertices (or edges, or extension columns) in one orbit of a graph's
 automorphisms give isomorphic graphs, so the engine makes one local move or
-deletion per vertex orbit and one pivot per orbit of ordered edges, and
-generation labels one extension column per orbit, each time the first in
+deletion per vertex orbit and one pivot per orbit of ordered edges (of
+unordered ones when sigma(1) = 1), and generation labels one extension column per orbit, each time the first in
 the search order.  What is skipped would have been dropped as a repeat of
 that first member, so the levels, the representatives and their order are
 those of the unpruned search.
@@ -124,7 +124,15 @@ def _pivot(s: tuple, n: int, i: int, j: int, F: Field, s1: int) -> tuple:
     """Pivot complementation of s at the edge ij over F, sigma(1) = s1:
     M'[z][t] = M[z][t] - M[z][x] M[y][t] / M[y][x] - M[z][y] M[x][t] / M[x][y]
     inside, then the i/j rows and columns overwrite whatever it wrote
-    there."""
+    there.
+
+    With s1 = 1 the pivots at ij and at ji are equal, on any matrix.  Write
+    a = M[x][y] and b = M[y][x].  The interior formula is symmetric in x
+    and y.  The pivot at ij sets row i, column j and M'[x][y] to
+    M[y][.] / b, M[.][x] / b and -1 / b, and row j, column i and M'[y][x]
+    to s1 M[x][.] / a, s1 M[.][y] / a and -s1^2 / a.  The pivot at ji sets
+    the same six to s1 M[y][.] / b, s1 M[.][x] / b, -s1^2 / b, M[x][.] / a,
+    M[.][y] / a and -1 / a: each pair differs by a factor s1 or s1^2."""
     SUB, MUL, INV, NEG = F.SUB, F.MUL, F.INV, F.NEG
     inv_yx = INV[s[j * n + i]]
     inv_xy = INV[s[i * n + j]]
@@ -199,12 +207,28 @@ def _successors(field: Field, relation: str, sigma):
     lambda code (local moves) or edge (i, j) in row-major order (pivots).
     gens are automorphisms of the state; only the first vertex (local moves)
     or edge (pivots) of each of their orbits is moved at.  sigma is the start
-    graph's sesqui-morphism, or None."""
+    graph's sesqui-morphism, or None.
+
+    With sigma(1) = 1 the pivots at ij and ji are equal, so only the edges
+    with i < j are pivoted at, and an edge's image (g[i], g[j]) is read as
+    (min, max).  The earliest ordered edge of an orbit together with its
+    reversal is such an edge, and the later ones give that edge's graph or
+    an isomorphic one, so the new forms and their order stay the same."""
     if relation == "pivot":
         if sigma is None:
             raise GraphError("pivot relation needs sigma-symmetric graphs")
         _require_tables(field)
         s1 = sigma.one
+
+        if s1 == 1:
+            def pivot_moves(s, n, sym, gens):
+                def image(k, g):
+                    a, b = g[k // n], g[k % n]
+                    return a * n + b if a < b else b * n + a
+                edges = [k for k, e in enumerate(s) if e and k // n < k % n]
+                return [(_pivot(s, n, *divmod(k, n), field, 1), True)
+                        for k in _firsts(edges, gens, image)]
+            return pivot_moves
 
         def pivot_moves(s, n, sym, gens):
             edges = [k for k, e in enumerate(s) if e]

@@ -6,14 +6,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
 from rankw.fields import (FieldError, field_extend_quadratic, field_make,
                           sigma_frobenius_conj, sigma_identity, sigma_negation)
 from rankw.graphs import (ColoredGraph, GraphError, SigmaGraph,
-                          _canonical_labelling, digraph_gf2,
+                          _canonical_labelling, _orbit, digraph_gf2,
                           emit_dot, emit_graph, encode_directed,
                           encode_oriented, encode_undirected,
                           is_sigma_symmetric, isomorphic, parse_graph, tilde)
@@ -404,18 +404,114 @@ def test_canonical_labelling_automorphisms(G, perm):
     assert _canonical_labelling(q, n, P.codes)[0] == form
 
 
-def test_canonical_labelling_automorphisms_of_c5():
-    """On C5 the automorphisms found generate its dihedral group."""
-    _, _, autos = _canonical_labelling(2, 5, c5().codes)
-    group, stack = {tuple(range(5))}, [tuple(range(5))]
+def _generated(n, gens) -> set:
+    """The permutations of range(n) that gens generate, as tuples."""
+    group, stack = {tuple(range(n))}, [tuple(range(n))]
     while stack:
         h = stack.pop()
-        for g in autos:
+        for g in gens:
             gh = tuple(g[v] for v in h)
             if gh not in group:
                 group.add(gh)
                 stack.append(gh)
-    assert len(group) == 10
+    return group
+
+
+def test_canonical_labelling_automorphisms_of_c5():
+    """On C5 the automorphisms found generate its dihedral group."""
+    _, _, autos = _canonical_labelling(2, 5, c5().codes)
+    assert len(_generated(5, autos)) == 10
+
+
+@st.composite
+def _twin_blowups(draw):
+    """Codes (q, n, codes) of a graph on n <= 6 vertices with many twins: a
+    sigma-symmetric graph over GF(2), GF(3) with negation or GF(4) with
+    conjugation, or a plain GF(2) digraph, on k <= 6 vertices, with vertex
+    i blown up into a class of twins joined by a color c_i (0 for false
+    twins; a sigma-fixed color for true twins), vertices shuffled."""
+    F2, F3, F4 = field_make(2, 1), field_make(3, 1), field_make(2, 2)
+    q, sig = draw(st.sampled_from([(2, sigma_identity(F2).table),
+                                   (3, sigma_negation(F3).table),
+                                   (4, sigma_frobenius_conj(F4).table),
+                                   (2, None)]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6)
+                 .filter(lambda s: sum(s) <= 6))
+    k = len(sizes)
+    base = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if sig is None and i != j:
+                base[i][j] = draw(st.integers(0, 1))
+            elif i < j:
+                base[i][j] = draw(st.integers(0, q - 1))
+                base[j][i] = sig[base[i][j]]
+    fixed = [c for c in range(q) if sig is None or sig[c] == c]
+    joins = [draw(st.sampled_from(fixed)) for _ in range(k)]
+    cls = [i for i, m in enumerate(sizes) for _ in range(m)]
+    n = len(cls)
+    perm = draw(st.permutations(range(n)))
+    cls = [cls[u] for u in perm]
+    codes = tuple(0 if u == w else joins[cls[u]] if cls[u] == cls[w]
+                  else base[cls[u]][cls[w]] for u in range(n) for w in range(n))
+    return q, n, codes
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=_twin_blowups())
+# digraphs with two vertices in one cell whose swap is no automorphism: rows
+# 1 and 3 agree but columns differ (0 -> 3, 2 -> 1); columns 0 and 3 agree
+# off {0, 3} but rows differ, only at entries 1 and 2, between the two
+@example(case=(2, 4, (0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)))
+@example(case=(2, 4, (0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0)))
+def test_labelling_automorphisms_generate_the_group(case):
+    """The automorphisms that the labelling returns generate the whole
+    automorphism group, by brute force over all n! permutations; the
+    closure engine and the extension step prune by their orbits."""
+    q, n, codes = case
+    _, _, autos = _canonical_labelling(q, n, codes)
+    group = {p for p in itertools.permutations(range(n))
+             if all(codes[p[u] * n + p[w]] == codes[u * n + w]
+                    for u in range(n) for w in range(n))}
+    assert _generated(n, autos) == group
+
+
+def _blown_up_c4():
+    """C4 with each vertex blown up into 3 false twins (this is K6,6)."""
+    return encode_undirected([((c, a), ((c + 1) % 4, b)) for c in range(4)
+                              for a in range(3) for b in range(3)])
+
+
+TWIN_HEAVY = {
+    "K12": (lambda: encode_undirected(list(itertools.combinations(range(12), 2))),
+            [range(12)]),
+    "star": (lambda: encode_undirected([(0, leaf) for leaf in range(1, 12)]),
+             [range(1, 12)]),
+    "C4[3]": (_blown_up_c4, [[(c, a) for a in range(3)] for c in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_HEAVY))
+def test_canonical_form_twin_heavy(name):
+    """n = 12 graphs made of twins: a permuted copy gets the same form,
+    every returned permutation is an automorphism, and each class of twins
+    lies in one orbit of the returned automorphisms."""
+    make, classes = TWIN_HEAVY[name]
+    G = make()
+    n, codes = G.n, G.codes
+    form, _, autos = _canonical_labelling(2, n, codes)
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(G.vertices)
+        rng.shuffle(perm)
+        assert G.permuted(perm).canonical_form() == form
+    for g in autos:
+        assert sorted(g) == list(range(n))
+        assert all(codes[g[u] * n + g[w]] == codes[u * n + w]
+                   for u in range(n) for w in range(n))
+    for cls in classes:
+        idx = [G.index(v) for v in cls]
+        assert set(idx) <= _orbit(idx[:1], autos)
 
 
 def test_canonical_size_bound():

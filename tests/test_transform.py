@@ -21,7 +21,7 @@ from rankw.layouts import birankwidth, rankwidth
 from rankw.matrix import MatrixError
 from rankw.transform import (MAX_STATES, RELATIONS, MinorSearchResult,
                              ObstructionStats, SearchBudgetError, _closure,
-                             _delete, _generate, _minor_successors,
+                             _delete, _generate, _minor_successors, _pivot,
                              _successors, const_graph, ec_cycle,
                              equivalence_orbit, equivalence_orbit_graphs,
                              find_obstructions, is_minor, local_complement,
@@ -142,8 +142,15 @@ def test_row_moves_match_graph_moves(case, relation, n, seed, density):
     assert _canonical_labelling(F.q, n, codes)[0] == G.canonical_form()
     moves = _successors(F, relation, s)
     expected = _oracle_moves(G, s, True, relation)
-    # with no automorphisms given, every move is made
-    assert moves(codes, n, True, ()) == expected
+    made = expected
+    if relation == "pivot" and s.one == 1:
+        # the pivot at ji equals the one at ij, which alone is made
+        edges = [(i, j) for i in range(n) for j in range(n) if G.adj[i, j]]
+        at = dict(zip(edges, expected))
+        assert all(at[j, i] == at[i, j] for i, j in edges)
+        made = [at[i, j] for i, j in edges if i < j]
+    # with no automorphisms given, every other move is made
+    assert moves(codes, n, True, ()) == made
     # the single-move functions agree with the oracle too
     if relation == "pivot":
         graphs = [pivot_complement(G, u, v) for i, u in enumerate(G.vertices)
@@ -260,19 +267,31 @@ def test_pivot_examples_gf2():
         assert np.array_equal(pivot_complement(P, x, y).adj, G.adj)
 
 
-def test_pivot_xy_equals_yx_when_sigma1_is_one():
-    rng = random.Random(4)
-    for F, s in [(F4, S4), (F3, S3I)]:
-        assert s.one == 1
-        for _ in range(30):
-            G = random_sigma_graph(rng, F, s, rng.randrange(2, 6), density=0.8)
-            edges = [(i, j) for i in range(G.n) for j in range(G.n)
-                     if i != j and G.adj[i, j]]
-            if not edges:
-                continue
-            x, y = rng.choice(edges)
-            assert np.array_equal(pivot_complement(G, x, y).adj,
-                                  pivot_complement(G, y, x).adj)
+_SIGMA_ONE_IS_ONE = (
+    [(F, sigma_identity(F)) for F in (F2, F3, F4, field_make(5, 1),
+                                      field_make(7, 1), field_make(3, 2))]
+    + [(F, sigma_frobenius_conj(F)) for F in (F4, field_make(3, 2))])
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=st.sampled_from(_SIGMA_ONE_IS_ONE), n=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.4, 0.8]))
+def test_pivot_xy_equals_yx_when_sigma1_is_one(case, n, seed, density):
+    """With sigma(1) = 1 the packed pivots at ij and ji agree, on
+    sigma-symmetric graphs and on plain matrices alike; with GF(3)
+    negation, sigma(1) = -1, they differ."""
+    F, s = case
+    assert s.one == 1
+    rng = random.Random(seed)
+    for G in (random_sigma_graph(rng, F, s, n, density),
+              random_colored_graph(rng, F, n, density)):
+        for i in range(n):
+            for j in range(n):
+                if G.codes[i * n + j] and G.codes[j * n + i]:
+                    assert _pivot(G.codes, n, i, j, F, 1) == \
+                        _pivot(G.codes, n, j, i, F, 1)
+    path = SigmaGraph(F3, range(3), [[0, 1, 0], [2, 0, 1], [0, 2, 0]], S3N).codes
+    assert _pivot(path, 3, 0, 1, F3, S3N.one) != _pivot(path, 3, 1, 0, F3, S3N.one)
 
 
 def test_pivot_needs_edge():
