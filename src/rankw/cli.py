@@ -127,9 +127,6 @@ def cmd_transform(args) -> tuple[str, dict]:
             x, y = args.pivot.split(",")
         except ValueError:
             raise GraphError("--pivot expects x,y") from None
-        if not isinstance(G, SigmaGraph):
-            raise GraphError("pivot complementation needs a sigma-symmetric "
-                             "graph (declare sigma in the file)")
         H = pivot_complement(G, x, y)
     return _graph_output(args, H)
 
@@ -185,8 +182,6 @@ def cmd_term_compile(args) -> tuple[str, dict]:
     else:
         L = width_exact(G, _cut_function(G, args.param), force=args.force).witness
     if args.param == "rank":
-        if not isinstance(G, SigmaGraph):
-            raise GraphError("rank terms need a sigma declaration in the file")
         t = term_from_layout_rank(G, L)
     else:
         t = term_from_layout_birank(G, L)

@@ -319,8 +319,7 @@ class WidthResult:
 
 def layout_width(G: ColoredGraph, f: CutFunction, L: Layout) -> WidthResult:
     """Evaluate f on one side of every tree-edge bipartition; max reported."""
-    if f.graph is not G and f.graph != G:
-        raise LayoutError("cut function belongs to a different graph")
+    _check_query(G, f, force=True)   # one layout: no search to bound
     if set(L.leaves.values()) != set(G.vertices):
         raise LayoutError("layout leaves do not match the graph's vertices")
     cut_values: dict[tuple[int, int], int] = {}
@@ -404,12 +403,17 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
                 t = None
 
 
-def _check_size(n: int, force: bool) -> None:
-    if n == 0:
+def _check_query(G: ColoredGraph, f: CutFunction, force: bool) -> None:
+    """The preconditions of every width query, checked before any cut is
+    evaluated: f is G's cut function, G has a vertex, and G has at most
+    BNB_BOUND vertices unless force is set."""
+    if f.graph is not G and f.graph != G:
+        raise LayoutError("cut function belongs to a different graph")
+    if G.n == 0:
         raise LayoutError("width of the empty vertex set is undefined")
-    if n > BNB_BOUND and not force:
+    if G.n > BNB_BOUND and not force:
         raise SizeBoundError(
-            f"n={n} exceeds the exact-search bound {BNB_BOUND}; pass force=True")
+            f"n={G.n} exceeds the exact-search bound {BNB_BOUND}; pass force=True")
 
 
 def width_exact(G: ColoredGraph, f: CutFunction, *, force: bool = False) -> WidthResult:
@@ -417,7 +421,7 @@ def width_exact(G: ColoredGraph, f: CutFunction, *, force: bool = False) -> Widt
     search's counters.  The bound deepens from the singleton floor; it needs
     no ceiling, since every split is feasible once it reaches the largest
     cut value."""
-    _check_size(G.n, force)
+    _check_query(G, f, force)
     stats, before = SearchStats(), f.evaluations()
     k, seen = _singleton_floor(f, G.n), {}
     while (t := _feasible_tree(G, f, k, seen, stats)) is None:
@@ -441,7 +445,7 @@ def _decided_tree(G: ColoredGraph, f: CutFunction, k: int, *, force: bool = Fals
                   stats: Optional[SearchStats] = None):
     """The split tree of `decide_width_at_most`, or None, without building
     the layout: a caller that asks only yes or no reads this."""
-    _check_size(G.n, force)
+    _check_query(G, f, force)
     stats = SearchStats() if stats is None else stats
     before, capped = f.evaluations(), f.capped_evaluations()
     t = _feasible_tree(G, f, k, {}, stats, capped=True)

@@ -46,10 +46,9 @@ from math import isqrt
 from typing import ClassVar, Optional
 
 from .cutrank import CutFunction
-from .fields import Field, FieldError, Sesquimorphism, sigma_compatible, \
-    sigma_compatible_set
+from .fields import Field, FieldError, Sesquimorphism, sigma_compatible_set
 from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
-    _components, digraph_gf2
+    _components, _symmetric, digraph_gf2
 from .layouts import _decided_tree
 from .matrix import _require_tables
 
@@ -67,19 +66,17 @@ class SearchBudgetError(RuntimeError):
 
 
 def local_complement(G: ColoredGraph, x, lam: int) -> ColoredGraph:
-    """Lambda-local complementation at x.  Sigma-symmetric inputs stay
-    sigma-symmetric exactly when lambda is sigma-compatible; the result is
-    returned as a SigmaGraph in that case and as a plain ColoredGraph
-    otherwise."""
+    """Lambda-local complementation at x, returned through `_graph`: a
+    SigmaGraph exactly when G is one and the new matrix is sigma-symmetric.
+    A sigma-symmetric input stays so when lambda is sigma-compatible, or
+    when x has at most one neighbour (the move then changes nothing); any
+    other move breaks the symmetry of the entries it changes."""
     F = G.field
     _require_tables(F)
     if F._check(lam) == 0:
         raise FieldError("lambda must be nonzero")
     [new] = _local_moves(G.codes, G.n, G.index(x), [F.MUL[lam]], F.ADD, F.MUL)
-    sigma = getattr(G, "sigma", None)
-    if sigma is not None and sigma_compatible(sigma, lam):
-        return SigmaGraph(F, G.vertices, new, sigma)
-    return ColoredGraph(F, G.vertices, new)
+    return _graph(F, G.vertices, new, getattr(G, "sigma", None), None)
 
 
 def pivot_complement(G: SigmaGraph, x, y) -> SigmaGraph:
@@ -96,10 +93,6 @@ def pivot_complement(G: SigmaGraph, x, y) -> SigmaGraph:
 
 
 # -- the closure engine on packed states ----------------------------------------
-#
-# A state is (codes, sym): codes is the row-major tuple of the n*n element
-# codes, sym says whether the state is still sigma-symmetric (it turns false
-# for good after a move with a lambda that is not sigma-compatible).
 
 def _local_moves(s: tuple, n: int, x: int, lam_rows, ADD, MUL) -> list:
     """The lambda-local complementations of s at x, one per row MUL[lambda]
@@ -202,12 +195,13 @@ def _vertex_image(v: int, g) -> int:
 
 
 def _successors(field: Field, relation: str, sigma):
-    """The relation's moves on packed states: a function from (codes, n, sym,
-    gens) to the list of successor states, in the order of vertex index, then
+    """The relation's moves on code tuples: a function from (codes, n, gens)
+    to the list of successor code tuples, in the order of vertex index, then
     lambda code (local moves) or edge (i, j) in row-major order (pivots).
-    gens are automorphisms of the state; only the first vertex (local moves)
-    or edge (pivots) of each of their orbits is moved at.  sigma is the start
-    graph's sesqui-morphism, or None.
+    gens are automorphisms of the matrix; only the first vertex (local
+    moves) or edge (pivots) of each of their orbits is moved at.  sigma is
+    the start graph's sesqui-morphism, or None; it picks the lambdas of
+    "sigma-vertex" and sigma(1) of the pivots, never a state's class.
 
     With sigma(1) = 1 the pivots at ij and ji are equal, so only the edges
     with i < j are pivoted at, and an edge's image (g[i], g[j]) is read as
@@ -221,18 +215,18 @@ def _successors(field: Field, relation: str, sigma):
         s1 = sigma.one
 
         if s1 == 1:
-            def pivot_moves(s, n, sym, gens):
+            def pivot_moves(s, n, gens):
                 def image(k, g):
                     a, b = g[k // n], g[k % n]
                     return a * n + b if a < b else b * n + a
                 edges = [k for k, e in enumerate(s) if e and k // n < k % n]
-                return [(_pivot(s, n, *divmod(k, n), field, 1), True)
+                return [_pivot(s, n, *divmod(k, n), field, 1)
                         for k in _firsts(edges, gens, image)]
             return pivot_moves
 
-        def pivot_moves(s, n, sym, gens):
+        def pivot_moves(s, n, gens):
             edges = [k for k, e in enumerate(s) if e]
-            return [(_pivot(s, n, *divmod(k, n), field, s1), True)
+            return [_pivot(s, n, *divmod(k, n), field, s1)
                     for k in _firsts(edges, gens,
                                      lambda k, g: g[k // n] * n + g[k % n])]
         return pivot_moves
@@ -247,33 +241,30 @@ def _successors(field: Field, relation: str, sigma):
     _require_tables(field)
     ADD, MUL = field.ADD, field.MUL
     lam_rows = [MUL[lam] for lam in lams]
-    keeps = [sigma is not None and sigma_compatible(sigma, lam) for lam in lams]
 
-    def local_moves(s, n, sym, gens):
+    def local_moves(s, n, gens):
         out = []
         for x in _firsts(range(n), gens, _vertex_image):
-            out += zip(_local_moves(s, n, x, lam_rows, ADD, MUL),
-                       [sym and keep for keep in keeps])
+            out += _local_moves(s, n, x, lam_rows, ADD, MUL)
         return out
     return local_moves
 
 
-def _closure(q: int, start, start_lab, successors):
-    """Breadth-first closure from the state start, whose labelling is
-    start_lab, to its end.  Yields (state, labelling) for each state of a new
-    canonical form, in first-reached order; codes handled before are skipped
-    without labelling.  Each state keeps the automorphisms of its labelling
-    for its expansion, so successors(codes, n, sym, gens) makes one move per
-    orbit: the others give forms that the first has put in seen.  There is
-    no budget: the caller ends the search by no longer iterating."""
+def _closure(q: int, start: tuple, start_lab, successors):
+    """Breadth-first closure from the code tuple start, whose labelling is
+    start_lab, to its end.  Yields (codes, labelling) for each code tuple of
+    a new canonical form, in first-reached order; codes handled before are
+    skipped without labelling.  Each state keeps the automorphisms of its
+    labelling for its expansion, so successors(codes, n, gens) makes one
+    move per orbit: the others give forms that the first has put in seen.
+    There is no budget: the caller ends the search by no longer iterating."""
     seen = {start_lab[0]}
-    handled = {start[0]}
+    handled = {start}
     frontier = [(start, start_lab[2])]
     while frontier:
         nxt = []
-        for (s, sym), gens in frontier:
-            for state in successors(s, isqrt(len(s)), sym, gens):
-                codes = state[0]
+        for s, gens in frontier:
+            for codes in successors(s, isqrt(len(s)), gens):
                 if codes in handled:
                     continue
                 handled.add(codes)
@@ -281,13 +272,13 @@ def _closure(q: int, start, start_lab, successors):
                 if lab[0] in seen:
                     continue
                 seen.add(lab[0])
-                yield state, lab
-                nxt.append((state, lab[2]))
+                yield codes, lab
+                nxt.append((codes, lab[2]))
         frontier = nxt
 
 
-def _orbit(q: int, start, start_lab, successors, max_states: int) -> list:
-    """The (state, labelling) pairs of the orbit members other than start;
+def _orbit(q: int, start: tuple, start_lab, successors, max_states: int) -> list:
+    """The (codes, labelling) pairs of the orbit members other than start;
     SearchBudgetError at the (max_states + 1)-th form, the start counted."""
     members = []
     for member in _closure(q, start, start_lab, successors):
@@ -298,12 +289,13 @@ def _orbit(q: int, start, start_lab, successors, max_states: int) -> list:
 
 
 def _graph(field: Field, vertices, codes: tuple, sigma, lab) -> ColoredGraph:
-    """The graph of a packed state (a SigmaGraph when sigma is given), with
-    the labelling already computed for its codes."""
-    if sigma is None:
-        G = ColoredGraph(field, vertices, codes)
-    else:
+    """The graph of a code tuple, keeping lab, its labelling (None if not
+    yet computed).  Its class comes from the matrix: a SigmaGraph when sigma
+    is given and the matrix is sigma-symmetric, else a ColoredGraph."""
+    if sigma is not None and _symmetric(len(vertices), codes, sigma):
         G = SigmaGraph(field, vertices, codes, sigma)
+    else:
+        G = ColoredGraph(field, vertices, codes)
     G._canon = lab
     return G
 
@@ -312,16 +304,16 @@ def equivalence_orbit_graphs(G: ColoredGraph, relation: str,
                              max_states: int = MAX_STATES) -> list[ColoredGraph]:
     """BFS closure of G under the relation's moves, one representative per
     isomorphism class, in first-reached order (SearchBudgetError past
-    max_states).  A representative is a SigmaGraph exactly when every move
-    on the path kept sigma-symmetry (always, except under "vertex")."""
+    max_states).  The class comes from the matrix, not from the path: a
+    representative of a graph with a sigma is a SigmaGraph exactly when its
+    matrix is sigma-symmetric (always, except under "vertex")."""
     if G.n > 10:
         raise GraphError("orbit search limited to n <= 10")
     sigma = getattr(G, "sigma", None)
     successors = _successors(G.field, relation, sigma)
-    members = _orbit(G.field.q, (G.codes, sigma is not None), G._labelling(),
-                     successors, max_states)
-    return [G] + [_graph(G.field, G.vertices, codes, sigma if sym else None, lab)
-                  for (codes, sym), lab in members]
+    members = _orbit(G.field.q, G.codes, G._labelling(), successors, max_states)
+    return [G] + [_graph(G.field, G.vertices, codes, sigma, lab)
+                  for codes, lab in members]
 
 
 def equivalence_orbit(G: ColoredGraph, relation: str,
@@ -348,11 +340,10 @@ def _minor_successors(field: Field, relation: str, sigma, top: int, bottom: int)
     states of more than bottom vertices."""
     moves = _successors(field, relation, sigma)
 
-    def successors(s, n, sym, gens):
-        out = moves(s, n, sym, gens) if n == top else []
+    def successors(s, n, gens):
+        out = moves(s, n, gens) if n == top else []
         if n > bottom:
-            out += [(_delete(s, n, d), sym)
-                    for d in _firsts(range(n), gens, _vertex_image)]
+            out += [_delete(s, n, d) for d in _firsts(range(n), gens, _vertex_image)]
         return out
     return successors
 
@@ -379,8 +370,7 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
     sigma = getattr(G, "sigma", None)
     successors = _minor_successors(G.field, relation, sigma, G.n, H.n)
     states = 1
-    for _, lab in _closure(G.field.q, (G.codes, sigma is not None), start_lab,
-                           successors):
+    for _, lab in _closure(G.field.q, G.codes, start_lab, successors):
         states += 1
         if lab[0] == target:
             return MinorSearchResult(True, True, states)
@@ -557,8 +547,8 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
                 if not deletions_narrow(codes, n):
                     continue
                 searches += 1
-                members = _orbit(q, (codes, True), lab, successors, MAX_STATES)
-                minimal = all(deletions_narrow(c, n) for (c, _), _ in members)
+                members = _orbit(q, codes, lab, successors, MAX_STATES)
+                minimal = all(deletions_narrow(c, n) for c, _ in members)
                 verdicts[form] = minimal
                 for _, member_lab in members:
                     verdicts[bytes(member_lab[0][2])] = minimal

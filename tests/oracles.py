@@ -23,7 +23,7 @@ import numpy as np
 from rankw.cutrank import CutFunction
 from rankw.fields import Field
 from rankw.graphs import (ColoredGraph, SigmaGraph, _canonical_labelling,
-                          _components)
+                          _components, _symmetric)
 from rankw.layouts import Layout, LayoutError, width_exact
 from rankw.matrix import MatrixError, _require_tables
 from rankw.transform import (MAX_STATES, Obstruction, SearchBudgetError,
@@ -203,18 +203,17 @@ def generate_levels(field: Field, sigma, n: int) -> Iterator[list]:
         yield level
 
 
-def closure(q: int, start, successors) -> Iterator[tuple]:
-    """`transform._closure` with every move made: yields (state, form) for
-    each state of a new canonical form, in first-reached order, to the end
-    of the closure; successors(codes, n, sym) lists a state's successors."""
-    seen = {_canonical_labelling(q, isqrt(len(start[0])), start[0])[0]}
-    handled = {start[0]}
+def closure(q: int, start: tuple, successors) -> Iterator[tuple]:
+    """`transform._closure` with every move made: yields (codes, form) for
+    each code tuple of a new canonical form, in first-reached order, to the
+    end of the closure; successors(codes, n) lists a tuple's successors."""
+    seen = {_canonical_labelling(q, isqrt(len(start)), start)[0]}
+    handled = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for s, sym in frontier:
-            for state in successors(s, isqrt(len(s)), sym):
-                codes = state[0]
+        for s in frontier:
+            for codes in successors(s, isqrt(len(s))):
                 if codes in handled:
                     continue
                 handled.add(codes)
@@ -222,25 +221,26 @@ def closure(q: int, start, successors) -> Iterator[tuple]:
                 if form in seen:
                     continue
                 seen.add(form)
-                yield state, form
-                nxt.append(state)
+                yield codes, form
+                nxt.append(codes)
         frontier = nxt
 
 
 def orbit_states(G: ColoredGraph, relation: str,
                  max_states: int = MAX_STATES) -> list:
-    """The (codes, stays sigma-symmetric) states of
-    `equivalence_orbit_graphs(G, relation, max_states)`, in order: the
-    (max_states + 1)-th form raises SearchBudgetError."""
+    """The (codes, is a SigmaGraph) pairs of the members of
+    `equivalence_orbit_graphs(G, relation, max_states)`, in order: a member
+    of a graph with a sigma is a SigmaGraph exactly when its matrix is
+    sigma-symmetric.  The (max_states + 1)-th form raises SearchBudgetError."""
     sigma = getattr(G, "sigma", None)
     moves = _successors(G.field, relation, sigma)
-    members = [(G.codes, sigma is not None)]
-    for state, _ in closure(G.field.q, members[0],
-                            lambda s, n, sym: moves(s, n, sym, ())):
+    members = [G.codes]
+    for codes, _ in closure(G.field.q, G.codes, lambda s, n: moves(s, n, ())):
         if len(members) >= max_states:
             raise SearchBudgetError(f"orbit exceeded {max_states} states")
-        members.append(state)
-    return members
+        members.append(codes)
+    return [(codes, sigma is not None and _symmetric(G.n, codes, sigma))
+            for codes in members]
 
 
 def minor_search(H: ColoredGraph, G: ColoredGraph, relation: str,
@@ -254,8 +254,7 @@ def minor_search(H: ColoredGraph, G: ColoredGraph, relation: str,
     sigma = getattr(G, "sigma", None)
     successors = _minor_successors(G.field, relation, sigma, G.n, H.n)
     states = 1
-    for _, form in closure(G.field.q, (G.codes, sigma is not None),
-                           lambda s, n, sym: successors(s, n, sym, ())):
+    for _, form in closure(G.field.q, G.codes, lambda s, n: successors(s, n, ())):
         states += 1
         if form == target:
             return True, True, states
@@ -305,8 +304,8 @@ def find_obstructions(field: Field, sigma, relation: str, k: int,
                 # cheap pre-filter: the candidate's own single-vertex deletions
                 if width_of(codes, n) <= k or minor_too_wide(codes, n):
                     continue
-                members = _orbit(q, (codes, True), lab, successors, MAX_STATES)
-                minimal = not any(minor_too_wide(c, n) for (c, _), _ in members)
+                members = _orbit(q, codes, lab, successors, MAX_STATES)
+                minimal = not any(minor_too_wide(c, n) for c, _ in members)
                 verdicts[form] = minimal
                 for _, member_lab in members:
                     verdicts[member_lab[0]] = minimal

@@ -129,6 +129,34 @@ def test_transform_local_and_pivot(tmp_path, capsys):
     assert parse_graph(out).n == 5
 
 
+def test_transform_writes_sigma_when_the_matrix_stays_symmetric(tmp_path, capsys):
+    """A local move with a lambda that is not sigma-compatible, at a vertex
+    with one neighbour, leaves the matrix as it was: the output keeps its
+    sigma line.  At a vertex with two neighbours it has none."""
+    path = tmp_path / "d.rg"
+    assert main(["encode", "--from", "directed", "--arcs", "a>b,b>c,c>a,c>d",
+                 "--out", str(path)]) == 0
+    assert run(capsys, "transform", "--input", str(path), "--local", "d",
+               "--lambda", "2") == (0, path.read_text(), "")
+    code, out, _ = run(capsys, "transform", "--input", str(path), "--local", "c",
+                       "--lambda", "2")
+    assert code == 0 and "sigma" not in out
+
+
+def test_library_preconditions_reach_the_cli(tmp_path, capsys):
+    """A pivot on a graph file without sigma, and a rank term compiled from
+    one, exit 1 with the library's message as the one line on stderr."""
+    path = tmp_path / "nosigma.rg"
+    path.write_text("field 2 1\nvertices a b\nedge a b 1\nedge b a 1\n")
+    nwk = tmp_path / "ab.nwk"
+    nwk.write_text("(a,b);\n")
+    assert run(capsys, "transform", "--input", str(path), "--pivot", "a,b") == \
+        (1, "", "error: pivot complementation needs a sigma-symmetric graph\n")
+    assert run(capsys, "term", "compile", "--input", str(path),
+               "--layout", str(nwk)) == \
+        (1, "", "error: rank terms compile from sigma-symmetric graphs\n")
+
+
 def test_transform_above_order_256_is_a_domain_error(tmp_path, capsys):
     path = tmp_path / "p3.rg"
     path.write_text("field 257 1\nvertices a b c\n"

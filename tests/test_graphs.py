@@ -578,3 +578,32 @@ def test_emit_dot():
     dot = emit_dot(encode_directed([("x", "y")]))
     assert '"x" -> "y" [label="2"]' in dot
     assert dot.startswith("digraph")
+
+
+def test_domain_errors_name_the_precondition():
+    """Each malformed graph, sigma across fields and malformed graph file
+    raises a GraphError naming what is broken."""
+    F2, F4 = field_make(2, 1), field_make(2, 2)
+    S4 = sigma_frobenius_conj(F4)
+    K2 = encode_undirected([(0, 1)])
+    rows = [
+        (lambda: ColoredGraph(F2, "aa", [0] * 4), GraphError,
+         "duplicate vertex labels"),
+        (lambda: SigmaGraph(F2, "ab", [0] * 4, S4), GraphError,
+         "sesqui-morphism is over a different field"),
+        (lambda: is_sigma_symmetric(K2, S4), GraphError,
+         "sesqui-morphism is over a different field"),
+        (lambda: parse_graph("sigma id\nfield 2 1\nvertices a b\n"), GraphError,
+         "line 1: sigma before field"),
+        (lambda: parse_graph("field 2 1\nvertices a b\nedge a b\n"), GraphError,
+         "line 3: edge needs <u> <v> <code>"),
+        (lambda: parse_graph("field 2 1\nvertex a b\n"), GraphError,
+         "line 2: unknown declaration 'vertex'"),
+        (lambda: parse_graph("field 2 1\n"), GraphError,
+         "missing vertices declaration"),
+    ]
+    for call, error, fragment in rows:
+        with pytest.raises(error, match=fragment):
+            call()
+    # graphs of different orders are not isomorphic; that is no error
+    assert isomorphic(K2, encode_undirected([(0, 1), (1, 2)])) is None

@@ -718,3 +718,39 @@ def test_newick_roundtrip_caterpillars(n, seed, mirrored):
     if n > 1:
         with pytest.raises(LayoutError, match="unexpected end of layout text"):
             parse_newick(text[:text.index(",") + 1])
+
+
+def test_foreign_cut_function_is_refused_before_any_evaluation():
+    """A width query with another graph's cut function raises before it
+    evaluates a cut: it would answer for that graph (C6 with P6's cut-rank
+    read width <= 1, while C6 has rank-width 2)."""
+    C6 = encode_undirected([(i, (i + 1) % 6) for i in range(6)])
+    P6 = encode_undirected([(i, i + 1) for i in range(5)])
+    for query in (lambda f: decide_width_at_most(C6, f, 1),
+                  lambda f: width_exact(C6, f)):
+        f = CutFunction(P6, "cutrk")
+        with pytest.raises(LayoutError, match="cut function belongs to a different graph"):
+            query(f)
+        assert f.evaluations() == 0
+
+
+def test_domain_errors_name_the_precondition():
+    """Each malformed layout, and each width query on the empty vertex
+    set, raises a LayoutError naming what is broken."""
+    empty = ColoredGraph(field_make(2, 1), [], [])
+    rows = [
+        (lambda: Layout([], {}), LayoutError, "a layout needs at least one leaf"),
+        (lambda: Layout([(0, 1), (0, 2)], {0: "a", 1: "b", 2: "c"}), LayoutError,
+         "leaf 0 has degree 2"),
+        (lambda: Layout([], {0: "a", 1: "b"}), LayoutError,
+         "layout tree must be acyclic and connected"),
+        (lambda: Layout([(0, 2), (1, 2), (2, 3)], {0: "a", 1: "b"}), LayoutError,
+         "internal node 3 of degree < 2"),
+        (lambda: width_exact(empty, CutFunction(empty, "bicutrk")), LayoutError,
+         "width of the empty vertex set is undefined"),
+        (lambda: decide_width_at_most(empty, CutFunction(empty, "bicutrk"), 0),
+         LayoutError, "width of the empty vertex set is undefined"),
+    ]
+    for call, error, fragment in rows:
+        with pytest.raises(error, match=fragment):
+            call()

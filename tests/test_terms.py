@@ -630,3 +630,36 @@ def test_compiled_leaf_order_checks_the_leaves():
                 compile_(G, L)
     L = build_layout((0, (1, 2)), ["b", "a", "c"])
     assert compiled_leaf_order(G, L) == ["a", "b", "c"]
+
+
+def test_domain_errors_name_the_precondition():
+    """Each malformed matrix or term node raises a TermError naming what
+    is broken: the shape and entries of a matrix, a node of the other term
+    kind, and each dimension rule of a bi-rank product."""
+    u = BiConst((1,), (1,))
+
+    def bi(m1=ONE, m2=ONE, n1=ONE, n2=ONE, p1=ONE, p2=ONE):
+        return BiProd(m1, m2, n1, n2, p1, p2, u, u)
+
+    wide, tall = Mat(1, 2, (0, 0)), Mat(2, 1, (0, 0))
+    leaf = RankConst((1,))
+    rows = [
+        (lambda: Mat(2, 2, (1,)), TermError, "matrix data does not match its shape"),
+        (lambda: eval_rank_term(RankProd(Mat(1, 1, (5,)), ONE, ONE, leaf, leaf), S2),
+         TermError, "matrix entry is not an element code of the field"),
+        (lambda: eval_rank_term(u, S2), TermError, "not a rank term node"),
+        (lambda: eval_rank_term(RankProd(ONE, ONE, ONE, u, u), S2), TermError,
+         "not a rank term node"),
+        (lambda: eval_birank_term(leaf, F2), TermError, "not a bi-rank term node"),
+        (lambda: eval_birank_term(bi(m1=wide), F2), TermError,
+         r"M1 must be 1x1, got \(1, 2\)"),
+        (lambda: eval_birank_term(bi(m2=tall), F2), TermError,
+         r"M2 must be 1x1, got \(2, 1\)"),
+        (lambda: eval_birank_term(bi(n1=tall), F2), TermError,
+         "N1/P1 must map the outbound colors to one width"),
+        (lambda: eval_birank_term(bi(p2=wide), F2), TermError,
+         "N2/P2 must map the inbound colors to one width"),
+    ]
+    for call, error, fragment in rows:
+        with pytest.raises(error, match=fragment):
+            call()

@@ -15,7 +15,7 @@ from rankw.cutrank import CutFunction
 from rankw.fields import (FieldError, field_make, sigma_compatible_set,
                           sigma_frobenius_conj, sigma_identity, sigma_negation)
 from rankw.graphs import (GraphError, SigmaGraph, _canonical_labelling,
-                          encode_directed, encode_oriented, encode_undirected,
+                          _symmetric, encode_directed, encode_oriented, encode_undirected,
                           is_sigma_symmetric, isomorphic)
 from rankw.layouts import birankwidth, rankwidth
 from rankw.matrix import MatrixError
@@ -117,18 +117,16 @@ def _np_pivot(G, i, j):
     return tuple(new.ravel().tolist())
 
 
-def _oracle_moves(G, sigma, sym, relation):
-    """The relation's moves of G (sigma-symmetric when sym says so) as
-    (codes, stays sigma-symmetric) states, by the numpy oracles, in the
+def _oracle_moves(G, sigma, relation):
+    """The relation's moves of G as code tuples, by the numpy oracles, in the
     engine's order."""
     n = G.n
     if relation == "pivot":
-        return [(_np_pivot(G, i, j), True) for i in range(n) for j in range(n)
+        return [_np_pivot(G, i, j) for i in range(n) for j in range(n)
                 if G.adj[i, j]]
-    keep = sigma_compatible_set(sigma)
-    lams = keep if relation == "sigma-vertex" else list(G.field.units())
-    return [(_np_local_complement(G, i, lam), sym and lam in keep)
-            for i in range(n) for lam in lams]
+    lams = (sigma_compatible_set(sigma) if relation == "sigma-vertex"
+            else list(G.field.units()))
+    return [_np_local_complement(G, i, lam) for i in range(n) for lam in lams]
 
 
 @settings(derandomize=True, deadline=None)
@@ -141,7 +139,7 @@ def test_row_moves_match_graph_moves(case, relation, n, seed, density):
     codes = G.codes
     assert _canonical_labelling(F.q, n, codes)[0] == G.canonical_form()
     moves = _successors(F, relation, s)
-    expected = _oracle_moves(G, s, True, relation)
+    expected = _oracle_moves(G, s, relation)
     made = expected
     if relation == "pivot" and s.one == 1:
         # the pivot at ji equals the one at ij, which alone is made
@@ -150,8 +148,9 @@ def test_row_moves_match_graph_moves(case, relation, n, seed, density):
         assert all(at[j, i] == at[i, j] for i, j in edges)
         made = [at[i, j] for i, j in edges if i < j]
     # with no automorphisms given, every other move is made
-    assert moves(codes, n, True, ()) == made
-    # the single-move functions agree with the oracle too
+    assert moves(codes, n, ()) == made
+    # the single-move functions agree with the oracle too, and return a
+    # SigmaGraph exactly when the new matrix is sigma-symmetric
     if relation == "pivot":
         graphs = [pivot_complement(G, u, v) for i, u in enumerate(G.vertices)
                   for j, v in enumerate(G.vertices) if G.adj[i, j]]
@@ -159,17 +158,67 @@ def test_row_moves_match_graph_moves(case, relation, n, seed, density):
         lams = (sigma_compatible_set(s) if relation == "sigma-vertex"
                 else list(F.units()))
         graphs = [local_complement(G, v, lam) for v in G.vertices for lam in lams]
-    assert [(K.codes, isinstance(K, SigmaGraph)) for K in graphs] == expected
+    assert [(K.codes, isinstance(K, SigmaGraph)) for K in graphs] == \
+        [(c, _symmetric(n, c, s)) for c in expected]
     for K in graphs:
         assert _canonical_labelling(F.q, n, K.codes)[0] == K.canonical_form()
     if relation == "vertex":
-        # a state that lost sigma-symmetry stays a plain graph
-        assert moves(codes, n, False, ()) == _oracle_moves(G, s, False, relation)
-        for K, (_, sym) in zip(graphs, expected):
-            assert moves(K.codes, n, sym, ()) == _oracle_moves(K, s, sym, relation)
+        # the moves from a matrix that lost sigma-symmetry are the oracle's
+        for K in graphs:
+            if not isinstance(K, SigmaGraph):
+                assert moves(K.codes, n, ()) == _oracle_moves(K, s, relation)
     for d in range(n):
         H = G.induced_subgraph([v for v in G.vertices if v != G.vertices[d]])
         assert _delete(codes, n, d) == H.codes
+
+
+def _triangle_with_pendant(F, s, c):
+    """The triangle abc with the pendant vertex d at c, every edge colored c
+    one way and sigma(c) back."""
+    a = [[0] * 4 for _ in range(4)]
+    for i, j in [(0, 1), (1, 2), (2, 0), (2, 3)]:
+        a[i][j], a[j][i] = c, s(c)
+    return SigmaGraph(F, "abcd", a, s)
+
+
+@pytest.mark.parametrize("F, s, lam, c", [(F4, S4, 2, 2), (F3, S3N, 1, 1)],
+                         ids=["gf4-conj", "gf3-neg"])
+def test_move_at_a_pendant_vertex_keeps_the_sigma_graph(F, s, lam, c):
+    """A local move at a vertex with one neighbour changes nothing, so even
+    a lambda that is not sigma-compatible gives back a SigmaGraph equal to
+    the input; at a vertex with two neighbours it breaks the symmetry."""
+    assert lam not in sigma_compatible_set(s)
+    G = _triangle_with_pendant(F, s, c)
+    H = local_complement(G, "d", lam)
+    assert isinstance(H, SigmaGraph) and H.sigma is s and H == G
+    assert CutFunction(H, "cutrk")({"d"}) == 1
+    K = local_complement(G, "c", lam)
+    assert not isinstance(K, SigmaGraph) and not is_sigma_symmetric(K, s)
+
+
+def test_vertex_orbit_members_are_sigma_graphs_exactly_when_symmetric():
+    """Under "vertex" a move with a lambda that is not sigma-compatible
+    leaves the sigma-symmetric matrices, and later moves may come back to
+    one: each orbit member is a SigmaGraph, with a cut-rank function,
+    exactly when its matrix is sigma-symmetric, whatever the path to it."""
+    F5 = field_make(5, 1)
+    rng = random.Random(27)
+    members = Counter()
+    for F, s in [(F3, S3N), (F5, sigma_negation(F5))]:
+        for n in range(2, 6):
+            for _ in range(4):
+                G = random_sigma_graph(rng, F, s, n, rng.choice([0.4, 0.7]))
+                try:
+                    orbit = equivalence_orbit_graphs(G, "vertex", max_states=3000)
+                except SearchBudgetError:
+                    continue
+                for K in orbit[1:]:
+                    symmetric = is_sigma_symmetric(K, s)
+                    assert isinstance(K, SigmaGraph) == symmetric
+                    if symmetric:
+                        CutFunction(K, "cutrk")
+                    members[F.q, symmetric] += 1
+    assert min(members.values()) > 0, members
 
 
 def test_local_complement_gf4_uniform_increment():
@@ -609,10 +658,8 @@ def _assert_closures_match_oracles(G, relation, H, budget):
             oracles.minor_search(H, G, relation, max_states)
     # the whole search behind is_minor, past the point where H is found
     succ = _minor_successors(F, relation, s, G.n, H.n)
-    start = (G.codes, True)
-    assert [state for state, _ in _closure(F.q, start, G._labelling(), succ)] == \
-        [state for state, _ in oracles.closure(
-            F.q, start, lambda c, k, sym: succ(c, k, sym, ()))]
+    assert [c for c, _ in _closure(F.q, G.codes, G._labelling(), succ)] == \
+        [c for c, _ in oracles.closure(F.q, G.codes, lambda c, k: succ(c, k, ()))]
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -810,3 +857,43 @@ def test_const_graph_iso_classes():
     # const_a and const_{sigma(a)} are isomorphic by swapping the vertices
     assert isomorphic(const_graph(F4, S4, 2), const_graph(F4, S4, 3)) is not None
     assert isomorphic(const_graph(F4, S4, 1), const_graph(F4, S4, 2)) is None
+
+
+def test_domain_errors_name_the_precondition():
+    """Each call that breaks a precondition of a complementation, closure
+    search, generation or obstruction search raises an error naming it."""
+    K2 = encode_undirected([(0, 1)])
+    plain = K2.drop_sigma()
+    big = encode_undirected([(i, i + 1) for i in range(10)])   # 11 vertices
+    rows = [
+        (lambda: pivot_complement(plain, 0, 1), GraphError,
+         "pivot complementation needs a sigma-symmetric graph"),
+        (lambda: equivalence_orbit_graphs(plain, "pivot"), GraphError,
+         "pivot relation needs sigma-symmetric graphs"),
+        (lambda: equivalence_orbit_graphs(plain, "sigma-vertex"), GraphError,
+         "sigma-vertex relation needs sigma-symmetric graphs"),
+        (lambda: equivalence_orbit_graphs(K2, "edge"), ValueError,
+         "unknown relation 'edge'"),
+        (lambda: equivalence_orbit_graphs(big, "pivot"), GraphError,
+         "orbit search limited to n <= 10"),
+        (lambda: is_minor(K2, encode_directed([(0, 1)]), "pivot"), GraphError,
+         "graphs live over different fields"),
+        (lambda: is_minor(K2, big, "pivot"), GraphError,
+         "minor search limited to n <= 10"),
+        (lambda: sigma_symmetric_graphs(F2, S4, 3), GraphError,
+         "sesqui-morphism is over a different field"),
+        (lambda: find_obstructions(F2, S2, "edge", 1, 3), ValueError,
+         "relation must be one of"),
+        (lambda: find_obstructions(F2, S2, "pivot", 1, 9), GraphError,
+         "obstruction search limited to max_n <= 8"),
+        (lambda: find_obstructions(F2, S4, "pivot", 1, 3), GraphError,
+         "sesqui-morphism is over a different field"),
+        (lambda: const_graph(F2, S2, 0), FieldError,
+         "const graphs need a nonzero color"),
+    ]
+    for call, error, fragment in rows:
+        with pytest.raises(error, match=fragment):
+            call()
+    # a minor with more vertices than the graph is a complete negative
+    assert is_minor(big.induced_subgraph(range(3)), K2, "pivot") == \
+        MinorSearchResult(False, True, 0)
