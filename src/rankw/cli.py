@@ -25,21 +25,17 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .cutrank import CutFunction
-from .fields import FieldError, field_make, parse_sigma, plain_int
+from .fields import field_make, parse_sigma, plain_int
 from .graphs import (ColoredGraph, GraphError, SigmaGraph, emit_dot,
                      emit_graph, encode_directed, encode_oriented,
                      encode_undirected, parse_graph)
-from .layouts import (BNB_BOUND, Layout, LayoutError, SearchStats,
-                      decide_width_at_most, parse_newick, width_exact)
-from .matrix import MatrixError
+from .layouts import (BNB_BOUND, SearchStats, decide_width_at_most,
+                      parse_newick, width_exact)
 from .terms import (RankConst, RankProd, TermError, emit_term,
                     eval_birank_term, eval_rank_term, parse_term,
                     term_from_layout_birank, term_from_layout_rank)
 from .transform import (RELATIONS, ObstructionStats, SearchBudgetError,
                         find_obstructions, local_complement, pivot_complement)
-
-DOMAIN_ERRORS = (FieldError, GraphError, MatrixError, LayoutError, TermError,
-                 SearchBudgetError, ValueError)
 
 
 def _read(path: str) -> str:
@@ -62,17 +58,6 @@ def _cut_function(G: ColoredGraph, param: str) -> CutFunction:
                              "graphs)")
         return CutFunction(G, "cutrk")
     return CutFunction(G, "bicutrk")
-
-
-def _load_layout(path: str, G: ColoredGraph) -> Layout:
-    L = parse_newick(_read(path))
-    for leaf in L.leaves.values():
-        try:
-            G.index(leaf)
-        except GraphError:
-            raise LayoutError(f"layout leaf {leaf!r} is not a graph vertex") \
-                from None
-    return L
 
 
 def _graph_output(args, G: ColoredGraph) -> tuple[str, dict]:
@@ -145,18 +130,16 @@ def _parse_pairs(text: str, sep: str) -> list[tuple[str, str]]:
 
 
 def cmd_encode(args) -> tuple[str, dict]:
+    verts = args.vertices.split(",") if args.vertices else None
     if args.source == "undirected":
         if not args.edges:
             raise GraphError("--from undirected needs --edges \"u-v,...\"")
-        G = encode_undirected(_parse_pairs(args.edges, "-"),
-                              vertices=args.vertices.split(",") if args.vertices else None)
+        G = encode_undirected(_parse_pairs(args.edges, "-"), vertices=verts)
     else:
         if not args.arcs:
             raise GraphError(f"--from {args.source} needs --arcs \"u>v,...\"")
-        pairs = _parse_pairs(args.arcs, ">")
-        verts = args.vertices.split(",") if args.vertices else None
-        G = (encode_directed if args.source == "directed" else encode_oriented)(
-            pairs, vertices=verts)
+        encode = encode_directed if args.source == "directed" else encode_oriented
+        G = encode(_parse_pairs(args.arcs, ">"), vertices=verts)
     return _graph_output(args, G)
 
 
@@ -178,7 +161,7 @@ def cmd_term_eval(args) -> tuple[str, dict]:
 def cmd_term_compile(args) -> tuple[str, dict]:
     G = _load_graph(args.input)
     if args.layout:
-        L = _load_layout(args.layout, G)
+        L = parse_newick(_read(args.layout))
     else:
         L = width_exact(G, _cut_function(G, args.param), force=args.force).witness
     if args.param == "rank":
@@ -325,7 +308,7 @@ def main(argv=None) -> int:
         text, doc = args.fn(args)
         if out:
             _write(out, text)
-    except DOMAIN_ERRORS + (OSError,) as exc:
+    except (ValueError, SearchBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "stats", False):  # width and obstructions have --stats

@@ -182,14 +182,19 @@ class ColoredGraph:
             self._canon = _canonical_labelling(self.field.q, self.n, self.codes)
         return self._canon
 
+    def _key(self) -> tuple:
+        """What == and hash compare: a sigma counts by its table, not its name."""
+        sigma = getattr(self, "sigma", None)
+        return (self.field, self.vertices, self.codes,
+                None if sigma is None else sigma.table)
+
     def __eq__(self, other):
         if not isinstance(other, ColoredGraph):
             return NotImplemented
-        return (self.field == other.field and self.vertices == other.vertices
-                and self.codes == other.codes)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.field, self.vertices, self.codes))
+        return hash(self._key())
 
     def __repr__(self):
         kind = type(self).__name__
@@ -205,11 +210,9 @@ class SigmaGraph(ColoredGraph):
     def __init__(self, field: Field, vertices: Sequence, adj,
                  sigma: Sesquimorphism):
         super().__init__(field, vertices, adj)
-        if sigma.field != field:
-            raise GraphError("sesqui-morphism is over a different field")
-        self.sigma = sigma
-        if not _symmetric(self.n, self.codes, sigma):
+        if not is_sigma_symmetric(self, sigma):
             raise GraphError("matrix is not sigma-symmetric")
+        self.sigma = sigma
 
     @classmethod
     def _rebuild(cls, proto, vertices, adj):
@@ -229,9 +232,13 @@ def _symmetric(n: int, codes: tuple, sigma: Sesquimorphism) -> bool:
 
 
 def is_sigma_symmetric(G: ColoredGraph, sigma: Sesquimorphism) -> bool:
-    if sigma.field != G.field:
-        raise GraphError("sesqui-morphism is over a different field")
+    _check_sigma_field(sigma, G.field)
     return _symmetric(G.n, G.codes, sigma)
+
+
+def _check_sigma_field(sigma: Sesquimorphism, field: Field) -> None:
+    if sigma.field != field:
+        raise GraphError("sesqui-morphism is over a different field")
 
 
 # -- encodings ---------------------------------------------------------------
@@ -446,7 +453,8 @@ def isomorphic(G: ColoredGraph, H: ColoredGraph) -> Optional[dict]:
 # -- graph file format --------------------------------------------------------
 
 def parse_graph(text: str) -> ColoredGraph:
-    """Parse the graph file format:
+    """Parse the graph file format, in which field, sigma and vertices are
+    declared at most once each:
 
         field <p> <k>
         sigma <spec>            # optional
@@ -457,12 +465,17 @@ def parse_graph(text: str) -> ColoredGraph:
     sigma = None
     verts: Optional[tuple] = None
     edges = []
+    declared = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, *rest = line.split(None, 1)
         arg = rest[0] if rest else ""
+        if head in declared:
+            raise GraphError(f"line {lineno}: repeated {head} declaration")
+        if head != "edge":
+            declared.add(head)
         if head == "field":
             try:
                 p, k = (plain_int(t) for t in arg.split())

@@ -132,25 +132,16 @@ class Layout:
         post-order stream: each leaf node in turn, and None wherever the two
         subtrees before it join (see `fold`).  The leaf of vertex comes
         first and the root join last; degree-2 nodes join nothing.  The
-        stream is a depth-first walk from that leaf, reversed, so children
-        come in adjacency order; a layout is a tree, so the walk only skips
-        each node's parent (`_walk` keeps a seen set for `_validate`)."""
+        stream is the `_walk` from that leaf, reversed, so children come in
+        adjacency order."""
         leaves, adj = self.leaves, self._adj
         for start, v in leaves.items():
             if v == vertex:
                 break
         else:
             raise LayoutError(f"{vertex!r} is not a leaf label of the layout")
-        walk, stack = [], [(start, None)]
-        while stack:
-            x, p = stack.pop()
-            if x in leaves:
-                walk.append(x)
-            elif len(adj[x]) == 3:
-                walk.append(None)
-            for w in adj[x]:
-                if w != p:
-                    stack.append((w, x))
+        walk = [x if x in leaves else None for x, _ in self._walk(start)
+                if x in leaves or len(adj[x]) == 3]
         return [start, *walk[:0:-1], None] if len(walk) > 1 else [start]
 
     def relabel_leaves(self, mapping: dict) -> "Layout":
@@ -202,16 +193,18 @@ def build_layout(tree, labels: Sequence) -> Layout:
     """The layout of a nested tree, built without recursion.  Tuples are
     groups and ints index `labels`; leaf i is node i and groups become nodes
     len(labels), len(labels) + 1, ... in pre-order.  A group of one member
-    below the root is that member, and a root group of two joins its members
+    is that member, at the root too; a root group of two joins its members
     by one edge (degree-2 nodes are suppressed); other groups are nodes."""
     n = len(labels)
     edges: list[tuple[int, int]] = []
+    while isinstance(tree, tuple) and len(tree) == 1:
+        tree = tree[0]
     pair_root = isinstance(tree, tuple) and len(tree) == 2
     stack = [(t, None) for t in reversed(tree)] if pair_root else [(tree, None)]
     first = None
     while stack:
         t, p = stack.pop()
-        while (p is not None or pair_root) and isinstance(t, tuple) and len(t) == 1:
+        while isinstance(t, tuple) and len(t) == 1:
             t = t[0]
         if isinstance(t, tuple):
             x = n
@@ -320,8 +313,7 @@ class WidthResult:
 def layout_width(G: ColoredGraph, f: CutFunction, L: Layout) -> WidthResult:
     """Evaluate f on one side of every tree-edge bipartition; max reported."""
     _check_query(G, f, force=True)   # one layout: no search to bound
-    if set(L.leaves.values()) != set(G.vertices):
-        raise LayoutError("layout leaves do not match the graph's vertices")
+    _check_leaves(L, G)
     cut_values: dict[tuple[int, int], int] = {}
     cut_sides: dict[tuple[int, int], frozenset] = {}
     width = 0
@@ -332,6 +324,18 @@ def layout_width(G: ColoredGraph, f: CutFunction, L: Layout) -> WidthResult:
         if v > width:
             width = v
     return WidthResult(width, L, cut_values, cut_sides)
+
+
+def _check_leaves(L: Layout, G: ColoredGraph) -> None:
+    """LayoutError unless L's leaves are G's vertices, naming the first leaf
+    that is not a vertex, or else the first vertex that has no leaf."""
+    for v in L.leaves.values():
+        if v not in G._index:
+            raise LayoutError(f"layout leaf {v!r} is not a graph vertex")
+    if L.n != G.n:
+        leaves = set(L.leaves.values())
+        v = next(v for v in G.vertices if v not in leaves)
+        raise LayoutError(f"graph vertex {v!r} has no layout leaf")
 
 
 def _singleton_floor(f: CutFunction, n: int) -> int:

@@ -32,11 +32,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from itertools import count, zip_longest
-from typing import Optional, Union
+from typing import Union
 
 from .fields import ORDER_BOUND, Field, Sesquimorphism, plain_int
 from .graphs import ColoredGraph, SigmaGraph
-from .layouts import Layout, build_layout, fold, joined, read_nested
+from .layouts import Layout, _check_leaves, build_layout, fold, joined, read_nested
 from .matrix import _require_tables
 
 
@@ -228,13 +228,12 @@ def _place(codes: list, n: int, lo: int, mid: int, block):
             codes[i * n + mid:i * n + mid + len(row)] = row
 
 
-def _evaluate(t, kind, prod_kind, field: Field, product, trace):
+def _evaluate(t, kind, prod_kind, field: Field, product):
     """The colorings of t (constants of type kind, products of type
     prod_kind).  A constant is one vertex colored by its checked vectors;
     product(x, lo, mid, left, right) writes the cross entries of x, whose
     subterms have the colorings left (vertices from lo) and right (from
-    mid), and returns x's colorings.  trace, if a list, collects
-    ((lo, hi), *colorings) for every subterm in post-order."""
+    mid), and returns x's colorings."""
     if isinstance(t, prod_kind):
         _require_tables(field)
     leaves = count()
@@ -246,26 +245,18 @@ def _evaluate(t, kind, prod_kind, field: Field, product, trace):
         colors = tuple((tuple(getattr(x, f.name)),) for f in fields(x))
         if not all(0 <= e < field.q for (c,) in colors for e in c):
             raise TermError("constant color is not an element code")
-        lo = next(leaves)
-        if trace is not None:
-            trace.append(((lo, lo + 1), *colors))
-        return lo, colors
+        return next(leaves), colors
 
     def prod(x, left, right):
         (lo, colors_l), (mid, colors_r) = left, right
-        colors = product(x, lo, mid, colors_l, colors_r)
-        if trace is not None:
-            trace.append(((lo, lo + len(colors[0])), *colors))
-        return lo, colors
+        return lo, product(x, lo, mid, colors_l, colors_r)
 
     return _fold(t, const, prod, prod_kind)[1]
 
 
-def eval_rank_term(t: RankTerm, sigma: Sesquimorphism,
-                   trace: Optional[list] = None) -> VColoredGraph:
+def eval_rank_term(t: RankTerm, sigma: Sesquimorphism) -> VColoredGraph:
     """Evaluate to a sigma-symmetric graph with vertices numbered by leaf
-    position.  If trace is a list, (leaf_span, gamma) is appended for every
-    subterm in post-order."""
+    position, and its coloring gamma."""
     field, sig = sigma.field, sigma.table.__getitem__
     n = term_leaves(t)
     codes = [0] * (n * n)
@@ -286,14 +277,13 @@ def eval_rank_term(t: RankTerm, sigma: Sesquimorphism,
             _place(codes, n, mid, lo, [tuple(map(sig, c)) for c in zip(*cross)])
         return (tuple(_times(gam_g, N, field) + _times(gam_h, P, field)),)
 
-    gamma, = _evaluate(t, RankConst, RankProd, field, product, trace)
+    gamma, = _evaluate(t, RankConst, RankProd, field, product)
     return VColoredGraph(SigmaGraph(field, range(n), codes, sigma), gamma)
 
 
-def eval_birank_term(t: BiRankTerm, field: Field,
-                     trace: Optional[list] = None) -> BiColoredGraph:
-    """Evaluate a bi-rank term over the field; vertices numbered by leaf
-    position.  trace (optional list) collects (leaf_span, gamma+, gamma-)."""
+def eval_birank_term(t: BiRankTerm, field: Field) -> BiColoredGraph:
+    """Evaluate a bi-rank term over the field, to a graph with vertices
+    numbered by leaf position and its colorings gamma+ and gamma-."""
     n = term_leaves(t)
     codes = [0] * (n * n)
 
@@ -319,7 +309,7 @@ def eval_birank_term(t: BiRankTerm, field: Field,
         return (tuple(_times(gp_g, N1, field) + _times(gp_h, P1, field)),
                 tuple(_times(gm_g, N2, field) + _times(gm_h, P2, field)))
 
-    gp, gm = _evaluate(t, BiConst, BiProd, field, product, trace)
+    gp, gm = _evaluate(t, BiConst, BiProd, field, product)
     return BiColoredGraph(ColoredGraph(field, range(n), codes), gp, gm)
 
 
@@ -399,17 +389,16 @@ def term_from_layout_rank(G: SigmaGraph, L: Layout) -> RankTerm:
     vertex; at each node the cross matrix is (1/sigma(1)) M[X1][X2] over the
     child bases and N/P carry each child-basis row's coordinates in the
     parent basis."""
+    rooted = _rooted(G, L)
     if not isinstance(G, SigmaGraph):
         raise TermError("rank terms compile from sigma-symmetric graphs")
-    rooted = _rooted(G, L)
     F = G.field
     _require_tables(F)
     scale = F.MUL[F.inv(G.sigma.one)]
-    vpos = {v: i for i, v in enumerate(G.vertices)}
     A = G.rows()
 
     def leaf(node):
-        x = vpos[L.leaves[node]]
+        x = G._index[L.leaves[node]]
         return RankConst((1,)), (x,) if any(A[x]) else (), 1 << x
 
     def join(_, left, right):
@@ -431,12 +420,11 @@ def term_from_layout_birank(G: ColoredGraph, L: Layout) -> BiRankTerm:
     the bi-cut-rank of the node's cut."""
     rooted = _rooted(G, L)
     _require_tables(G.field)
-    vpos = {v: i for i, v in enumerate(G.vertices)}
     A = G.rows()
     AT = list(zip(*A))
 
     def leaf(node):
-        x = vpos[L.leaves[node]]
+        x = G._index[L.leaves[node]]
         Xp = (x,) if any(A[x]) else ()
         Xm = (x,) if any(AT[x]) else ()
         return BiConst((1,) * len(Xp), (1,) * len(Xm)), Xp, Xm, 1 << x
@@ -466,10 +454,8 @@ def compiled_leaf_order(G: ColoredGraph, L: Layout) -> list:
 
 
 def _rooted(G: ColoredGraph, L: Layout):
-    """L rooted at G's first vertex, the compilers' walk, once L's leaves
-    are G's vertices."""
-    if set(L.leaves.values()) != set(G.vertices):
-        raise TermError("layout leaves do not match the graph's vertices")
+    """L rooted at G's first vertex, the compilers' walk, once L fits G."""
+    _check_leaves(L, G)
     return L.rooted(G.vertices[0])
 
 

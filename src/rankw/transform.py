@@ -48,7 +48,7 @@ from typing import ClassVar, Optional
 from .cutrank import CutFunction
 from .fields import Field, FieldError, Sesquimorphism, sigma_compatible_set
 from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
-    _components, _symmetric, digraph_gf2
+    _check_sigma_field, _components, _symmetric, digraph_gf2
 from .layouts import _decided_tree
 from .matrix import _require_tables
 
@@ -203,42 +203,28 @@ def _successors(field: Field, relation: str, sigma):
     the start graph's sesqui-morphism, or None; it picks the lambdas of
     "sigma-vertex" and sigma(1) of the pivots, never a state's class.
 
-    With sigma(1) = 1 the pivots at ij and ji are equal, so only the edges
-    with i < j are pivoted at, and an edge's image (g[i], g[j]) is read as
-    (min, max).  The earliest ordered edge of an orbit together with its
-    reversal is such an edge, and the later ones give that edge's graph or
-    an isomorphic one, so the new forms and their order stay the same."""
+    Only with sigma(1) = 1 are the pivots at ij and ji equal, and then only
+    the edges with i < j are pivoted at, and an edge's image (g[i], g[j]) is
+    read as (min, max).  The earliest ordered edge of an orbit together with
+    its reversal is such an edge, and the later ones give that edge's graph
+    or an isomorphic one, so the new forms and their order stay the same."""
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    if sigma is None and relation != "vertex":
+        raise GraphError(f"{relation} relation needs sigma-symmetric graphs")
+    _require_tables(field)
     if relation == "pivot":
-        if sigma is None:
-            raise GraphError("pivot relation needs sigma-symmetric graphs")
-        _require_tables(field)
         s1 = sigma.one
 
-        if s1 == 1:
-            def pivot_moves(s, n, gens):
-                def image(k, g):
-                    a, b = g[k // n], g[k % n]
-                    return a * n + b if a < b else b * n + a
-                edges = [k for k, e in enumerate(s) if e and k // n < k % n]
-                return [_pivot(s, n, *divmod(k, n), field, 1)
-                        for k in _firsts(edges, gens, image)]
-            return pivot_moves
-
         def pivot_moves(s, n, gens):
-            edges = [k for k, e in enumerate(s) if e]
+            def image(k, g):
+                a, b = g[k // n], g[k % n]
+                return b * n + a if s1 == 1 and b < a else a * n + b
+            edges = [k for k, e in enumerate(s) if e and (s1 != 1 or k // n < k % n)]
             return [_pivot(s, n, *divmod(k, n), field, s1)
-                    for k in _firsts(edges, gens,
-                                     lambda k, g: g[k // n] * n + g[k % n])]
+                    for k in _firsts(edges, gens, image)]
         return pivot_moves
-    if relation == "sigma-vertex":
-        if sigma is None:
-            raise GraphError("sigma-vertex relation needs sigma-symmetric graphs")
-        lams = sigma_compatible_set(sigma)
-    elif relation == "vertex":
-        lams = list(field.units())
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    _require_tables(field)
+    lams = sigma_compatible_set(sigma) if relation == "sigma-vertex" else field.units()
     ADD, MUL = field.ADD, field.MUL
     lam_rows = [MUL[lam] for lam in lams]
 
@@ -416,16 +402,17 @@ def _generate(field: Field, sigma: Sesquimorphism, n: int):
         yield level
 
 
-def sigma_symmetric_graphs(field: Field, sigma: Sesquimorphism, n: int,
-                           connected_only: bool = False) -> list[SigmaGraph]:
-    """All sigma-symmetric graphs on n vertices up to isomorphism, grown by
-    vertex extension with canonical-form rejection.  Vertices are 0..n-1."""
-    if sigma.field != field:
-        raise GraphError("sesqui-morphism is over a different field")
+def sigma_symmetric_graphs(field: Field, sigma: Sesquimorphism,
+                           n: int) -> list[SigmaGraph]:
+    """All sigma-symmetric graphs on n >= 0 vertices up to isomorphism, grown
+    by vertex extension with canonical-form rejection.  Vertices are 0..n-1."""
+    _check_sigma_field(sigma, field)
+    if n < 0:
+        raise GraphError(f"graph size n = {n} must be >= 0")
+    if n == 0:
+        return [SigmaGraph(field, (), (), sigma)]
     *_, level = _generate(field, sigma, n)
-    m = max(n, 1)
-    return [_graph(field, range(m), codes, sigma, lab) for codes, lab in level
-            if not connected_only or len(_components(m, codes)) <= 1]
+    return [_graph(field, range(n), codes, sigma, lab) for codes, lab in level]
 
 
 # -- obstructions ---------------------------------------------------------------
@@ -488,8 +475,9 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
         raise ValueError(f"relation must be one of {RELATIONS}")
     if max_n > 8:
         raise GraphError("obstruction search limited to max_n <= 8")
-    if sigma.field != field:
-        raise GraphError("sesqui-morphism is over a different field")
+    if k < 0:
+        raise GraphError(f"width bound k = {k} must be >= 0")
+    _check_sigma_field(sigma, field)
     if relation == "vertex" and len(sigma_compatible_set(sigma)) != field.q - 1:
         raise GraphError("the vertex relation needs every unit to be "
                          "sigma-compatible (sigma(l) = l * sigma(1)^2); use "
@@ -500,7 +488,7 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
     # a form is kept as the bytes of its certificate (codes < q <= 256, as
     # _successors checked): a level's seen set, one form per connected
     # graph, is the search's largest store
-    level = [((0,), _canonical_labelling(q, 1, (0,)))] if k >= 0 else []
+    level = [((0,), _canonical_labelling(q, 1, (0,)))]
     narrow = {bytes(lab[0][2]) for _, lab in level}   # the class's forms
 
     # is_narrow is asked about graphs a vertex smaller than the level, whose

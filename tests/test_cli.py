@@ -211,6 +211,10 @@ def test_term_compile_with_explicit_layout(tmp_path, capsys):
     assert code == 0
     G = parse_graph(out)
     assert G.n == 5 and int((G.adj != 0).sum()) == 10
+    # redundant parentheses at the root are allowed
+    nwk.write_text("(((v1,v2),(v3,(v4,v5))));\n")
+    assert main(["term", "compile", "--input", str(path), "--layout", str(nwk),
+                 "--out", str(term_path)]) == 0
     # a layout whose leaves are not the graph's vertices is refused
     bad = tmp_path / "bad.nwk"
     bad.write_text("(a,(b,(c,(d,e))));\n")
@@ -393,6 +397,8 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
     (tmp_path / "truncated.term").write_text(
         "(prod [1 1; 0] [1 1; 1] [1 1; 1] (const 1) (const 1)")
     (tmp_path / "stray.nwk").write_text("(v1,(v2,(v3,(v4,zz))));\n")
+    (tmp_path / "refield.rg").write_text("field 2 1\nvertices a b\nedge a b 1\n"
+                                         "field 3 1\n")
     cases = [
         (["encode", "--from", "directed", "--arcs", "a>b", "--vertices", "b"],
          "unknown vertex 'a'"),
@@ -406,6 +412,11 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
          "matrices over GF(257) (order > 256) are unsupported"),
         (["term", "compile", "--input", str(c5), "--layout",
           str(tmp_path / "stray.nwk")], "layout leaf 'zz' is not a graph vertex"),
+        (["width", "--input", str(tmp_path / "refield.rg")],
+         "line 4: repeated field declaration"),
+        (["obstructions", "--field", "2", "1", "--sigma", "id", "--relation",
+          "pivot", "--k", "-1", "--max-n", "3", "--out", str(tmp_path / "obs")],
+         "width bound k = -1 must be >= 0"),
     ]
     for p, k in [(1000000000000000003, 1), (2, 1000000000), (3, 10000000),
                  (2, 100000000)]:

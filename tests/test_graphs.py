@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from rankw.cutrank import CutFunction
 from rankw.fields import (FieldError, field_extend_quadratic, field_make,
-                          sigma_frobenius_conj, sigma_identity, sigma_negation)
+                          parse_sigma, sigma_frobenius_conj, sigma_identity,
+                          sigma_negation)
 from rankw.graphs import (ColoredGraph, GraphError, SigmaGraph,
                           _canonical_labelling, _orbit, digraph_gf2,
                           emit_dot, emit_graph, encode_directed,
@@ -601,9 +602,32 @@ def test_domain_errors_name_the_precondition():
          "line 2: unknown declaration 'vertex'"),
         (lambda: parse_graph("field 2 1\n"), GraphError,
          "missing vertices declaration"),
+        (lambda: parse_graph("field 2 1\nvertices a b\nedge a b 1\nfield 3 1\n"),
+         GraphError, "line 4: repeated field declaration"),
+        (lambda: parse_graph("field 2 1\nvertices a b\nvertices c\n"), GraphError,
+         "line 3: repeated vertices declaration"),
+        (lambda: parse_graph("field 3 1\nsigma id\nsigma neg\nvertices a\n"),
+         GraphError, "line 3: repeated sigma declaration"),
     ]
     for call, error, fragment in rows:
         with pytest.raises(error, match=fragment):
             call()
     # graphs of different orders are not isomorphic; that is no error
     assert isomorphic(K2, encode_undirected([(0, 1), (1, 2)])) is None
+
+
+def test_equality_and_hash_see_sigma_and_the_class():
+    """One matrix under two sigmas, or under none, makes three different
+    graphs (their sigma-vertex orbits differ: every unit of GF(4) is
+    id-compatible, only 1 is frob-inv-compatible); a sigma's name does not
+    count."""
+    F4 = field_make(2, 2)
+    conj = sigma_frobenius_conj(F4)
+    under_id = SigmaGraph(F4, "ab", [0, 1, 1, 0], sigma_identity(F4))
+    under_conj = SigmaGraph(F4, "ab", [0, 1, 1, 0], conj)
+    plain = ColoredGraph(F4, "ab", [0, 1, 1, 0])
+    assert under_id != under_conj and under_id != plain and under_conj != plain
+    assert len({under_id, under_conj, plain}) == 3
+    unnamed = SigmaGraph(F4, "ab", [0, 1, 1, 0], parse_sigma(F4, "0 1 3 2"))
+    assert unnamed.sigma.name != conj.name
+    assert unnamed == under_conj and hash(unnamed) == hash(under_conj)

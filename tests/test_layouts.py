@@ -24,7 +24,8 @@ from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SearchStats,
                            SizeBoundError, birankwidth, build_layout,
                            decide_width_at_most, fold, layout_width,
                            parse_newick, rankwidth, width_exact)
-from rankw.terms import compiled_leaf_order
+from rankw.terms import (compiled_leaf_order, term_from_layout_birank,
+                         term_from_layout_rank)
 
 from oracles import (enumerate_layouts, is_strongly_connected,
                      random_colored_graph, random_digraph_arcs,
@@ -368,6 +369,35 @@ def test_newick_roundtrip_and_parsing():
     # spaces around labels and separators are dropped, spaces inside kept
     spaced = parse_newick(" ( a b , ( c ,d ) ) ; ;\n")
     assert sorted(spaced.vertices) == ["a b", "c", "d"]
+
+
+def test_redundant_parentheses_read_as_without():
+    """A group of one member is that member, at the root too (a root group
+    of one was an internal node of degree < 2, or of degree 4 when it held
+    three members)."""
+    for wrapped, plain in [("(a);", "a;"), ("(((a)));", "a;"),
+                           ("((a,b));", "(a,b);"), ("((a,b,c));", "(a,b,c);"),
+                           ("(((a,b)),c);", "((a,b),c);"),
+                           ("(((v1,v2),(v3,(v4,v5))));", "((v1,v2),(v3,(v4,v5)));")]:
+        assert parse_newick(wrapped).to_newick() == parse_newick(plain).to_newick()
+
+
+def test_a_layout_that_does_not_fit_names_the_leaf_or_the_vertex():
+    """layout_width and both compilers name the first leaf that is not a
+    graph vertex, or else the first vertex that has no leaf."""
+    G = encode_undirected([("a", "b"), ("b", "c")])
+    queries = (lambda L: layout_width(G, CutFunction(G, "cutrk"), L),
+               lambda L: term_from_layout_rank(G, L),
+               lambda L: term_from_layout_birank(G, L))
+    for tree, labels, msg in [
+            (((0, 1), (2, 3)), "abcd", "layout leaf 'd' is not a graph vertex"),
+            ((0, 1, 2), ["a", 0, "c"], "layout leaf 0 is not a graph vertex"),
+            ((0, 1), "bc", "graph vertex 'a' has no layout leaf"),
+            (0, "a", "graph vertex 'b' has no layout leaf")]:
+        L = build_layout(tree, labels)
+        for query in queries:
+            with pytest.raises(LayoutError, match=f"^{re.escape(msg)}$"):
+                query(L)
 
 
 def test_layout_validation():

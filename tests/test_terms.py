@@ -13,8 +13,8 @@ from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
 from rankw.graphs import (ColoredGraph, SigmaGraph, digraph_gf2,
                           encode_undirected, isomorphic)
-from rankw.layouts import (birankwidth, build_layout, layout_width,
-                           parse_newick, rankwidth)
+from rankw.layouts import (LayoutError, birankwidth, build_layout,
+                           layout_width, parse_newick, rankwidth)
 from rankw.terms import (BiConst, BiProd, Mat, RankConst, RankProd, TermError,
                          compiled_leaf_order, emit_term, eval_birank_term,
                          eval_rank_term, parse_term, syntactic_layout,
@@ -453,18 +453,30 @@ def test_arbitrary_terms_evaluate_within_their_width():
         assert width_exact(G, CutFunction(G, "cutrk")).width <= cap
 
 
+def _spans(t) -> list:
+    """(subterm, its leaf span (lo, hi)) for every subterm of t: its leaves
+    are the evaluated graph's vertices lo..hi-1."""
+    out, stack = [], [(t, 0)]
+    while stack:
+        x, lo = stack.pop()
+        out.append((x, (lo, lo + term_leaves(x))))
+        if isinstance(x, (RankProd, BiProd)):
+            stack += [(x.left, lo), (x.right, lo + term_leaves(x.left))]
+    return out
+
+
 def test_soundness_factorizations():
-    """rank(M_G[V_H][rest]) <= rank(Gamma_H) at every subterm (and the
-    outbound/inbound versions for bi-rank terms)."""
+    """rank(M_G[V_H][rest]) <= rank(Gamma_H) at every subterm H, Gamma_H
+    the coloring of H evaluated alone (and the outbound/inbound versions
+    for bi-rank terms)."""
     rng = random.Random(6)
     for _ in range(15):
         F, s = rng.choice([(F2, S2), (F4, S4)])
         G = random_sigma_graph(rng, F, s, rng.randrange(2, 6))
         t = term_from_layout_rank(G, rankwidth(G).witness)
-        trace: list = []
-        ev = eval_rank_term(t, s, trace=trace)
-        adj = ev.graph.adj
-        for (lo, hi), gamma in trace:
+        adj = eval_rank_term(t, s).graph.adj
+        for x, (lo, hi) in _spans(t):
+            gamma = eval_rank_term(x, s).gamma
             inside = list(range(lo, hi))
             outside = [v for v in range(adj.shape[0]) if not lo <= v < hi]
             if outside:
@@ -474,10 +486,10 @@ def test_soundness_factorizations():
         F = rng.choice([F2, F3])
         G = random_colored_graph(rng, F, rng.randrange(2, 6))
         t = term_from_layout_birank(G, birankwidth(G).witness)
-        trace = []
-        ev = eval_birank_term(t, F, trace=trace)
-        adj = ev.graph.adj
-        for (lo, hi), gp, gm in trace:
+        adj = eval_birank_term(t, F).graph.adj
+        for x, (lo, hi) in _spans(t):
+            ev = eval_birank_term(x, F)
+            gp, gm = ev.gamma_plus, ev.gamma_minus
             inside = list(range(lo, hi))
             outside = [v for v in range(adj.shape[0]) if not lo <= v < hi]
             if outside:
@@ -619,14 +631,16 @@ def test_writers_are_linear_at_depth():
 
 def test_compiled_leaf_order_checks_the_leaves():
     """A layout whose leaves are not the graph's vertices is refused with
-    the compilers' message (it was a KeyError, or a silent answer)."""
+    a message naming the first stray leaf, or else the first vertex without
+    a leaf (it was a KeyError, or a silent answer)."""
     G = encode_undirected([("a", "b"), ("b", "c")])
-    msg = "layout leaves do not match the graph's vertices"
-    for labels in (["a", "b", "z"], ["z", "b", "c"], ["a", "b"]):
+    for labels, msg in ((["a", "b", "z"], "layout leaf 'z' is not a graph vertex"),
+                        (["z", "b", "c"], "layout leaf 'z' is not a graph vertex"),
+                        (["a", "b"], "graph vertex 'c' has no layout leaf")):
         L = build_layout(tuple(range(len(labels))), labels)
         for compile_ in (compiled_leaf_order, term_from_layout_rank,
                          term_from_layout_birank):
-            with pytest.raises(TermError, match=f"^{msg}$"):
+            with pytest.raises(LayoutError, match=f"^{msg}$"):
                 compile_(G, L)
     L = build_layout((0, (1, 2)), ["b", "a", "c"])
     assert compiled_leaf_order(G, L) == ["a", "b", "c"]

@@ -604,10 +604,11 @@ def test_minor_width_monotonicity():
 
 
 def test_generation_counts_gf2():
-    # unlabeled-graph counts 1, 2, 4, 11, 34 on 1..5 vertices
-    for n, expect in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]:
+    # unlabeled-graph counts 1, 1, 2, 4, 11, 34 on 0..5 vertices
+    for n, expect in [(0, 1), (1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]:
         assert len(sigma_symmetric_graphs(F2, S2, n)) == expect
-    conn = sigma_symmetric_graphs(F2, S2, 4, connected_only=True)
+    assert [G.n for G in sigma_symmetric_graphs(F2, S2, 0)] == [0]
+    conn = [G for G in sigma_symmetric_graphs(F2, S2, 4) if G.is_connected()]
     assert len(conn) == 6  # connected graphs on 4 vertices
 
 
@@ -882,12 +883,16 @@ def test_domain_errors_name_the_precondition():
          "minor search limited to n <= 10"),
         (lambda: sigma_symmetric_graphs(F2, S4, 3), GraphError,
          "sesqui-morphism is over a different field"),
+        (lambda: sigma_symmetric_graphs(F2, S2, -1), GraphError,
+         r"graph size n = -1 must be >= 0"),
         (lambda: find_obstructions(F2, S2, "edge", 1, 3), ValueError,
          "relation must be one of"),
         (lambda: find_obstructions(F2, S2, "pivot", 1, 9), GraphError,
          "obstruction search limited to max_n <= 8"),
         (lambda: find_obstructions(F2, S4, "pivot", 1, 3), GraphError,
          "sesqui-morphism is over a different field"),
+        (lambda: find_obstructions(F2, S2, "pivot", -1, 3), GraphError,
+         r"width bound k = -1 must be >= 0"),
         (lambda: const_graph(F2, S2, 0), FieldError,
          "const graphs need a nonzero color"),
     ]
