@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .cutrank import CutFunction
 from .fields import field_make, parse_sigma, plain_int
-from .graphs import (ColoredGraph, GraphError, SigmaGraph, emit_dot,
+from .graphs import (ColoredGraph, GraphError, emit_dot,
                      emit_graph, encode_directed, encode_oriented,
                      encode_undirected, parse_graph)
 from .layouts import (BNB_BOUND, SearchStats, decide_width_at_most,
@@ -51,13 +51,7 @@ def _load_graph(path: str) -> ColoredGraph:
 
 
 def _cut_function(G: ColoredGraph, param: str) -> CutFunction:
-    if param == "rank":
-        if not isinstance(G, SigmaGraph):
-            raise GraphError("rank widths need a sigma declaration in the "
-                             "graph file (cutrk is defined on sigma-symmetric "
-                             "graphs)")
-        return CutFunction(G, "cutrk")
-    return CutFunction(G, "bicutrk")
+    return CutFunction(G, "cutrk" if param == "rank" else "bicutrk")
 
 
 def _graph_output(args, G: ColoredGraph) -> tuple[str, dict]:

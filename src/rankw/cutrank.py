@@ -41,7 +41,10 @@ Every kernel also takes a cap c >= 1 and returns min(rank, c): it stops
 once its basis holds c rows.  A width decision at bound k needs only
 whether a cut exceeds k, so it stops each rank at k + 1 (bicutrk gives its
 second block what the first left of the cap, and lambda its second rank)
-and stores a cut that reaches k + 1 as the bound UNSET - (k + 1).
+and stores a cut that reaches k + 1 as the bound UNSET - (k + 1).  A width
+search also bounds whole blocks of cuts by one rank of a submatrix that
+they all contain (`CutFunction._bound`) and writes such a bound as the
+same entry for each cut of the block.
 
 The bit-sliced kernels follow T. J. Boothby and R. W. Bradshaw, "Bitslicing
 and the method of four Russians over larger finite fields" (2009), and M. R.
@@ -91,7 +94,8 @@ class CutFunction:
     entry e has one reading: if e < LOW = 128, it is the value of the cut
     X; if e >= LOW, the value is at least UNSET - e.  So UNSET = 255, the
     entry of a cut not evaluated yet, is the trivial bound 0, and a cut
-    whose ranks a width decision capped at c is stored as UNSET - c.  A
+    whose ranks a width decision capped at c is stored as UNSET - c, and
+    so is a bound c that a search read off a block of cuts (`_bound`).  A
     search at bound k reads a bound c > k as "> k" and evaluates an entry
     again exactly when it is at least max(LOW, UNSET - k), so a bound
     outlives searches at other bounds and none is ever reset.  `f(X)`
@@ -153,7 +157,9 @@ class CutFunction:
         it.  The cap is k + 1 if capped and 0 <= k < UNSET - LOW, so that
         the bound UNSET - (k + 1) stays >= LOW, else UNCAPPED (exact
         values).  The threshold max(LOW, UNSET - k) selects the entries
-        that are neither exact nor a bound c > k."""
+        that are neither exact nor a bound c > k.  The last value, small,
+        is the largest side of a block whose `_bound` cannot exceed k: a
+        rank of M[A][C] is at most min(|A|, |C|)."""
         memo = self.memo
         if memo.__class__ is not bytearray and self._n <= FLAT_N:
             flat = bytearray((UNSET,)) * (self._full + 1)
@@ -161,7 +167,9 @@ class CutFunction:
                 flat[mask] = v
             self.memo = memo = flat
         cap = k + 1 if capped and 0 <= k < UNSET - LOW else UNCAPPED
-        return memo, cap, max(LOW, UNSET - k)
+        kind = self.kind
+        small = k if kind == "cutrk" else k // 2 if kind == "bicutrk" else (k - 1) // 2
+        return memo, cap, max(LOW, UNSET - k), small
 
     def _fill(self, mask: int, cap: int = UNCAPPED) -> int:
         """Evaluate the cut mask with each rank stopped at cap, store the
@@ -193,6 +201,29 @@ class CutFunction:
             self._capped += 1
         self.memo[mask] = self.memo[self._full ^ mask] = v
         return v
+
+    def _bound(self, A: int, C: int, cap: int) -> int:
+        """The entry UNSET - b for a lower bound b on the cut of every X
+        with A <= X and C <= V\\X (A, C disjoint and nonempty, once the
+        rows are packed): b is rk M[A][C], plus rk M[C][A] for bicutrk, plus 1
+        for lambda, whose packed rows n.. (of (I | M)^T) are M's columns.
+        Each rank stops so that b <= min(cap, UNSET - LOW), so the entry is
+        a bound; for lambda, cap >= 2."""
+        R, rank = self._rows, self._rank
+        if cap > UNSET - LOW:
+            cap = UNSET - LOW
+        if self.kind == "cutrk":
+            b = rank(R, A, C, cap)
+        elif self.kind == "bicutrk":
+            b = rank(R, A, C, cap)
+            if b < cap:
+                b += rank(R, C, A, cap - b)
+        else:
+            n = self._n
+            b = 1 + rank(R, C << n, A, cap - 1)
+            if b < cap:
+                b += rank(R, A << n, C, cap - b)
+        return UNSET - b
 
     def evaluations(self) -> int:
         """The number of cut evaluations {X, V\\X} so far, a cut evaluated

@@ -472,11 +472,16 @@ def parse_sigma(field: Field, spec: str) -> Sesquimorphism:
     return _make_sigma(field, table, "")
 
 
+def _check_lambda(field: Field, lam: int) -> None:
+    """FieldError unless lam is a nonzero element code of field."""
+    if field._check(lam) == 0:
+        raise FieldError("lambda must be nonzero")
+
+
 def sigma_compatible(sigma: Sesquimorphism, lam: int) -> bool:
     """True iff sigma(lambda) = lambda * sigma(1)^2 (lambda nonzero)."""
     f = sigma.field
-    if f._check(lam) == 0:
-        raise FieldError("lambda must be nonzero")
+    _check_lambda(f, lam)
     s1 = sigma.one
     return sigma(lam) == f.mul(lam, f.mul(s1, s1))
 

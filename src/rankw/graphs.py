@@ -241,6 +241,11 @@ def _check_sigma_field(sigma: Sesquimorphism, field: Field) -> None:
         raise GraphError("sesqui-morphism is over a different field")
 
 
+def _check_same_field(G: ColoredGraph, H: ColoredGraph) -> None:
+    if G.field != H.field:
+        raise GraphError("graphs live over different fields")
+
+
 # -- encodings ---------------------------------------------------------------
 
 def _arc_indices(arcs, vertices):
@@ -439,8 +444,7 @@ def isomorphic(G: ColoredGraph, H: ColoredGraph) -> Optional[dict]:
     """A color-preserving vertex bijection G -> H, or None: the graphs are
     isomorphic exactly when their canonical forms agree, and then the i-th
     vertex of G's canonical order maps to the i-th vertex of H's."""
-    if G.field != H.field:
-        raise GraphError("graphs live over different fields")
+    _check_same_field(G, H)
     if G.n != H.n:
         return None
     form_g, order_g, _ = G._labelling()

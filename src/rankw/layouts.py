@@ -288,13 +288,17 @@ class SearchStats:
     and how many of them a decision stopped at k + 1 (the growth of the
     CutFunction's counts, so a cut whose entry an earlier search on the
     same CutFunction left exact, or a bound > k, is not counted again, but
-    one whose bound <= k the search evaluated again is), and, for each
-    bound k, the subsets it searched (one per frame, not per split).  A
-    SearchStats passed to several decisions adds up all three.  `per`
-    names the key in the CLI's `stats:` lines."""
+    one whose bound <= k the search evaluated again is), the blocks of
+    splits that one bound ruled out and the cuts whose entry those bounds
+    wrote (see `_feasible_tree`), and, for each bound k, the subsets it
+    searched (one per frame, not per split).  A SearchStats passed to
+    several decisions adds up all of them.  `per` names the key in the
+    CLI's `stats:` lines."""
     per: ClassVar[str] = "k"
     cut_evaluations: int = 0
     capped_evaluations: int = 0
+    blocks_pruned: int = 0
+    cuts_bounded: int = 0
     subsets_searched: dict[int, int] = field(default_factory=dict)
 
 
@@ -357,14 +361,26 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
     (mask ^ sub, sub), sub a nonempty subset of mask less its lowest bit, in
     decreasing order: it asks for the tree of mask ^ sub, then of sub; a
     None moves it on.  The frames started are added to
-    stats.subsets_searched[k]."""
+    stats.subsets_searched[k].
+
+    Before it evaluates a cut x = mask ^ sub, a frame tries the blocks of
+    splits sub ^ l, l a subset of lj, that come next: lj is the bits of
+    others below the lowest one that sub lacks (all of others if none),
+    then lj less its top bit, and so on.  Every cut x | l of a block holds
+    x and misses c = V \\ (x | lj), so `CutFunction._bound(x, c)` bounds
+    them all; a side of at most `small` vertices cannot make it exceed k
+    and is not ranked.  The first block whose bound exceeds k is skipped,
+    and the bound is written as the entry of each of its cuts whose entry
+    is at or above the threshold.  The accepted splits, so the tree and
+    the subsets searched, stay the same."""
     stats.subsets_searched.setdefault(k, 0)
     if _singleton_floor(f, G.n) > k:
         return None
     if G.n <= 2:
         return 0 if G.n == 1 else (0, 1)
-    (memo, cap, threshold), fill = f.search_table(k, capped), f._fill
-    stack, mask = [], f._full ^ 1  # f(rest) = f({v0}) <= floor <= k already
+    memo, cap, threshold, small = f.search_table(k, capped)
+    fill, bound, full = f._fill, f._bound, f._full
+    stack, mask = [], full ^ 1  # f(rest) = f({v0}) <= floor <= k already
     others, sub, left, t = mask & (mask - 1), 0, None, None
     frames = 1
     while True:
@@ -374,6 +390,34 @@ def _feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
                 x = mask ^ sub
                 v = memo[x]
                 if v >= threshold:
+                    lj = 0
+                    if x.bit_count() > small:
+                        u = others & ~sub
+                        lj = others & ((u & -u) - 1) if u else others
+                    while lj:  # the block of splits sub ^ l, l <= lj: cuts x | l
+                        c = full ^ x ^ lj
+                        if c.bit_count() > small:
+                            e = bound(x, c, cap)
+                            if e < threshold:
+                                break
+                        lj ^= 1 << lj.bit_length() - 1
+                    if lj:  # every cut of the block is > k
+                        l, written = lj, 0
+                        while True:
+                            y = x | l
+                            if memo[y] >= threshold:
+                                memo[y] = memo[full ^ y] = e
+                                written += 1
+                            if not l:
+                                break
+                            l = (l - 1) & lj
+                        stats.blocks_pruned += 1
+                        stats.cuts_bounded += written
+                        sub ^= lj  # the block's last split; 0 if the block ends the frame
+                        if not sub:
+                            break
+                        sub = (sub - 1) & others
+                        continue
                     v = fill(x, cap)
                 if v <= k:
                     v = memo[sub]

@@ -46,9 +46,10 @@ from math import isqrt
 from typing import ClassVar, Optional
 
 from .cutrank import CutFunction
-from .fields import Field, FieldError, Sesquimorphism, sigma_compatible_set
+from .fields import (Field, FieldError, Sesquimorphism, _check_lambda,
+                     sigma_compatible_set)
 from .graphs import ColoredGraph, GraphError, SigmaGraph, _canonical_labelling, \
-    _check_sigma_field, _components, _symmetric, digraph_gf2
+    _check_same_field, _check_sigma_field, _components, _symmetric, digraph_gf2
 from .layouts import _decided_tree
 from .matrix import _require_tables
 
@@ -73,8 +74,7 @@ def local_complement(G: ColoredGraph, x, lam: int) -> ColoredGraph:
     other move breaks the symmetry of the entries it changes."""
     F = G.field
     _require_tables(F)
-    if F._check(lam) == 0:
-        raise FieldError("lambda must be nonzero")
+    _check_lambda(F, lam)
     [new] = _local_moves(G.codes, G.n, G.index(x), [F.MUL[lam]], F.ADD, F.MUL)
     return _graph(F, G.vertices, new, getattr(G, "sigma", None), None)
 
@@ -343,8 +343,7 @@ def is_minor(H: ColoredGraph, G: ColoredGraph, relation: str,
     deletions down to H's size, breadth-first with canonical-form
     deduplication.  Reaching max_states + 1 forms (the start is one) without
     H ends the search with complete=False: only the budget ran out."""
-    if G.field != H.field:
-        raise GraphError("graphs live over different fields")
+    _check_same_field(G, H)
     if H.n > G.n or G.n > 10:
         if G.n > 10:
             raise GraphError("minor search limited to n <= 10")
@@ -471,19 +470,19 @@ def find_obstructions(field: Field, sigma: Sesquimorphism, relation: str,
     its moves keep the graphs sigma-symmetric (cut-rank is defined on those
     only).
     """
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}")
+    _check_sigma_field(sigma, field)  # before _successors reads sigma's lambdas
+    successors = _successors(field, relation, sigma)
     if max_n > 8:
         raise GraphError("obstruction search limited to max_n <= 8")
+    if max_n < 0:
+        raise GraphError(f"obstruction size bound max_n = {max_n} must be >= 0")
     if k < 0:
         raise GraphError(f"width bound k = {k} must be >= 0")
-    _check_sigma_field(sigma, field)
     if relation == "vertex" and len(sigma_compatible_set(sigma)) != field.q - 1:
         raise GraphError("the vertex relation needs every unit to be "
                          "sigma-compatible (sigma(l) = l * sigma(1)^2); use "
                          "sigma-vertex")
     q = field.q
-    successors = _successors(field, relation, sigma)
     stats = ObstructionStats() if stats is None else stats
     # a form is kept as the bytes of its certificate (codes < q <= 256, as
     # _successors checked): a level's seen set, one form per connected

@@ -1,8 +1,9 @@
 """Test-only helpers shared by the suite: the random instance builders, the
-layout enumeration that the width search is checked against, the numpy
-oracles that the kernels of `rankw` are checked against, the closure
-engine and generator of `rankw.transform` without automorphism pruning, and
-the obstruction search over every graph, not only the width-<=k class.
+layout enumeration that the width search is checked against, the width
+search without block bounds, the numpy oracles that the kernels of `rankw`
+are checked against, the closure engine and generator of `rankw.transform`
+without automorphism pruning, and the obstruction search over every graph,
+not only the width-<=k class.
 
 `rank_of` is Gaussian elimination over the field's tables, and `fmatmul` the
 matrix product; `np_tables` holds the tables as uint16 arrays for both, and
@@ -24,7 +25,8 @@ from rankw.cutrank import CutFunction
 from rankw.fields import Field
 from rankw.graphs import (ColoredGraph, SigmaGraph, _canonical_labelling,
                           _components, _symmetric)
-from rankw.layouts import Layout, LayoutError, width_exact
+from rankw.layouts import (Layout, LayoutError, SearchStats, _singleton_floor,
+                           width_exact)
 from rankw.matrix import MatrixError, _require_tables
 from rankw.transform import (MAX_STATES, Obstruction, SearchBudgetError,
                              _delete, _generate, _minor_successors, _orbit,
@@ -113,6 +115,63 @@ def enumerate_layouts(n: int, labels: Optional[Sequence] = None) -> Iterator[Lay
             yield from grow(new_edges, next_leaf + 1, next_internal + 1)
 
     yield from grow([(0, 1)], 2, n)
+
+
+# -- the width search without block bounds --------------------------------------
+
+def feasible_tree(G: ColoredGraph, f: CutFunction, k: int, seen: dict,
+                  stats: SearchStats, capped: bool = False):
+    """`layouts._feasible_tree` as it was before block bounds: each split's
+    cut mask ^ sub is read from the table, or evaluated, one by one, so it
+    returns the same tree and searches the same subsets, with at least as
+    many cut evaluations."""
+    stats.subsets_searched.setdefault(k, 0)
+    if _singleton_floor(f, G.n) > k:
+        return None
+    if G.n <= 2:
+        return 0 if G.n == 1 else (0, 1)
+    (memo, cap, threshold, _), fill = f.search_table(k, capped), f._fill
+    stack, mask = [], f._full ^ 1
+    others, sub, left, t = mask & (mask - 1), 0, None, None
+    frames = 1
+    while True:
+        if t is None:
+            sub = (sub - 1) & others
+            while sub:
+                x = mask ^ sub
+                v = memo[x]
+                if v >= threshold:
+                    v = fill(x, cap)
+                if v <= k:
+                    v = memo[sub]
+                    if v >= threshold:
+                        v = fill(sub, cap)
+                    if v <= k:
+                        break
+                sub = (sub - 1) & others
+            left, child = None, mask ^ sub if sub else 0
+            if not child:
+                seen[mask] = k
+        elif left is None:
+            left, child = t, sub
+        else:
+            t = seen[mask] = (left, t)
+            child = 0
+        if not child:
+            if not stack:
+                stats.subsets_searched[k] += frames
+                return None if t is None else (0, t)
+            mask, others, sub, left = stack.pop()
+        elif child & (child - 1) == 0:
+            t = child.bit_length() - 1
+        else:
+            t = seen.get(child, -1)
+            if t.__class__ is int:
+                if t < k:
+                    stack.append((mask, others, sub, left))
+                    mask, others, sub, left = child, child & (child - 1), 0, None
+                    frames += 1
+                t = None
 
 
 # -- the numpy oracles ----------------------------------------------------------

@@ -69,12 +69,14 @@ def test_width_c5(tmp_path, capsys):
     assert sorted(L.leaves.values()) == [f"v{i}" for i in range(1, 6)]
     # the search's counters: the JSON's stats key, and stderr with --stats
     stats = payload["stats"]
-    assert set(stats) == {"cut_evaluations", "capped_evaluations", "subsets_searched"}
+    assert set(stats) == {"cut_evaluations", "capped_evaluations", "blocks_pruned",
+                          "cuts_bounded", "subsets_searched"}
     searched = stats["subsets_searched"]
     assert 0 < stats["cut_evaluations"] <= 16 and list(searched) == ["1", "2"]
     assert stats["capped_evaluations"] == 0  # only a decision caps cut ranks
-    lines = [f"stats: cut_evaluations {stats['cut_evaluations']}",
-             "stats: capped_evaluations 0"] + [
+    assert stats["blocks_pruned"] <= stats["cuts_bounded"]
+    lines = [f"stats: {name} {stats[name]}" for name in (
+        "cut_evaluations", "capped_evaluations", "blocks_pruned", "cuts_bounded")] + [
         f"stats: subsets_searched k={k} {searched[k]}" for k in ("1", "2")]
     assert run(capsys, "width", "--input", str(path), "--json", "--stats") == \
         (0, out, "\n".join(lines) + "\n")
@@ -86,8 +88,9 @@ def test_width_c5(tmp_path, capsys):
     assert payload["witness"] is None and list(payload["stats"]["subsets_searched"]) == ["1"]
     capped = payload["stats"]["capped_evaluations"]
     assert 0 < capped <= payload["stats"]["cut_evaluations"]
-    assert err.splitlines()[1:3] == [f"stats: capped_evaluations {capped}",
-                                     "stats: subsets_searched k=1 1"]
+    assert err.splitlines()[1:5] == [f"stats: capped_evaluations {capped}"] + [
+        f"stats: {name} {payload['stats'][name]}"
+        for name in ("blocks_pruned", "cuts_bounded")] + ["stats: subsets_searched k=1 1"]
 
 
 def test_width_decision_and_layout_file(tmp_path, capsys):
@@ -302,8 +305,8 @@ def test_exit_codes(tmp_path, capsys):
     # domain error: width 'rank' without a sigma declaration
     path = tmp_path / "nosigma.rg"
     path.write_text("field 2 1\nvertices a b\nedge a b 1\n")
-    code, out, err = run(capsys, "width", "--input", str(path), "--param", "rank")
-    assert code == 1 and "sigma" in err
+    assert run(capsys, "width", "--input", str(path), "--param", "rank") == \
+        (1, "", "error: cutrk is defined only for sigma-symmetric graphs\n")
     # domain error: an edge code outside the field names its line
     path.write_text("field 2 1\nvertices a b\nedge a b 70000\n")
     code, out, err = run(capsys, "width", "--input", str(path))
@@ -417,6 +420,9 @@ def test_bad_inputs_are_domain_errors(tmp_path, capsys):
         (["obstructions", "--field", "2", "1", "--sigma", "id", "--relation",
           "pivot", "--k", "-1", "--max-n", "3", "--out", str(tmp_path / "obs")],
          "width bound k = -1 must be >= 0"),
+        (["obstructions", "--field", "2", "1", "--sigma", "id", "--relation",
+          "pivot", "--k", "1", "--max-n", "-3", "--out", str(tmp_path / "obs")],
+         "obstruction size bound max_n = -3 must be >= 0"),
     ]
     for p, k in [(1000000000000000003, 1), (2, 1000000000), (3, 10000000),
                  (2, 100000000)]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankw import cutrank
+from rankw import cutrank, layouts
 from rankw.cutrank import LOW, UNCAPPED, UNSET, CutFunction, _SparseTable
 from rankw.fields import (field_make, sigma_frobenius_conj, sigma_identity,
                           sigma_negation)
@@ -27,7 +27,7 @@ from rankw.layouts import (BNB_BOUND, Layout, LayoutError, SearchStats,
 from rankw.terms import (compiled_leaf_order, term_from_layout_birank,
                          term_from_layout_rank)
 
-from oracles import (enumerate_layouts, is_strongly_connected,
+from oracles import (enumerate_layouts, feasible_tree, is_strongly_connected,
                      random_colored_graph, random_digraph_arcs,
                      random_sigma_graph)
 
@@ -486,8 +486,9 @@ _CONTAINER_CASES = [(_F2, sigma_identity(_F2)), (_F3, sigma_negation(_F3)),
 def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
     """The dict cut table of graphs above FLAT_N vertices, kept in place of
     the flat bytearray, gives the same width, tree, Newick, cut values and
-    counters, and answers both sides of the decision alike, capped cuts
-    and their counter included."""
+    counters, holds the same entries (each exact cut once per evaluation,
+    under both sides), and answers both sides of the decision alike,
+    capped cuts and their counter included."""
     F, sigma = case
     G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
     flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
@@ -499,7 +500,10 @@ def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
     assert a.width == b.width and a.witness.edges == b.witness.edges
     assert a.witness.to_newick() == b.witness.to_newick()
     assert a.cut_values == b.cut_values and a.stats == b.stats
-    assert flat.evaluations() == sparse.evaluations() == len(sparse.memo) // 2
+    entries = flat.memo.items() if n <= 2 else enumerate(flat.memo)
+    assert sparse.memo == {X: e for X, e in entries if e != UNSET}
+    exact = sum(e < LOW for e in sparse.memo.values())
+    assert flat.evaluations() == sparse.evaluations() == exact // 2
     for k in (a.width - 1, a.width):
         flat, sparse = CutFunction(G, kind), CutFunction(G, kind)
         s1, s2 = SearchStats(), SearchStats()
@@ -509,6 +513,47 @@ def test_sparse_cut_table_matches_flat(case, n, kind, seed, density):
         assert s1 == s2
         assert (L1 is None) == (L2 is None) == (k < a.width)
         assert L1 is None or L1.to_newick() == L2.to_newick()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=st.sampled_from(_CONTAINER_CASES), n=st.integers(1, 11),
+       kind=st.sampled_from(["cutrk", "bicutrk", "lambda"]),
+       seed=st.integers(0, 2 ** 32 - 1), density=st.sampled_from([0.3, 0.5, 0.8]),
+       flat=st.booleans())
+def test_block_bounds_keep_the_search(case, n, kind, seed, density, flat):
+    """The search with block bounds against `oracles.feasible_tree`, the
+    split loop that evaluates every cut it reads, with the flat table or
+    the dict table: width_exact and the decisions at k = w - 1 and w give
+    the oracle's tree, Newick, cut values and subsets searched, with no
+    more cut evaluations, and after each search every table entry is the
+    cut's value or a lower bound that the value reaches."""
+    F, sigma = case
+    G = random_sigma_graph(random.Random(seed), F, sigma, n, density)
+    values = [CutFunction(G, kind)(X) for X in range(1 << n)]
+
+    def search(feasible, k):  # k None: width_exact
+        f = CutFunction(G, kind)
+        with patch.object(layouts, "_feasible_tree", feasible), \
+                patch.object(cutrank, "FLAT_N", cutrank.FLAT_N if flat else 0):
+            if k is None:
+                res = width_exact(G, f)
+                L, stats, out = res.witness, res.stats, (res.width, res.cut_values)
+            else:
+                stats = SearchStats()
+                L = decide_width_at_most(G, f, k, stats=stats)
+                out = None
+        for X, v in enumerate(values):
+            e = f.memo[X]
+            assert e == v if e < LOW else v >= UNSET - e
+        return out, L and (L.edges, L.to_newick()), stats
+
+    w = search(feasible_tree, None)[0][0]
+    for k in (None, w - 1, w):
+        *a, s = search(layouts._feasible_tree, k)
+        *b, t = search(feasible_tree, k)
+        assert a == b and s.subsets_searched == t.subsets_searched
+        assert s.cut_evaluations <= t.cut_evaluations
+        assert t.blocks_pruned == t.cuts_bounded == 0
 
 
 @contextmanager
@@ -593,8 +638,9 @@ def test_capped_decisions_on_one_cut_function(case, n, kind, seed, density, flat
 
 def test_bounds_are_re_evaluated_and_counted_again():
     """A "no" at k = 2 on the 4x4 grid stores UNSET - 3 for the cuts above
-    2; the decision at k = 3 on the same CutFunction evaluates those it
-    reaches again and counts each among its cut evaluations, and a second
+    2 that it evaluates or that a block's bound covers; the decision at
+    k = 3 on the same CutFunction evaluates those it reaches again and
+    counts each among its cut evaluations, and a second
     "no" at k = 2 reads every cut it needs from the table, the bounds
     UNSET - 3 that the search at 3 did not reach and UNSET - 4 included."""
     G = encode_undirected([(r * 4 + c, r * 4 + c + d) for r in range(4) for c in range(4)
@@ -602,7 +648,8 @@ def test_bounds_are_re_evaluated_and_counted_again():
     f, s2, s3 = CutFunction(G, "cutrk"), SearchStats(), SearchStats()
     assert decide_width_at_most(G, f, 2, force=True, stats=s2) is None
     bounds = {X for X in range(1 << 16) if f.memo[X] == UNSET - 3}
-    assert 0 < 2 * s2.capped_evaluations == len(bounds)
+    assert 0 < s2.capped_evaluations and 0 < s2.blocks_pruned <= s2.cuts_bounded
+    assert 2 * (s2.capped_evaluations + s2.cuts_bounded) == len(bounds)
     with _fills_of(f) as calls:
         L = decide_width_at_most(G, f, 3, force=True, stats=s3)
     again = bounds.intersection(calls.masks)

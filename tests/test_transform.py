@@ -886,19 +886,24 @@ def test_domain_errors_name_the_precondition():
         (lambda: sigma_symmetric_graphs(F2, S2, -1), GraphError,
          r"graph size n = -1 must be >= 0"),
         (lambda: find_obstructions(F2, S2, "edge", 1, 3), ValueError,
-         "relation must be one of"),
+         "unknown relation 'edge'"),
         (lambda: find_obstructions(F2, S2, "pivot", 1, 9), GraphError,
          "obstruction search limited to max_n <= 8"),
         (lambda: find_obstructions(F2, S4, "pivot", 1, 3), GraphError,
          "sesqui-morphism is over a different field"),
         (lambda: find_obstructions(F2, S2, "pivot", -1, 3), GraphError,
          r"width bound k = -1 must be >= 0"),
+        (lambda: find_obstructions(F2, S2, "pivot", 1, -3), GraphError,
+         r"obstruction size bound max_n = -3 must be >= 0"),
         (lambda: const_graph(F2, S2, 0), FieldError,
          "const graphs need a nonzero color"),
     ]
     for call, error, fragment in rows:
         with pytest.raises(error, match=fragment):
             call()
+    # no graph on at most one vertex is wide
+    assert find_obstructions(F2, S2, "pivot", 0, 0) == \
+        find_obstructions(F2, S2, "pivot", 0, 1) == []
     # a minor with more vertices than the graph is a complete negative
     assert is_minor(big.induced_subgraph(range(3)), K2, "pivot") == \
         MinorSearchResult(False, True, 0)
